@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .plcore import (
@@ -28,6 +29,7 @@ from .plcore import (
     InvariantViolation,
     PLHomeo,
     PLMono,
+    _sweep,
     identity,
     sup_dist,
     uniform_witness,
@@ -206,10 +208,11 @@ def random_point(rng: random.Random, n: int, max_tries: int = 5000) -> Canonical
 # ---------------------------------------------------------------------------
 # Epsilon nets
 
-def _net_steps(n: int):
+@cache
+def _net_steps(n: int) -> tuple[tuple[int, ...], ...]:
     """All per-step increment choices for the first n-1 components."""
     if n == 2:
-        return [(i,) for i in range(3)]
+        return tuple((i,) for i in range(3))
     out = []
 
     def rec(prefix, budget):
@@ -220,7 +223,26 @@ def _net_steps(n: int):
             rec(prefix + [i], budget - i)
 
     rec([], n)
-    return out
+    return tuple(out)
+
+
+def _net_moves(n: int, m: int, j: int, state: tuple[int, ...]):
+    """Valid net steps from node j - 1 to node j, in _net_steps order.
+
+    ``state`` holds the first n-1 components' values (in units of 1/m)
+    at node j - 1; the last component's value follows from the mean
+    constraint.  Yields (next state, last component's value at node j)
+    for every step that keeps all components monotone and within m.
+    """
+    prev_last = n * (j - 1) - sum(state)
+    for incs in _net_steps(n):
+        nxt = tuple(v + i for v, i in zip(state, incs))
+        if any(v > m for v in nxt):
+            continue
+        last = n * j - sum(nxt)
+        if last < prev_last or last > m:
+            continue
+        yield nxt, last
 
 
 def net_size(n: int, m: int) -> int:
@@ -230,19 +252,11 @@ def net_size(n: int, m: int) -> int:
         raise InputError("need n >= 1 and m >= 1")
     if n == 1:
         return 1
-    steps = _net_steps(n)
     states = {(0,) * (n - 1): 1}
     for j in range(1, m + 1):
         new: dict[tuple[int, ...], int] = {}
         for state, cnt in states.items():
-            prev_last = n * (j - 1) - sum(state)
-            for incs in steps:
-                nxt = tuple(v + i for v, i in zip(state, incs))
-                if any(v > m for v in nxt):
-                    continue
-                last = n * j - sum(nxt)
-                if last < prev_last or last > m:
-                    continue
+            for nxt, _ in _net_moves(n, m, j, state):
                 new[nxt] = new.get(nxt, 0) + cnt
         states = new
     return states.get((m,) * (n - 1), 0)
@@ -259,7 +273,6 @@ def net_points(n: int, m: int):
     if n == 1:
         yield CanonicalTuple((identity(),), (ONE,))
         return
-    steps = _net_steps(n)
 
     def build(rows):
         comps = []
@@ -273,14 +286,7 @@ def net_points(n: int, m: int):
             if state == (m,) * (n - 1):
                 yield build(rows)
             return
-        prev_last = n * j - sum(state)
-        for incs in steps:
-            nxt = tuple(v + i for v, i in zip(state, incs))
-            if any(v > m for v in nxt):
-                continue
-            last = n * (j + 1) - sum(nxt)
-            if last < prev_last or last > m:
-                continue
+        for nxt, last in _net_moves(n, m, j + 1, state):
             new_rows = [r + [v] for r, v in zip(rows[:-1], nxt)]
             new_rows.append(rows[-1] + [last])
             yield from rec(j + 1, nxt, new_rows)
@@ -312,9 +318,8 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
         return CanonicalTuple((identity(),), (ONE,))
     if m < 1:
         raise InputError("need m >= 1")
-    steps = _net_steps(n)
-    comps = point.components
-    node_vals = [[f(Fraction(j, m)) for j in range(m + 1)] for f in comps]
+    nodes = [Fraction(j, m) for j in range(m + 1)]
+    node_vals = [_sweep(f._xs, f._ys, nodes) for f in point.components]
 
     def dev(j, state):
         vals = list(state) + [n * j - sum(state)]
@@ -326,14 +331,7 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     for j in range(1, m + 1):
         new: dict[tuple[int, ...], tuple[Fraction, tuple]] = {}
         for state, (cost, _) in layers[j - 1].items():
-            prev_last = n * (j - 1) - sum(state)
-            for incs in steps:
-                nxt = tuple(v + i for v, i in zip(state, incs))
-                if any(v > m for v in nxt):
-                    continue
-                last = n * j - sum(nxt)
-                if last < prev_last or last > m:
-                    continue
+            for nxt, _ in _net_moves(n, m, j, state):
                 c = max(cost, dev(j, nxt))
                 old = new.get(nxt)
                 if old is None or c < old[0]:
@@ -463,12 +461,12 @@ def render_csv(obj) -> str:
 # CLI
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise InputError(f"no such file: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -550,12 +548,8 @@ def _cmd_sample(args) -> None:
 
 def _cmd_plot(args) -> None:
     obj = _parse_plot_object(ser.loads(_read_text(args.input)))
-    if args.format == "svg":
-        _write_out(render_svg(obj), args.out)
-    elif args.format == "csv":
-        _write_out(render_csv(obj), args.out)
-    else:
-        raise InputError(f"plot emits svg or csv, not {args.format}")
+    render = render_svg if args.format == "svg" else render_csv
+    _write_out(render(obj), args.out)
 
 
 def _cmd_witness(args) -> None:
@@ -566,11 +560,7 @@ def _cmd_witness(args) -> None:
 
 
 def _cmd_gaps(args) -> None:
-    raw = ser.loads(_read_text(args.input))
-    if not isinstance(raw, dict) or "gaps" not in raw:
-        raise InputError("expected a gap-set object with a 'gaps' list")
-    pairs = [(ser.parse_frac(a), ser.parse_frac(b)) for a, b in raw["gaps"]]
-    merged = merge_gaps(pairs)
+    merged = merge_gaps(ser._gap_pairs(ser.loads(_read_text(args.input))))
     bad = isolated_points(merged)
     out: dict = ser.gapset_to_obj(merged)
     out["isolated_points"] = [ser.frac_str(x) for x in bad]
@@ -628,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="render an object as SVG or CSV")
     p.add_argument("input")
-    p.add_argument("--format", choices=("json", "csv", "svg"), default="svg")
+    p.add_argument("--format", choices=("csv", "svg"), default="svg")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_plot)
 

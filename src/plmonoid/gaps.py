@@ -26,6 +26,9 @@ from .plcore import (
     InputError,
     PLMono,
     _frac,
+    _lerp,
+    _sweep,
+    _tabulate,
     combine,
     compose,
     sup_dist,
@@ -159,8 +162,8 @@ def extreme_pair_all(g: GapSet) -> tuple[PLMono, PLMono]:
 
 def _difference_support(f: PLMono, h: PLMono) -> list[Interval]:
     """Maximal open intervals where f and h differ, exactly."""
-    xs = sorted(set(f._xs) | set(h._xs))
-    vals = [f(x) - h(x) for x in xs]
+    xs, (fv, hv) = _tabulate((f, h))
+    vals = [a - b for a, b in zip(fv, hv)]
     # Zero set of the piecewise-linear difference, as closed pieces.
     zeros: list[Interval] = []
     for i in range(len(xs) - 1):
@@ -173,7 +176,7 @@ def _difference_support(f: PLMono, h: PLMono) -> list[Interval]:
         elif d1 == 0:
             zeros.append((x1, x1))
         elif (d0 < 0) != (d1 < 0):
-            x_star = x0 + (x1 - x0) * (-d0) / (d1 - d0)
+            x_star = _lerp(d0, x0, d1, x1, ZERO)
             zeros.append((x_star, x_star))
     merged: list[Interval] = []
     for a, b in sorted(zeros):
@@ -191,25 +194,7 @@ def _difference_support(f: PLMono, h: PLMono) -> list[Interval]:
 def _preimage_of_closed(m: PLMono, lo: Fraction, hi: Fraction) -> Interval:
     """Exact preimage [l, r] of the closed band [lo, hi] under a
     monotone surjection; nonempty whenever 0 <= lo <= hi <= 1."""
-    xs, ys = m._xs, m._ys
-
-    def first_at_least(c: Fraction) -> Fraction:
-        if c <= ys[0]:
-            return xs[0]
-        for i in range(len(ys) - 1):
-            if ys[i] < c <= ys[i + 1]:
-                return xs[i] + (c - ys[i]) * (xs[i + 1] - xs[i]) / (ys[i + 1] - ys[i])
-        return xs[-1]
-
-    def last_at_most(c: Fraction) -> Fraction:
-        if c >= ys[-1]:
-            return xs[-1]
-        for i in range(len(ys) - 1, 0, -1):
-            if ys[i - 1] <= c < ys[i]:
-                return xs[i - 1] + (c - ys[i - 1]) * (xs[i] - xs[i - 1]) / (ys[i] - ys[i - 1])
-        return xs[0]
-
-    return first_at_least(lo), last_at_most(hi)
+    return _sweep(m._ys, m._xs, (lo,))[0], _sweep(m._ys, m._xs, (hi,), upper=True)[0]
 
 
 def _complement_pieces(g: GapSet) -> list[Interval]:

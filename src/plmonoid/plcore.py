@@ -18,7 +18,6 @@ module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from bisect import bisect_right, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -65,6 +64,41 @@ def _frac(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"not a rational number: {value!r}") from exc
+
+
+def _lerp(x0, y0, x1, y1, t) -> Fraction:
+    """Value at t of the line through (x0, y0) and (x1, y1)."""
+    return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
+def _sweep(xs, ys, args, upper: bool = False) -> list[Fraction]:
+    """Values of the polyline through (xs[i], ys[i]) at ascending args.
+
+    One merge pass over the vertices.  ``xs`` is weakly increasing and
+    spans every argument; where it repeats (a vertical segment) the
+    lowest value is taken, or the highest when ``upper`` is set.  Swept
+    over a reflected map (``ys`` against ``xs``) this gives the left or
+    right end of the preimage of each level.
+    """
+    out = []
+    i, last = 0, len(xs) - 1
+    for t in args:
+        while xs[i] < t:
+            i += 1
+        if xs[i] == t:
+            if upper:
+                while i < last and xs[i + 1] == t:
+                    i += 1
+            out.append(ys[i])
+        else:
+            out.append(_lerp(xs[i - 1], ys[i - 1], xs[i], ys[i], t))
+    return out
+
+
+def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The merged breakpoint grid of ``maps`` and each map's values on it."""
+    xs = sorted(set().union(*(f._xs for f in maps)))
+    return xs, [_sweep(f._xs, f._ys, xs) for f in maps]
 
 
 def _collinear(a: Point, b: Point, c: Point) -> bool:
@@ -124,13 +158,7 @@ class PLMono:
         t = _frac(t)
         if t < ZERO or t > ONE:
             raise InputError(f"argument {t} outside [0, 1]")
-        xs = self._xs
-        i = bisect_right(xs, t) - 1
-        if xs[i] == t:
-            return self._ys[i]
-        x0, y0 = self.breakpoints[i]
-        x1, y1 = self.breakpoints[i + 1]
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+        return _sweep(self._xs, self._ys, (t,))[0]
 
     def __eq__(self, other):
         if isinstance(other, PLMono):
@@ -205,13 +233,7 @@ class LcMono:
         v = _frac(v)
         if v < ZERO or v > ONE:
             raise InputError(f"argument {v} outside [0, 1]")
-        vs = self._vs
-        i = bisect_left(vs, v)
-        if vs[i] == v:
-            return self._ts[i]
-        v0, t0 = self.vertices[i - 1]
-        v1, t1 = self.vertices[i]
-        return t0 + (t1 - t0) * (v - v0) / (v1 - v0)
+        return _sweep(self._vs, self._ts, (v,))[0]
 
     def jumps(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """All jumps as (argument, lower value, upper value) triples."""
@@ -248,17 +270,19 @@ def pseudo_inverse(f: PLMono) -> LcMono:
 def compose(f: PLMono, g: PLMono) -> PLMono:
     """Exact composition t -> f(g(t)).
 
-    Breakpoints of the result are the breakpoints of g together with
-    the g-preimages of breakpoint abscissas of f.
+    Every breakpoint of the result is an end of the g-preimage of a
+    level that is a breakpoint abscissa of f or a breakpoint value of
+    g; f is constant there at its value on that level.
     """
-    cuts = set(g._xs)
-    gx, gy = g._xs, g._ys
-    for c in f._xs[1:-1]:
-        for i in range(len(gy) - 1):
-            if gy[i] < c < gy[i + 1]:
-                cuts.add(gx[i] + (c - gy[i]) * (gx[i + 1] - gx[i]) / (gy[i + 1] - gy[i]))
-    xs = sorted(cuts)
-    return PLMono(tuple((x, f(g(x))) for x in xs))
+    levels = sorted(set(f._xs) | set(g._ys))
+    lefts = _sweep(g._ys, g._xs, levels)
+    rights = _sweep(g._ys, g._xs, levels, upper=True)
+    pts = []
+    for left, right, value in zip(lefts, rights, _sweep(f._xs, f._ys, levels)):
+        pts.append((left, value))
+        if right != left:
+            pts.append((right, value))
+    return PLMono(tuple(pts))
 
 
 def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
@@ -267,22 +291,20 @@ def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
     The jump intervals of ``inv`` are skipped; the result is continuous
     exactly when f is constant across every jump.  That condition is
     checked at run time and InvariantViolation is raised if it fails.
+    The result runs through (m(x), f(x)) for x on the merged breakpoint
+    grid, where m is the map that ``inv`` reflects.
     """
-    vs, ts = inv._vs, inv._ts
+    xs = sorted(set(f._xs) | set(inv._ts))
+    fx = _sweep(f._xs, f._ys, xs)
+    at = dict(zip(xs, fx))
     for v, lower, upper in inv.jumps():
-        if f(lower) != f(upper):
+        if at[lower] != at[upper]:
             raise InvariantViolation(
                 f"discontinuous composition: jump at {v} spans [{lower}, {upper}] "
                 "where the outer map is not constant"
             )
-    cuts = set(vs)
-    for c in f._xs[1:-1]:
-        for i in range(len(ts) - 1):
-            if vs[i] < vs[i + 1] and ts[i] < c < ts[i + 1]:
-                cuts.add(vs[i] + (c - ts[i]) * (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]))
-    xs = sorted(cuts)
     try:
-        return PLMono(tuple((v, f(inv(v))) for v in xs))
+        return PLMono(tuple(zip(_sweep(inv._ts, inv._vs, xs), fx)))
     except InputError as exc:
         raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
 
@@ -296,18 +318,11 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
     """
     if not terms:
         raise InputError("empty combination")
-    xs = sorted(set().union(*(f._xs for _, f in terms)))
-    pts = []
-    for x in xs:
-        acc = ZERO
-        for c, f in terms:
-            acc += _frac(c) * f(x)
-        pts.append((x, acc))
-    return PLMono(tuple(pts))
-
-
-def _merged_grid(f: PLMono, g: PLMono) -> list[Fraction]:
-    return sorted(set(f._xs) | set(g._xs))
+    coeffs = [_frac(c) for c, _ in terms]
+    xs, rows = _tabulate([f for _, f in terms])
+    return PLMono(tuple(
+        (x, sum((c * v for c, v in zip(coeffs, vals)), ZERO)) for x, *vals in zip(xs, *rows)
+    ))
 
 
 def sup_dist(f: PLMono, g: PLMono) -> Fraction:
@@ -316,7 +331,8 @@ def sup_dist(f: PLMono, g: PLMono) -> Fraction:
     The difference is piecewise linear, so the supremum is attained at
     a point of the merged breakpoint grid.
     """
-    return max(abs(f(x) - g(x)) for x in _merged_grid(f, g))
+    _, (fv, gv) = _tabulate((f, g))
+    return max(abs(a - b) for a, b in zip(fv, gv))
 
 
 def order_excess(f: PLMono, g: PLMono) -> Fraction:
@@ -325,7 +341,8 @@ def order_excess(f: PLMono, g: PLMono) -> Fraction:
     Zero exactly when g dominates f pointwise; otherwise it measures by
     how much it fails to.  Never negative, since both maps agree at 0.
     """
-    return max(f(x) - g(x) for x in _merged_grid(f, g))
+    _, (fv, gv) = _tabulate((f, g))
+    return max(a - b for a, b in zip(fv, gv))
 
 
 def max_slope(f: PLMono) -> Fraction:

@@ -35,6 +35,8 @@ from .plcore import (
     InputError,
     InvariantViolation,
     _frac,
+    _sweep,
+    _tabulate,
     sup_dist,
 )
 from .typespace import CanonicalTuple, MonoTuple, canonicalize, uniform_weights
@@ -81,98 +83,75 @@ class _FreeSpace:
     def __init__(self, a: MonoTuple, b: MonoTuple):
         if len(a) != len(b):
             raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-        self.n = len(a)
-        self.U = sorted(set().union(*(f._xs for f in a)))
-        self.V = sorted(set().union(*(f._xs for f in b)))
-        self.AU = [[f(u) for u in self.U] for f in a]
-        self.BV = [[f(v) for v in self.V] for f in b]
+        self.U, AU = _tabulate(a.components)
+        self.V, BV = _tabulate(b.components)
+        # Per side: the grid an edge moves along, the values moving with
+        # it and the other tuple's values at the fixed node.
+        self._sides = ((self.U, AU, BV), (self.V, BV, AU))
 
-    def _edge_free(self, fixed, f0, f1, lo, hi, eps) -> Span:
-        """Feasible subinterval of one edge for one component pair.
+    def edge_free(self, side: int, fixed: int, cell: int, eps) -> Span:
+        """Free subinterval of one cell edge.
 
-        The moving side runs affinely from f0 at ``lo`` to f1 at ``hi``
-        while the other side sits at ``fixed``; returns the clipped
-        solution interval of |moving - fixed| <= eps.
+        Side 0 is the horizontal edge v = V[fixed], u in cell ``cell`` of
+        U; side 1 is the vertical edge u = U[fixed], v in cell ``cell`` of
+        V.  Along the edge each moving component runs affinely between
+        its values at the cell's ends while its partner sits at the fixed
+        node; the edge is free where every |moving - fixed| <= eps.
         """
-        if f0 == f1:
-            return (lo, hi) if abs(fixed - f0) <= eps else None
-        slope = (f1 - f0) / (hi - lo)
-        c0 = lo + (fixed - eps - f0) / slope
-        c1 = lo + (fixed + eps - f0) / slope
-        c0, c1 = (c0, c1) if c0 <= c1 else (c1, c0)
-        c0 = max(c0, lo)
-        c1 = min(c1, hi)
-        return (c0, c1) if c0 <= c1 else None
+        grid, moving, other = self._sides[side]
+        lo, hi = grid[cell], grid[cell + 1]
+        span_lo, span_hi = lo, hi
+        for mv, ov in zip(moving, other):
+            fixed_val, f0, f1 = ov[fixed], mv[cell], mv[cell + 1]
+            if f0 == f1:
+                if abs(fixed_val - f0) > eps:
+                    return None
+                continue
+            slope = (f1 - f0) / (hi - lo)
+            c0 = lo + (fixed_val - eps - f0) / slope
+            c1 = lo + (fixed_val + eps - f0) / slope
+            if c1 < c0:
+                c0, c1 = c1, c0
+            span_lo, span_hi = max(span_lo, c0), min(span_hi, c1)
+            if span_lo > span_hi:
+                return None
+        return span_lo, span_hi
 
-    def vert_free(self, p: int, q: int, eps) -> Span:
-        """Free subinterval of the vertical edge u = U[p], v in cell q."""
-        lo, hi = self.V[q], self.V[q + 1]
-        span = (lo, hi)
-        for i in range(self.n):
-            piece = self._edge_free(
-                self.AU[i][p], self.BV[i][q], self.BV[i][q + 1], lo, hi, eps
-            )
-            if piece is None:
-                return None
-            span = (max(span[0], piece[0]), min(span[1], piece[1]))
-            if span[0] > span[1]:
-                return None
-        return span
-
-    def horiz_free(self, p: int, q: int, eps) -> Span:
-        """Free subinterval of the horizontal edge v = V[q], u in cell p."""
-        lo, hi = self.U[p], self.U[p + 1]
-        span = (lo, hi)
-        for i in range(self.n):
-            piece = self._edge_free(
-                self.BV[i][q], self.AU[i][p], self.AU[i][p + 1], lo, hi, eps
-            )
-            if piece is None:
-                return None
-            span = (max(span[0], piece[0]), min(span[1], piece[1]))
-            if span[0] > span[1]:
-                return None
-        return span
+    def _axis(self, side: int, eps) -> list[Span]:
+        """Free spans of the edges along one axis out of (0, 0); an edge
+        counts only while every edge before it is free end to end."""
+        grid = self._sides[side][0]
+        spans: list[Span] = []
+        reached = True
+        for cell in range(len(grid) - 1):
+            fr = self.edge_free(side, 0, cell, eps) if reached else None
+            if fr is not None and fr[0] == grid[cell]:
+                reached = fr[1] == grid[cell + 1]
+            else:
+                fr, reached = None, False
+            spans.append(fr)
+        return spans
 
     def decide(self, eps) -> bool:
         """Monotone path from (0,0) to (1,1) through the free space?"""
-        U, V = self.U, self.V
-        P, Q = len(U) - 1, len(V) - 1
-        vert: list[list[Span]] = [[None] * Q for _ in range(P + 1)]
-        horiz: list[list[Span]] = [[None] * (Q + 1) for _ in range(P)]
-
-        reached = True
-        for q in range(Q):
-            fr = self.vert_free(0, q, eps) if reached else None
-            if fr is not None and fr[0] == V[q]:
-                vert[0][q] = fr
-                reached = fr[1] == V[q + 1]
-            else:
-                vert[0][q] = None
-                reached = False
-        reached = True
-        for p in range(P):
-            fr = self.horiz_free(p, 0, eps) if reached else None
-            if fr is not None and fr[0] == U[p]:
-                horiz[p][0] = fr
-                reached = fr[1] == U[p + 1]
-            else:
-                horiz[p][0] = None
-                reached = False
+        P, Q = len(self.U) - 1, len(self.V) - 1
+        vert: list[list[Span]] = [self._axis(1, eps)]
+        vert += [[None] * Q for _ in range(P)]
+        horiz: list[list[Span]] = [[fr] + [None] * Q for fr in self._axis(0, eps)]
 
         for p in range(P):
             for q in range(Q):
                 left, bottom = vert[p][q], horiz[p][q]
                 if left is None and bottom is None:
                     continue
-                fr = self.vert_free(p + 1, q, eps)
+                fr = self.edge_free(1, p + 1, q, eps)
                 if fr is not None:
                     if bottom is not None:
                         vert[p + 1][q] = fr
                     else:
                         lo = max(fr[0], left[0])
                         vert[p + 1][q] = (lo, fr[1]) if lo <= fr[1] else None
-                fr = self.horiz_free(p, q + 1, eps)
+                fr = self.edge_free(0, q + 1, p, eps)
                 if fr is not None:
                     if left is not None:
                         horiz[p][q + 1] = fr
@@ -258,6 +237,25 @@ def _interior_kinks(components, k: int):
     return out
 
 
+def _oracle_side(own: MonoTuple, other: MonoTuple, k: int):
+    """One side's set-up for brute_oracle.
+
+    Returns each component's values on the 1/k grid, and per grid step
+    the step's interior kinks as (component, kink value, row), where
+    row holds the partner component of the other side at the crossing
+    point of the kink on each of the k diagonal edges of that step.
+    """
+    grid = [Fraction(p, k) for p in range(k + 1)]
+    vals = [_sweep(f._xs, f._ys, grid) for f in own]
+    kinks: dict[int, list] = {}
+    for step, items in _interior_kinks(own.components, k).items():
+        kinks[step] = []
+        for i, x, y in items:
+            crossings = [x + Fraction(q - step, k) for q in range(1, k + 1)]
+            kinks[step].append((i, y, _sweep(other[i]._xs, other[i]._ys, crossings)))
+    return vals, kinks
+
+
 def brute_oracle(a, b, k: int) -> Fraction:
     """Upper bound on the quotient distance from grid-path alignments.
 
@@ -275,70 +273,34 @@ def brute_oracle(a, b, k: int) -> Fraction:
     if k < 1:
         raise InputError("grid resolution must be at least 1")
     n = len(a)
-    grid = [Fraction(p, k) for p in range(k + 1)]
-    avals = [[f(u) for u in grid] for f in a]
-    bvals = [[f(v) for v in grid] for f in b]
-    a_kinks = _interior_kinks(a.components, k)
-    b_kinks = _interior_kinks(b.components, k)
-
-    fracs: list[Fraction] = []
-    for rows in (avals, bvals):
-        for row in rows:
-            fracs.extend(row)
-
-    # Extra candidate values on edges whose interior hides a breakpoint.
-    # Horizontal and vertical edges need the fixed-side value at the
-    # crossing; diagonal edges need the moving-side value as well.
-    hor_extra: dict[int, list[tuple[int, Fraction]]] = {}
-    for step, kinks in a_kinks.items():
-        hor_extra[step] = [(i, y) for i, _, y in kinks]
-        fracs.extend(y for _, y in hor_extra[step])
-    ver_extra: dict[int, list[tuple[int, Fraction]]] = {}
-    for step, kinks in b_kinks.items():
-        ver_extra[step] = [(i, y) for i, _, y in kinks]
-        fracs.extend(y for _, y in ver_extra[step])
-    diag_a: dict[int, list[tuple[int, Fraction, list[Fraction]]]] = {}
-    for step, kinks in a_kinks.items():
-        entries = []
-        for i, x, y in kinks:
-            s_star = x * k - (step - 1)
-            row = [b[i](Fraction(q - 1, k) + s_star / k) for q in range(1, k + 1)]
-            entries.append((i, y, row))
-            fracs.extend(row)
-        diag_a[step] = entries
-    diag_b: dict[int, list[tuple[int, Fraction, list[Fraction]]]] = {}
-    for step, kinks in b_kinks.items():
-        entries = []
-        for i, x, y in kinks:
-            s_star = x * k - (step - 1)
-            col = [a[i](Fraction(p - 1, k) + s_star / k) for p in range(1, k + 1)]
-            entries.append((i, y, col))
-            fracs.extend(col)
-        diag_b[step] = entries
-
-    denom = 1
-    for f in fracs:
-        denom = lcm(denom, f.denominator)
+    sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
+    dens = set()
+    for vals, kinks in sides:
+        for row in vals:
+            dens.update(v.denominator for v in row)
+        for items in kinks.values():
+            for _, y, row in items:
+                dens.add(y.denominator)
+                dens.update(v.denominator for v in row)
+    denom = lcm(*dens)
 
     def to_int(f: Fraction) -> int:
         return f.numerator * (denom // f.denominator)
 
-    ai = [[to_int(v) for v in row] for row in avals]
-    bi = [[to_int(v) for v in row] for row in bvals]
-    hor_i = {
-        step: [(i, to_int(y)) for i, y in items] for step, items in hor_extra.items()
-    }
-    ver_i = {
-        step: [(i, to_int(y)) for i, y in items] for step, items in ver_extra.items()
-    }
-    diag_ai = {
-        step: [(i, to_int(y), [to_int(v) for v in row]) for i, y, row in items]
-        for step, items in diag_a.items()
-    }
-    diag_bi = {
-        step: [(i, to_int(y), [to_int(v) for v in col]) for i, y, col in items]
-        for step, items in diag_b.items()
-    }
+    def as_ints(vals, kinks):
+        # Horizontal and vertical edges need the kink value alone;
+        # diagonal edges need it with the other side's row as well.
+        return (
+            [[to_int(v) for v in row] for row in vals],
+            {step: [(i, to_int(y)) for i, y, _ in items] for step, items in kinks.items()},
+            {
+                step: [(i, to_int(y), [to_int(v) for v in row]) for i, y, row in items]
+                for step, items in kinks.items()
+            },
+        )
+
+    ai, hor_i, diag_ai = as_ints(*sides[0])
+    bi, ver_i, diag_bi = as_ints(*sides[1])
 
     def node_cost(p: int, q: int) -> int:
         best = 0
@@ -467,8 +429,9 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
         raise InputError("net resolution must be at least 1")
     first, second = point.components
 
-    fx = [first(Fraction(v, net)) for v in range(net + 1)]
-    sx = [second(Fraction(j, net)) for j in range(net + 1)]
+    lattice = [Fraction(v, net) for v in range(net + 1)]
+    fx = _sweep(first._xs, first._ys, lattice)
+    sx = _sweep(second._xs, second._ys, lattice)
     # Breakpoints of the first component bucketed by lattice value bins,
     # and of the second by lattice time bins.
     first_bins: dict[int, list[tuple[Fraction, Fraction]]] = {}

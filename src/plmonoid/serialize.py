@@ -138,11 +138,16 @@ def gapset_to_obj(g: GapSet) -> dict:
     return {"gaps": _point_list(g.gaps)}
 
 
-def gapset_from_obj(obj) -> GapSet:
+def _gap_pairs(obj) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The [lo, hi] pairs of a gap-set object as given, not yet merged."""
     obj = _require_dict(obj, "a gap set")
-    if "gaps" not in obj or not isinstance(obj["gaps"], list):
-        raise InputError("missing or malformed 'gaps'")
-    return GapSet(_parse_points(obj["gaps"], "'gaps'"))
+    if "gaps" not in obj:
+        raise InputError("missing 'gaps'")
+    return _parse_points(obj["gaps"], "'gaps'")
+
+
+def gapset_from_obj(obj) -> GapSet:
+    return GapSet(_gap_pairs(obj))
 
 
 def interval_to_obj(qi: QuotInterval) -> dict:

@@ -17,7 +17,6 @@ Pure functions over immutable values throughout.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +29,7 @@ from .plcore import (
     Point,
     _frac,
     _normalize,
+    _sweep,
     combine,
     compose_lc,
     identity,
@@ -200,18 +200,13 @@ class RoelckeCoord:
                 raise InputError("coordinate must be 1-Lipschitz")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
+        object.__setattr__(self, "_ys", tuple(y for _, y in pts))
 
     def __call__(self, t) -> Fraction:
         t = _frac(t)
         if t < ZERO or t > ONE:
             raise InputError(f"argument {t} outside [0, 1]")
-        xs = self._xs
-        i = bisect_right(xs, t) - 1
-        x0, y0 = self.breakpoints[i]
-        if x0 == t:
-            return y0
-        x1, y1 = self.breakpoints[i + 1]
-        return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+        return _sweep(self._xs, self._ys, (t,))[0]
 
     def __eq__(self, other):
         if isinstance(other, RoelckeCoord):

@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
+import pytest
 
 from plmonoid import (
     CanonicalTuple,
@@ -284,6 +285,28 @@ def test_cli_malformed_json():
 def test_cli_missing_file():
     code, _ = run_cli(["canon", "/nonexistent/path.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("gaps", b'{"gaps": [["1/4"]]}\n'),
+        ("gaps", b'{"gaps": 5}\n'),
+        ("canon", None),
+        ("canon", b'\xff\xfe{"components": []}\n'),
+    ],
+    ids=["gap-arity", "gaps-not-a-list", "directory", "non-utf8"],
+)
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, data):
+    path = tmp_path / "input"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_gaps_command():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plmonoid import (
+    GapSet,
     InputError,
     InvariantViolation,
     LcMono,
@@ -17,6 +18,7 @@ from plmonoid import (
     combine,
     compose,
     compose_lc,
+    equiv_test,
     identity,
     inverse,
     max_slope,
@@ -25,7 +27,7 @@ from plmonoid import (
     sup_dist,
     uniform_witness,
 )
-from plmonoid.gaps import extreme_pair
+from plmonoid.gaps import _preimage_of_closed, extreme_pair
 from plmonoid.explorer import random_homeo, random_mono
 
 I14 = (F(1, 4), F(3, 4))
@@ -303,3 +305,63 @@ def test_lcmono_validation():
         LcMono(((0, 0), (F(1, 2), F(1, 4))))
     with pytest.raises(InputError):
         LcMono(((0, 0), (F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)), (1, 1)))
+
+
+# --- plateaus at level 0 or 1
+
+# The pseudo-inverse of each map jumps at argument 0 or 1, where a sweep
+# that took the wrong end of a vertical segment would show.  The extreme
+# pairs of gaps touching 0 and 1 give pairs that the gap identifies.
+GAP_AT_0 = extreme_pair((0, F(1, 2)))
+GAP_AT_1 = extreme_pair((F(1, 2), 1))
+END_PLATEAUS = {
+    "level0": PLMono(((0, 0), (F(1, 4), 0), (1, 1))),
+    "level1": PLMono(((0, 0), (F(3, 4), 1), (1, 1))),
+    "levels0-half-1": PLMono(
+        ((0, 0), (F(1, 3), 0), (F(1, 2), F(1, 2)), (F(2, 3), F(1, 2)), (F(5, 6), 1), (1, 1))
+    ),
+    "gap-at-0-lower": GAP_AT_0[0],
+    "gap-at-1-upper": GAP_AT_1[1],
+}
+
+
+@pytest.mark.parametrize("f", END_PLATEAUS.values(), ids=END_PLATEAUS.keys())
+def test_end_plateaus_match_pointwise_evaluation(f):
+    partners = [
+        identity(),
+        *END_PLATEAUS.values(),
+        *GAP_AT_0,
+        *GAP_AT_1,
+        PLHomeo(((0, 0), (F(1, 3), F(2, 3)), (1, 1))),
+        random_mono(random.Random(11)),
+    ]
+    grid = [F(k, 192) for k in range(193)]
+
+    def samples(*maps):
+        return sorted(set(grid) | {x for m in maps for x, _ in m.breakpoints})
+
+    inv = pseudo_inverse(f)
+    assert compose_lc(f, inv) == identity()
+    for g in partners:
+        for outer, inner in ((f, g), (g, f)):
+            c = compose(outer, inner)
+            assert all(c(t) == outer(inner(t)) for t in samples(outer, inner, c))
+        h = compose(g, f)
+        spliced = compose_lc(h, inv)
+        assert spliced == g
+        assert all(spliced(v) == h(inv(v)) for v in samples(g, h))
+        mid = combine([(F(1, 2), f), (F(1, 2), g)])
+        assert all(mid(t) == (f(t) + g(t)) / 2 for t in samples(f, g, mid))
+        for gaps in (((0, F(1, 2)),), ((F(1, 2), 1),), ((0, F(1, 4)), (F(3, 4), 1)), ((F(1, 4), F(3, 4)),)):
+            gs = GapSet(gaps)
+            pointwise = all(
+                gs.union_contains((f(t) + g(t)) / 2) for t in samples(f, g) if f(t) != g(t)
+            )
+            assert equiv_test(f, g, gs) == pointwise
+    levels = sorted({F(0), F(1, 4), F(1, 2), F(1)} | {y for _, y in f.breakpoints})
+    for lo in levels:
+        for hi in (v for v in levels if v >= lo):
+            left, right = _preimage_of_closed(f, lo, hi)
+            assert f(left) == lo and f(right) == hi
+            for t in samples(f):
+                assert (t < left) == (f(t) < lo) and (t > right) == (f(t) > hi)
