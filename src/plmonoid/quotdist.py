@@ -16,6 +16,13 @@ components uniform norm, and is computed here three independent ways:
   supremum of the component distances along the piecewise-linear
   alignment the path induces.  Refining the grid never increases it.
 
+For a canonical pair, the distance from its orbit (reparameterizations
+of the first component) to the identity pair is bounded by one explicit
+reparameterization: the exact level-matching curve first o w == second,
+with each plateau of first that second crosses tilted into a ramp at
+most 1/(4*net) wide, so the bound is at most 1/(4*net) and exactly 0
+when first has no plateau.
+
 Decision instances are independent pure computations and may run
 concurrently; the interval propagation inside one decision is
 sequential by cell order, which is a data dependency only.
@@ -34,9 +41,11 @@ from .plcore import (
     ZERO,
     InputError,
     InvariantViolation,
+    PLMono,
     _frac,
     _sweep,
     _tabulate,
+    compose,
     sup_dist,
 )
 from .typespace import CanonicalTuple, MonoTuple, canonicalize, uniform_weights
@@ -409,16 +418,23 @@ class IdentityProximity(NamedTuple):
 
 def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProximity:
     """Upper-bound the distance from a canonical pair's orbit to the
-    identity pair, searching reparameterizations on a uniform lattice.
+    identity pair with one explicit reparameterization.
 
-    The orbit acts on the first component only.  Every weakly monotone
-    lattice path w on the (net+1) x (net+1) grid reparameterizes the
-    first component, and the resulting distance to the identity pair
-    has the closed form sup |first o w - second| / 2, evaluated exactly
-    (endpoints plus interior breakpoint crossings of each lattice
-    segment).  Returns the best bound found and whether it certifies
-    membership below eps.  One-sided: True certifies, False does not
-    refute.  Doubling ``net`` never increases the bound.
+    The orbit acts on the first component only, and a reparameterization
+    w of it lies at distance sup |first o w - second| / 2 from the
+    identity pair.  Joining, level by level over every breakpoint value
+    of either component, the ends (t, x) of the preimages of the level
+    under second (t) and under first (x) gives the curve on which
+    first(x) == second(t) exactly.  It fails to be a function of t only
+    on verticals, where first has a plateau that second crosses; each is
+    tilted into a ramp of width min(1/(4*net), a third of the t-gap to
+    the neighbouring vertex), by moving its lower end left, or its upper
+    end right at t = 0.  A ramp costs at most the rise of second over it,
+    and second has slope at most 2, so the bound is at most 1/(4*net);
+    it is 0 when first has no plateau.  Returns the smaller of the exact
+    cost of w and of the untouched path, halved, and whether it
+    certifies membership below eps.  One-sided: True certifies, False
+    does not refute.  Doubling ``net`` never increases the bound.
     """
     eps = _frac(eps)
     if not isinstance(point, CanonicalTuple) or len(point) != 2:
@@ -429,60 +445,26 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
         raise InputError("net resolution must be at least 1")
     first, second = point.components
 
-    lattice = [Fraction(v, net) for v in range(net + 1)]
-    fx = _sweep(first._xs, first._ys, lattice)
-    sx = _sweep(second._xs, second._ys, lattice)
-    # Breakpoints of the first component bucketed by lattice value bins,
-    # and of the second by lattice time bins.
-    first_bins: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for x, y in first.breakpoints[1:-1]:
-        scaled = x * net
-        if scaled.denominator != 1:
-            first_bins.setdefault(int(scaled) + 1, []).append((x, y))
-    second_bins: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for x, y in second.breakpoints[1:-1]:
-        scaled = x * net
-        if scaled.denominator != 1:
-            second_bins.setdefault(int(scaled) + 1, []).append((x, y))
-
-    def segment_cost(j: int, v0: int, v1: int) -> Fraction:
-        """Exact sup of |first(w(t)) - second(t)| over one lattice step."""
-        t0 = Fraction(j - 1, net)
-        cost = max(abs(fx[v0] - sx[j - 1]), abs(fx[v1] - sx[j]))
-        if v1 > v0:
-            for vbin in range(v0 + 1, v1 + 1):
-                for x, y in first_bins.get(vbin, ()):
-                    scaled = x * net
-                    t_star = t0 + (scaled - v0) / (v1 - v0) / net
-                    d = abs(y - second(t_star))
-                    if d > cost:
-                        cost = d
-        for x, y in second_bins.get(j, ()):
-            w_at = Fraction(v0, net) + Fraction(v1 - v0, net) * (x * net - (j - 1))
-            d = abs(first(w_at) - y)
-            if d > cost:
-                cost = d
-        return cost
-
-    INF = None
-    dp: list[Fraction | None] = [INF] * (net + 1)
-    dp[0] = ZERO
-    for j in range(1, net + 1):
-        new: list[Fraction | None] = [INF] * (net + 1)
-        for v1 in range(net + 1):
-            best = INF
-            for v0 in range(v1 + 1):
-                base = dp[v0]
-                if base is None:
-                    continue
-                c = segment_cost(j, v0, v1)
-                if c < base:
-                    c = base
-                if best is None or c < best:
-                    best = c
-            new[v1] = best
-        dp = new
-    if dp[net] is None:
-        raise InvariantViolation("lattice search found no path")
-    bound = dp[net] * HALF
+    levels = sorted(set(first._ys) | set(second._ys))
+    ends = [_sweep(m._ys, m._xs, levels, upper) for m in (second, first) for upper in (False, True)]
+    verts = []
+    for t0, t1, x0, x1 in zip(*ends):
+        verts.append((t0, x0))
+        if (t1, x1) != (t0, x0):
+            verts.append((t1, x1))
+    # A third of a gap per ramp: the gap after t = 0 may hold two ramps.
+    ramp = Fraction(1, 4 * net)
+    pts = [verts[0]]
+    for i, (t, x) in enumerate(verts[1:], 1):
+        if t == pts[-1][0]:  # a vertical: tilt it into a ramp
+            if t == ZERO:
+                t = min(ramp, verts[i + 1][0] / 3)
+            else:
+                pts[-1] = (t - min(ramp, (t - verts[i - 2][0]) / 3), pts[-1][1])
+        pts.append((t, x))
+    try:
+        w = PLMono(tuple(pts))
+    except InputError as exc:
+        raise InvariantViolation(f"orbit reparameterization left the monoid: {exc}") from exc
+    bound = min(sup_dist(compose(first, w), second), sup_dist(first, second)) * HALF
     return IdentityProximity(bound, bound < eps)

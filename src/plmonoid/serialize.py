@@ -14,6 +14,7 @@ integers), so round trips are bit-exact.  The formats:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .plcore import InputError, PLHomeo, PLMono
@@ -45,11 +46,20 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_frac(s) -> Fraction:
+    """Exact value of a "p/q" or "p" string; nothing else is accepted, so
+    no exponent or decimal can expand into a huge integer."""
     if not isinstance(s, str):
         raise InputError(f"rationals must be strings like '1/4', got {s!r}")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise InputError(f"bad rational {s!r}")
+    num, den = m.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}") from exc
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plmonoid import (
+    CanonicalTuple,
     InputError,
     MonoTuple,
+    PLMono,
     brute_oracle,
     canonicalize,
     compose,
@@ -20,6 +22,7 @@ from plmonoid import (
     quot_decision,
     quot_dist,
     sup_dist,
+    uniform_weights,
 )
 from plmonoid.gaps import extreme_pair
 from plmonoid.explorer import random_homeo, random_point, random_tuple
@@ -247,6 +250,47 @@ def test_bound_never_beats_trivial_path(seed):
     p = random_point(rng, 2)
     bound, _ = orbit_identity_bound(p, F(1, 4), 8)
     assert bound <= sup_dist(p[0], p[1]) / 2
+
+
+def plateau_point(rng):
+    """Random canonical pair whose first component has a plateau."""
+    while True:
+        p = random_point(rng, 2)
+        ys = [y for _, y in p[0].breakpoints]
+        if any(a == b for a, b in zip(ys, ys[1:])):
+            return p
+
+
+@given(seeds)
+@settings(max_examples=10, deadline=None)
+def test_plateau_bound_within_ramp_and_refines(seed):
+    # each ramp is at most 1/(4 net) wide and second rises at slope <= 2
+    p = plateau_point(random.Random(seed))
+    bounds = {net: orbit_identity_bound(p, F(1, 16), net).upper_bound for net in (4, 8, 16, 32)}
+    for net in (4, 8, 16):
+        assert bounds[net] <= F(1, 4 * net)
+        assert bounds[2 * net] <= bounds[net]
+
+
+@pytest.mark.parametrize(
+    "first, net, expected",
+    [
+        # first is flat on [0, 1/4] where second rises at slope 2: the
+        # ramp moves the plateau's upper end right by 1/(4 net) = 1/64,
+        # where second has reached 1/32, and the bound is half of that
+        (((0, 0), (F(1, 4), 0), (F(1, 2), F(1, 2)), (F(3, 4), F(1, 2)), (1, 1)), 16, F(1, 64)),
+        # second crosses plateaus of first at t = 0 and t = 1/32: the two
+        # ramps share that gap, a third each, and second rises 1/48 over each
+        (((0, 0), (F(1, 32), 0), (F(1, 8), F(1, 16)), (F(1, 4), F(1, 16)), (1, 1)), 4, F(1, 96)),
+    ],
+    ids=["one-ramp", "two-ramps-share-a-gap"],
+)
+def test_ramp_at_time_zero(first, net, expected):
+    first = PLMono(first)
+    second = PLMono(tuple((x, 2 * x - y) for x, y in first.breakpoints))
+    p = CanonicalTuple((first, second), uniform_weights(2))
+    bound, member = orbit_identity_bound(p, F(1, 32), net)
+    assert bound == expected and member is True
 
 
 def test_orbit_identity_bound_validation():

@@ -33,6 +33,9 @@ def test_parse_frac_rejections():
         ser.parse_frac("a/b")
     with pytest.raises(InputError):
         ser.parse_frac(0.25)
+    for bad in ("1e5", "0.5", " 1/2", "+1/2"):
+        with pytest.raises(InputError):
+            ser.parse_frac(bad)
 
 
 def test_mono_round_trip():
