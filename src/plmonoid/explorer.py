@@ -501,6 +501,8 @@ def _cmd_canon(args) -> None:
 
 
 def _cmd_dist(args) -> None:
+    if args.grid > 4096:
+        raise InputError(f"--grid {args.grid} exceeds 4096; the oracle's work grows as its square")
     ta, wa = ser.tuple_from_obj(ser.loads(_read_text(args.a)))
     tb, wb = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
     del wa, wb  # the quotient distance always compares with uniform weights
@@ -540,6 +542,8 @@ def _cmd_epsnet(args) -> None:
 
 
 def _cmd_sample(args) -> None:
+    if args.count < 0:
+        raise InputError(f"--count must be nonnegative, got {args.count}")
     rng = random.Random(args.seed)
     samples = [random_point(rng, args.n) for _ in range(args.count)]
     out = [ser.canonical_to_obj(ct) for ct in samples]

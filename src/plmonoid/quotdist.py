@@ -7,14 +7,16 @@ components uniform norm, and is computed here three independent ways:
 
 * an exact decision procedure ("is the distance at most eps?") that
   propagates feasible intervals through the free-space diagram of the
-  two merged breakpoint grids, entirely in rational arithmetic;
+  two merged breakpoint grids, entirely in exact ints over one common
+  denominator per pair and eps;
 * a bisection on eps driven by the decision procedure, bracketed above
   by the sup-distance of the canonical forms (the canonical map is
   contractive);
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
-  alignment the path induces.  Refining the grid never increases it.
+  alignment the path induces, with every row of values an exact int
+  over one common denominator.  Refining the grid never increases it.
 
 For a canonical pair, the distance from its orbit (reparameterizations
 of the first component) to the identity pair is bounded by one explicit
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, repeat
+from math import floor, lcm
 from typing import NamedTuple
 
 from .plcore import (
     HALF,
-    ONE,
     ZERO,
     InputError,
     InvariantViolation,
@@ -77,7 +79,7 @@ class QuotInterval:
             raise InputError(f"not a bracket: [{self.lo}, {self.hi}]")
 
 
-Span = tuple[Fraction, Fraction] | None
+Span = tuple[int, int] | None
 
 
 class _FreeSpace:
@@ -87,19 +89,55 @@ class _FreeSpace:
     a cell every component of either tuple is affine, so the set where
     all component distances are at most eps is convex and its trace on
     a cell edge is a subinterval with rational endpoints.
+
+    What an edge needs is tabulated once per pair as exact ints over one
+    common denominator D: the grids, and per edge and component either
+    the gap to a flat component or the centre and unit-eps half-width of
+    a sloped one.  A decision at eps = num/den scales by den, so every
+    span endpoint is an exact int over D * den and deciding does no
+    Fraction arithmetic.
     """
 
     def __init__(self, a: MonoTuple, b: MonoTuple):
         if len(a) != len(b):
             raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-        self.U, AU = _tabulate(a.components)
-        self.V, BV = _tabulate(b.components)
+        U, AU = _tabulate(a.components)
+        V, BV = _tabulate(b.components)
+        d0 = lcm(*(x.denominator for row in (U, V, *AU, *BV) for x in row))
+
+        def ints(row):
+            return [x.numerator * (d0 // x.denominator) for x in row]
+
+        U, V, AU, BV = ints(U), ints(V), [ints(r) for r in AU], [ints(r) for r in BV]
         # Per side: the grid an edge moves along, the values moving with
         # it and the other tuple's values at the fixed node.
-        self._sides = ((self.U, AU, BV), (self.V, BV, AU))
+        sides = ((U, AU, BV), (V, BV, AU))
+        rises = {r[c + 1] - r[c] for _, moving, _ in sides for r in moving for c in range(len(r) - 1)}
+        m = lcm(*(rises - {0}))
+        self.D = d0 * m
+        self._grids = ([x * m for x in U], [x * m for x in V])
+        # _edges[side][fixed][cell] = (largest gap to a flat component,
+        # ((centre, half-width at eps = 1) of each sloped component)),
+        # all over D.
+        self._edges = []
+        for grid, moving, other in sides:
+            rows = [[] for _ in other[0]]
+            for cell in range(len(grid) - 1):
+                lo, dx = grid[cell], grid[cell + 1] - grid[cell]
+                for fixed, row in enumerate(rows):
+                    gap, sloped = 0, []
+                    for mv, ov in zip(moving, other):
+                        f0, dv = mv[cell], mv[cell + 1] - mv[cell]
+                        if dv == 0:
+                            gap = max(gap, abs(ov[fixed] - f0) * m)
+                        else:
+                            k = m // dv
+                            sloped.append(((lo * dv + (ov[fixed] - f0) * dx) * k, dx * d0 * k))
+                    row.append((gap, tuple(sloped)))
+            self._edges.append(rows)
 
-    def edge_free(self, side: int, fixed: int, cell: int, eps) -> Span:
-        """Free subinterval of one cell edge.
+    def edge_free(self, side: int, fixed: int, cell: int, num: int, den: int) -> Span:
+        """Free subinterval of one cell edge at eps = num/den, over D * den.
 
         Side 0 is the horizontal edge v = V[fixed], u in cell ``cell`` of
         U; side 1 is the vertical edge u = U[fixed], v in cell ``cell`` of
@@ -107,60 +145,54 @@ class _FreeSpace:
         its values at the cell's ends while its partner sits at the fixed
         node; the edge is free where every |moving - fixed| <= eps.
         """
-        grid, moving, other = self._sides[side]
-        lo, hi = grid[cell], grid[cell + 1]
-        span_lo, span_hi = lo, hi
-        for mv, ov in zip(moving, other):
-            fixed_val, f0, f1 = ov[fixed], mv[cell], mv[cell + 1]
-            if f0 == f1:
-                if abs(fixed_val - f0) > eps:
-                    return None
-                continue
-            slope = (f1 - f0) / (hi - lo)
-            c0 = lo + (fixed_val - eps - f0) / slope
-            c1 = lo + (fixed_val + eps - f0) / slope
-            if c1 < c0:
-                c0, c1 = c1, c0
-            span_lo, span_hi = max(span_lo, c0), min(span_hi, c1)
+        gap, sloped = self._edges[side][fixed][cell]
+        if gap * den > num * self.D:
+            return None
+        grid = self._grids[side]
+        span_lo, span_hi = grid[cell] * den, grid[cell + 1] * den
+        for centre, width in sloped:
+            c, w = centre * den, width * num
+            span_lo, span_hi = max(span_lo, c - w), min(span_hi, c + w)
             if span_lo > span_hi:
                 return None
         return span_lo, span_hi
 
-    def _axis(self, side: int, eps) -> list[Span]:
+    def _axis(self, side: int, num: int, den: int) -> list[Span]:
         """Free spans of the edges along one axis out of (0, 0); an edge
         counts only while every edge before it is free end to end."""
-        grid = self._sides[side][0]
+        grid = self._grids[side]
         spans: list[Span] = []
         reached = True
         for cell in range(len(grid) - 1):
-            fr = self.edge_free(side, 0, cell, eps) if reached else None
-            if fr is not None and fr[0] == grid[cell]:
-                reached = fr[1] == grid[cell + 1]
+            fr = self.edge_free(side, 0, cell, num, den) if reached else None
+            if fr is not None and fr[0] == grid[cell] * den:
+                reached = fr[1] == grid[cell + 1] * den
             else:
                 fr, reached = None, False
             spans.append(fr)
         return spans
 
-    def decide(self, eps) -> bool:
+    def decide(self, eps: Fraction) -> bool:
         """Monotone path from (0,0) to (1,1) through the free space?"""
-        P, Q = len(self.U) - 1, len(self.V) - 1
-        vert: list[list[Span]] = [self._axis(1, eps)]
+        num, den = eps.numerator, eps.denominator
+        P, Q = len(self._grids[0]) - 1, len(self._grids[1]) - 1
+        vert: list[list[Span]] = [self._axis(1, num, den)]
         vert += [[None] * Q for _ in range(P)]
-        horiz: list[list[Span]] = [[fr] + [None] * Q for fr in self._axis(0, eps)]
+        horiz: list[list[Span]] = [[fr] + [None] * Q for fr in self._axis(0, num, den)]
 
         for p in range(P):
             for q in range(Q):
                 left, bottom = vert[p][q], horiz[p][q]
                 if left is None and bottom is None:
                     continue
-                fr = self.edge_free(1, p + 1, q, eps)
+                fr = self.edge_free(1, p + 1, q, num, den)
                 if fr is not None:
                     if bottom is not None:
                         vert[p + 1][q] = fr
                     else:
                         lo = max(fr[0], left[0])
                         vert[p + 1][q] = (lo, fr[1]) if lo <= fr[1] else None
-                fr = self.edge_free(0, q + 1, p, eps)
+                fr = self.edge_free(0, q + 1, p, num, den)
                 if fr is not None:
                     if left is not None:
                         horiz[p][q + 1] = fr
@@ -168,10 +200,11 @@ class _FreeSpace:
                         lo = max(fr[0], bottom[0])
                         horiz[p][q + 1] = (lo, fr[1]) if lo <= fr[1] else None
 
+        one = self.D * den
         top_right_vert = vert[P][Q - 1]
         top_right_horiz = horiz[P - 1][Q]
-        return (top_right_vert is not None and top_right_vert[1] == ONE) or (
-            top_right_horiz is not None and top_right_horiz[1] == ONE
+        return (top_right_vert is not None and top_right_vert[1] == one) or (
+            top_right_horiz is not None and top_right_horiz[1] == one
         )
 
 
@@ -181,6 +214,13 @@ def _as_tuple(t) -> MonoTuple:
     if isinstance(t, CanonicalTuple):
         return t.as_tuple()
     return MonoTuple(tuple(t))
+
+
+def _canonical(t) -> CanonicalTuple:
+    """Canonical form of t; a canonical tuple with uniform weights is its own."""
+    if isinstance(t, CanonicalTuple) and t.weights == uniform_weights(len(t)):
+        return t
+    return canonicalize(_as_tuple(t))[0]
 
 
 def quot_decision(a, b, eps) -> bool:
@@ -208,13 +248,11 @@ def quot_dist(a, b, tol) -> QuotInterval:
     tol = _frac(tol)
     if tol <= ZERO:
         raise InputError("tolerance must be positive")
-    a, b = _as_tuple(a), _as_tuple(b)
-    space = _FreeSpace(a, b)
+    space = _FreeSpace(_as_tuple(a), _as_tuple(b))
     decisions = 1
     if space.decide(ZERO):
         return QuotInterval(ZERO, ZERO, decisions)
-    ca, _ = canonicalize(a)
-    cb, _ = canonicalize(b)
+    ca, cb = _canonical(a), _canonical(b)
     hi = max(sup_dist(f, g) for f, g in zip(ca.components, cb.components))
     decisions += 1
     if not space.decide(hi):
@@ -246,22 +284,38 @@ def _interior_kinks(components, k: int):
     return out
 
 
+def _runs(f: PLMono, x0: Fraction, k: int, count: int) -> list[tuple[int, Fraction, Fraction]]:
+    """f at x0 + m/k for m in range(count), as arithmetic runs.
+
+    One run (length, first value, increment) per segment of f that the
+    progression meets; f is affine on a segment, so each value of a run
+    is its first value plus a multiple of slope/k.
+    """
+    runs = []
+    m = 0
+    xs, ys = f._xs, f._ys
+    for j in range(len(xs) - 1):
+        end = min(count, floor((xs[j + 1] - x0) * k) + 1)
+        if end > m:
+            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+            runs.append((end - m, ys[j] + slope * (x0 + Fraction(m, k) - xs[j]), slope / k))
+            m = end
+    return runs
+
+
 def _oracle_side(own: MonoTuple, other: MonoTuple, k: int):
     """One side's set-up for brute_oracle.
 
-    Returns each component's values on the 1/k grid, and per grid step
-    the step's interior kinks as (component, kink value, row), where
-    row holds the partner component of the other side at the crossing
-    point of the kink on each of the k diagonal edges of that step.
+    Returns the runs of each component's values on the 1/k grid, and per
+    grid step the step's interior kinks as (component, kink value, runs),
+    where the runs hold the partner component of the other side at the
+    crossing point of the kink on each of the k diagonal edges of that
+    step: x + (q - step)/k for q = 1..k.
     """
-    grid = [Fraction(p, k) for p in range(k + 1)]
-    vals = [_sweep(f._xs, f._ys, grid) for f in own]
+    vals = [_runs(f, ZERO, k, k + 1) for f in own]
     kinks: dict[int, list] = {}
     for step, items in _interior_kinks(own.components, k).items():
-        kinks[step] = []
-        for i, x, y in items:
-            crossings = [x + Fraction(q - step, k) for q in range(1, k + 1)]
-            kinks[step].append((i, y, _sweep(other[i]._xs, other[i]._ys, crossings)))
+        kinks[step] = [(i, y, _runs(other[i], x + Fraction(1 - step, k), k, k)) for i, x, y in items]
     return vals, kinks
 
 
@@ -275,6 +329,11 @@ def brute_oracle(a, b, k: int) -> Fraction:
     breakpoint crossing, no sampling error).  The minimum over paths is
     a true upper bound on the quotient distance and never increases
     when k is doubled, since the refined grid contains every old path.
+
+    Every value a path can meet lies on an arithmetic run of one
+    segment; each run's first value and increment are scaled to ints
+    over one common denominator, the rows are expanded by int addition
+    and the dynamic programme runs on ints.
     """
     a, b = _as_tuple(a), _as_tuple(b)
     if len(a) != len(b):
@@ -285,25 +344,28 @@ def brute_oracle(a, b, k: int) -> Fraction:
     sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
     dens = set()
     for vals, kinks in sides:
-        for row in vals:
-            dens.update(v.denominator for v in row)
-        for items in kinks.values():
-            for _, y, row in items:
-                dens.add(y.denominator)
-                dens.update(v.denominator for v in row)
+        rows = vals + [runs for items in kinks.values() for _, _, runs in items]
+        dens.update(y.denominator for items in kinks.values() for _, y, _ in items)
+        dens.update(v.denominator for runs in rows for _, first, inc in runs for v in (first, inc))
     denom = lcm(*dens)
 
     def to_int(f: Fraction) -> int:
         return f.numerator * (denom // f.denominator)
 
+    def expand(runs) -> list[int]:
+        row = []
+        for length, first, inc in runs:
+            row.extend(accumulate(repeat(to_int(inc), length - 1), initial=to_int(first)))
+        return row
+
     def as_ints(vals, kinks):
         # Horizontal and vertical edges need the kink value alone;
         # diagonal edges need it with the other side's row as well.
         return (
-            [[to_int(v) for v in row] for row in vals],
+            [expand(runs) for runs in vals],
             {step: [(i, to_int(y)) for i, y, _ in items] for step, items in kinks.items()},
             {
-                step: [(i, to_int(y), [to_int(v) for v in row]) for i, y, row in items]
+                step: [(i, to_int(y), expand(runs)) for i, y, runs in items]
                 for step, items in kinks.items()
             },
         )

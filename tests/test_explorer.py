@@ -309,6 +309,23 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--count", "-3"],
+        ["dist", "{pair}", "{pair}", "--grid", "4097"],
+    ],
+    ids=["negative-count", "grid-above-4096"],
+)
+def test_cli_work_limits_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    pair = tmp_path / "pair.json"
+    pair.write_text(ser.dumps(ser.tuple_to_obj(MonoTuple((identity(), identity())))))
+    code = main([arg.format(pair=pair) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_gaps_command():
     code, out = run_cli(
         ["gaps", "-"], stdin='{"gaps":[["1/10","3/10"],["2/10","5/10"]]}'

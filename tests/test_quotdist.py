@@ -24,8 +24,10 @@ from plmonoid import (
     sup_dist,
     uniform_weights,
 )
+from plmonoid import quotdist
 from plmonoid.gaps import extreme_pair
 from plmonoid.explorer import random_homeo, random_point, random_tuple
+from plmonoid.plcore import _sweep, _tabulate
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -88,6 +90,78 @@ def test_decision_errors():
         quot_decision(a, MonoTuple((identity(),)), F(1, 4))
     with pytest.raises(InputError):
         quot_decision(a, a, F(-1, 4))
+
+
+def fraction_decision(a, b, eps):
+    """Reference: the free-space decision computed edge by edge in Fractions."""
+    U, AU = _tabulate(a.components)
+    V, BV = _tabulate(b.components)
+    sides = ((U, AU, BV), (V, BV, AU))
+
+    def edge_free(side, fixed, cell):
+        grid, moving, other = sides[side]
+        lo, hi = grid[cell], grid[cell + 1]
+        span_lo, span_hi = lo, hi
+        for mv, ov in zip(moving, other):
+            fixed_val, f0, f1 = ov[fixed], mv[cell], mv[cell + 1]
+            if f0 == f1:
+                if abs(fixed_val - f0) > eps:
+                    return None
+                continue
+            slope = (f1 - f0) / (hi - lo)
+            c0, c1 = sorted((lo + (fixed_val - eps - f0) / slope, lo + (fixed_val + eps - f0) / slope))
+            span_lo, span_hi = max(span_lo, c0), min(span_hi, c1)
+            if span_lo > span_hi:
+                return None
+        return span_lo, span_hi
+
+    def axis(side):
+        grid, spans, reached = sides[side][0], [], True
+        for cell in range(len(grid) - 1):
+            fr = edge_free(side, 0, cell) if reached else None
+            if fr is not None and fr[0] == grid[cell]:
+                reached = fr[1] == grid[cell + 1]
+            else:
+                fr, reached = None, False
+            spans.append(fr)
+        return spans
+
+    def join(fr, other, through):
+        # An edge reached straight through the cell keeps its span;
+        # reached only from the opposite edge, it starts no lower.
+        if fr is None or through is not None:
+            return fr
+        lo = max(fr[0], other[0])
+        return (lo, fr[1]) if lo <= fr[1] else None
+
+    P, Q = len(U) - 1, len(V) - 1
+    vert = [axis(1)] + [[None] * Q for _ in range(P)]
+    horiz = [[fr] + [None] * Q for fr in axis(0)]
+    for p in range(P):
+        for q in range(Q):
+            left, bottom = vert[p][q], horiz[p][q]
+            if left is None and bottom is None:
+                continue
+            vert[p + 1][q] = join(edge_free(1, p + 1, q), left, bottom)
+            horiz[p][q + 1] = join(edge_free(0, q + 1, p), bottom, left)
+    return any(fr is not None and fr[1] == 1 for fr in (vert[P][Q - 1], horiz[P - 1][Q]))
+
+
+@given(seeds, st.sampled_from([2, 3]), st.booleans())
+@settings(max_examples=5, deadline=None)
+def test_int_decision_matches_fraction_reference(seed, n, canonical):
+    # Critical eps, where spans of neighbouring edges or components just
+    # touch, are where exact ties decide the answer.
+    rng = random.Random(seed)
+    draw = (lambda: random_point(rng, n).as_tuple()) if canonical else (lambda: random_tuple(rng, n))
+    a, b = draw(), draw()
+    _, AU = _tabulate(a.components)
+    _, BV = _tabulate(b.components)
+    gaps = {abs(x - y) for au, bv in zip(AU, BV) for x in au for y in bv}
+    tiny = F(1, 2**40)
+    qi = quot_dist(a, b, F(1, 1024))
+    for eps in sorted(gaps | {g - tiny for g in gaps if g >= tiny} | {F(0), qi.lo, qi.hi}):
+        assert quot_decision(a, b, eps) == fraction_decision(a, b, eps), eps
 
 
 # --- bisection bracket
@@ -205,6 +279,45 @@ def test_oracle_sandwich_small(seed):
     val = brute_oracle(a, b, k)
     slope = max(max_slope(f) for t in (a, b) for f in t)
     assert qi.lo <= val <= qi.hi + n * slope / k
+
+
+def pointwise_oracle_side(own, other, k):
+    """Reference set-up: every grid value and crossing value by its own
+    sweep, as runs of length one."""
+    grid = [F(p, k) for p in range(k + 1)]
+    vals = [[(1, v, F(0)) for v in _sweep(f._xs, f._ys, grid)] for f in own]
+    kinks = {}
+    for step, items in quotdist._interior_kinks(own.components, k).items():
+        kinks[step] = []
+        for i, x, y in items:
+            crossings = [x + F(q - step, k) for q in range(1, k + 1)]
+            kinks[step].append((i, y, [(1, v, F(0)) for v in _sweep(other[i]._xs, other[i]._ys, crossings)]))
+    return vals, kinks
+
+
+def convex_map(xs, plateau=None):
+    """Map through (x, x(1+x)/2) at 0, 1 and xs, every one a kink; with
+    ``plateau`` = (x0, x1) the map is held flat over [x0, x1]."""
+    pts = sorted({F(0), F(1), *xs} | set(plateau or ()))
+    ys = [x * (1 + x) / 2 for x in pts]
+    if plateau:
+        ys = [ys[pts.index(plateau[0])] if plateau[0] <= x <= plateau[1] else y for x, y in zip(pts, ys)]
+    return PLMono(tuple(zip(pts, ys)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
+def test_oracle_runs_match_pointwise_setup(k, monkeypatch):
+    # a kinks at (k//2 + 1/3)/k, whose diagonal crossings are (q - 2/3)/k;
+    # b kinks at the first and last crossing, and both kink on grid points,
+    # so runs start and end on every kind of boundary.
+    on_grid = [F(j, k) for j in range(1, k)]
+    kink = F(3 * (k // 2) + 1, 3 * k)
+    crossings = [F(1, 3 * k), F(3 * k - 2, 3 * k)]
+    a = MonoTuple((convex_map([kink, *on_grid[::2]]), convex_map(on_grid[1::3], (F(1, 2), F(2, 3)))))
+    b = MonoTuple((convex_map([*crossings, *on_grid[1::2]]), convex_map([kink, *crossings], (F(0), F(1, 5)))))
+    values = [brute_oracle(a, b, k), brute_oracle(b, a, k), brute_oracle(a, a, k)]
+    monkeypatch.setattr(quotdist, "_oracle_side", pointwise_oracle_side)
+    assert values == [brute_oracle(a, b, k), brute_oracle(b, a, k), brute_oracle(a, a, k)]
 
 
 def test_oracle_errors():
