@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import comb
 from pathlib import Path
 
 from .plcore import (
@@ -519,7 +520,13 @@ def _cmd_dist(args) -> None:
 
 
 def _cmd_epsnet(args) -> None:
-    size = net_size(args.n, args.net)
+    n, m, check = args.n, args.net, args.check
+    # net DP steps (layers x states x moves); a covering check costs about ten times that
+    steps = m * (m + 1) ** (n - 1) * comb(2 * n - 1, n - 1) if 0 < n <= 6 and m > 0 else 0
+    if n > 6 or check < 0 or steps * (1 + 10 * check) > 2**21:
+        raise InputError(f"epsnet --n {n} --net {m} --check {check} exceeds the work limit: need "
+                         "n <= 6, check >= 0 and m(m+1)^(n-1)C(2n-1,n-1)(1+10check) <= 2^21")
+    size = net_size(n, m)
     out: dict = {"n": args.n, "net": args.net, "size": size}
     if args.points:
         if size > 100000:
@@ -542,8 +549,8 @@ def _cmd_epsnet(args) -> None:
 
 
 def _cmd_sample(args) -> None:
-    if args.count < 0:
-        raise InputError(f"--count must be nonnegative, got {args.count}")
+    if not 0 <= args.count <= 1000 or args.n > 16:
+        raise InputError(f"sample --count {args.count} --n {args.n}: need count 0..1000, n <= 16")
     rng = random.Random(args.seed)
     samples = [random_point(rng, args.n) for _ in range(args.count)]
     out = [ser.canonical_to_obj(ct) for ct in samples]

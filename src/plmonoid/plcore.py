@@ -10,7 +10,8 @@ to rounding.
 
 Representations are canonical: breakpoint lists carry no redundant
 (collinear) points, so equality of functions is equality of
-representations.
+representations.  Constructors validate on exact ints over one common
+denominator; the stored coordinates are the caller's Fractions.
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -60,6 +62,8 @@ class InvariantViolation(RuntimeError):
 
 
 def _frac(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -101,28 +105,34 @@ def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
     return xs, [_sweep(f._xs, f._ys, xs) for f in maps]
 
 
-def _collinear(a: Point, b: Point, c: Point) -> bool:
-    return (b[1] - a[1]) * (c[0] - b[0]) == (c[1] - b[1]) * (b[0] - a[0])
+def _ints(rows) -> list[list[int]]:
+    """Rows of Fractions as exact ints over one common denominator."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    d = lcm(*(q for row in ratios for _, q in row))
+    return [[n * (d // q) for n, q in row] for row in ratios]
 
 
-def _normalize(points: Iterable[Sequence]) -> tuple[Point, ...]:
-    """Sort points, drop duplicates and collinear interior points."""
-    pts = sorted((_frac(x), _frac(y)) for x, y in points)
-    dedup: list[Point] = []
-    for x, y in pts:
-        if dedup and dedup[-1][0] == x:
-            if dedup[-1][1] != y:
-                raise InputError(f"conflicting values {dedup[-1][1]} and {y} at x = {x}")
+def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[list[int]]]:
+    """Sort points, drop duplicates and collinear interior points, all on (X, Y,
+    index) int triples over one common denominator; the Fractions are kept as given."""
+    pts = [(_frac(x), _frac(y)) for x, y in points]
+    dedup: list[tuple[int, int, int]] = []
+    for X, Y, i in sorted((X, Y, i) for i, (X, Y) in enumerate(_ints(pts))):
+        if dedup and dedup[-1][0] == X:
+            if dedup[-1][1] != Y:
+                (x, y0), y = pts[dedup[-1][2]], pts[i][1]
+                raise InputError(f"conflicting values {y0} and {y} at x = {x}")
             continue
-        dedup.append((x, y))
+        dedup.append((X, Y, i))
     if len(dedup) < 2:
         raise InputError("a breakpoint list needs at least two distinct points")
     out = [dedup[0]]
-    for p in dedup[1:]:
-        while len(out) >= 2 and _collinear(out[-2], out[-1], p):
+    for X, Y, i in dedup[1:]:
+        while len(out) >= 2 and ((out[-1][1] - out[-2][1]) * (X - out[-1][0])
+                                 == (Y - out[-1][1]) * (out[-1][0] - out[-2][0])):
             out.pop()
-        out.append(p)
-    return tuple(out)
+        out.append((X, Y, i))
+    return tuple(pts[i] for _, _, i in out), [[X, Y] for X, Y, _ in out]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,18 +149,18 @@ class PLMono:
     breakpoints: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = _normalize(self.breakpoints)
+        pts, scaled = _normalize(self.breakpoints)
         if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
             raise InputError("must fix the endpoints: first (0,0), last (1,1)")
-        ys = tuple(y for _, y in pts)
+        ys = [Y for _, Y in scaled]
         if any(b < a for a, b in zip(ys, ys[1:])):
             raise InputError("values must be weakly increasing")
         self._check_values(ys)
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
-        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_ys", tuple(y for _, y in pts))
 
-    def _check_values(self, ys: tuple[Fraction, ...]) -> None:
+    def _check_values(self, ys: list[int]) -> None:
         pass
 
     def __call__(self, t) -> Fraction:
@@ -176,7 +186,7 @@ class PLMono:
 class PLHomeo(PLMono):
     """Strictly increasing piecewise-linear self-homeomorphism of [0, 1]."""
 
-    def _check_values(self, ys: tuple[Fraction, ...]) -> None:
+    def _check_values(self, ys: list[int]) -> None:
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise InputError("a homeomorphism must be strictly increasing")
 
@@ -219,11 +229,11 @@ class LcMono:
         verts = tuple((_frac(v), _frac(t)) for v, t in self.vertices)
         if len(verts) < 2 or verts[0] != (ZERO, ZERO) or verts[-1] != (ONE, ONE):
             raise InputError("vertices must run from (0,0) to (1,1)")
-        vs = tuple(v for v, _ in verts)
-        ts = tuple(t for _, t in verts)
-        if any(b < a for a, b in zip(vs, vs[1:])):
+        vs, ts = zip(*verts)
+        ivs, its = _ints((vs, ts))
+        if any(b < a for a, b in zip(ivs, ivs[1:])):
             raise InputError("arguments must be weakly increasing")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if any(b <= a for a, b in zip(its, its[1:])):
             raise InputError("values must be strictly increasing")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_vs", vs)

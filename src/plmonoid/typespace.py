@@ -28,8 +28,10 @@ from .plcore import (
     PLMono,
     Point,
     _frac,
+    _ints,
     _normalize,
     _sweep,
+    _tabulate,
     combine,
     compose_lc,
     identity,
@@ -118,7 +120,8 @@ class CanonicalTuple:
     With uniform weights these are the canonical representatives of
     tuples modulo reparameterization; each component's slopes are
     bounded by the reciprocal of its weight (by n in the uniform case).
-    Both invariants are checked exactly on construction.
+    Both invariants are checked exactly on construction, in ints on the
+    merged breakpoint grid, where the mean is compared, not rebuilt.
     """
 
     components: tuple[PLMono, ...]
@@ -127,10 +130,13 @@ class CanonicalTuple:
     def __post_init__(self):
         comps = tuple(self.components)
         w = check_weights(self.weights, len(comps))
-        if combine(list(zip(w, comps))) != identity():
+        xs, rows = _tabulate(comps)
+        nums, xs, *rows = _ints((w, xs, *rows))
+        d = sum(nums)  # the common denominator, since the weights sum to 1
+        if any(sum(n * v for n, v in zip(nums, col)) != d * x for x, *col in zip(xs, *rows)):
             raise InputError("weighted mean of a canonical tuple must be the identity")
-        for wi, c in zip(w, comps):
-            if max_slope(c) > 1 / wi:
+        for wi, n, row in zip(w, nums, rows):
+            if any(n * (b - a) > d * (x1 - x0) for x0, x1, a, b in zip(xs, xs[1:], row, row[1:])):
                 raise InputError(f"component slope exceeds {1 / wi}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
@@ -192,12 +198,11 @@ class RoelckeCoord:
     breakpoints: tuple[Point, ...]
 
     def __post_init__(self):
-        pts = _normalize(self.breakpoints)
+        pts, scaled = _normalize(self.breakpoints)
         if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ZERO):
             raise InputError("coordinate must vanish at both endpoints")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if abs(y1 - y0) > x1 - x0:
-                raise InputError("coordinate must be 1-Lipschitz")
+        if any(abs(y1 - y0) > x1 - x0 for (x0, y0), (x1, y1) in zip(scaled, scaled[1:])):
+            raise InputError("coordinate must be 1-Lipschitz")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
         object.__setattr__(self, "_ys", tuple(y for _, y in pts))

@@ -314,8 +314,19 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
     [
         ["sample", "--count", "-3"],
         ["dist", "{pair}", "{pair}", "--grid", "4097"],
+        ["sample", "--count", "1001"],
+        ["sample", "--n", "17"],
+        ["epsnet", "--n", "7", "--net", "1"],
+        ["epsnet", "--n", "1000000000"],
+        ["epsnet", "--n", "3", "--net", "64"],
+        ["epsnet", "--n", "2", "--net", "8", "--check", "1000"],
+        ["epsnet", "--check", "-1"],
     ],
-    ids=["negative-count", "grid-above-4096"],
+    ids=[
+        "negative-count", "grid-above-4096", "count-above-1000", "sample-n-above-16",
+        "epsnet-n-above-6", "epsnet-huge-n", "epsnet-net-over-work-limit",
+        "epsnet-checks-over-work-limit", "epsnet-negative-check",
+    ],
 )
 def test_cli_work_limits_exit_2_with_one_error_line(tmp_path, capsys, argv):
     pair = tmp_path / "pair.json"

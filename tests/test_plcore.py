@@ -14,6 +14,7 @@ from plmonoid import (
     LcMono,
     PLHomeo,
     PLMono,
+    RoelckeCoord,
     as_homeo,
     combine,
     compose,
@@ -365,3 +366,128 @@ def test_end_plateaus_match_pointwise_evaluation(f):
             assert f(left) == lo and f(right) == hi
             for t in samples(f):
                 assert (t < left) == (f(t) < lo) and (t > right) == (f(t) > hi)
+
+
+# --- int-checked constructors against the Fraction reference
+
+
+def _reference_normalize(points):
+    """Sort, dedup and drop collinear points in Fractions, as before ints."""
+    pts = sorted((F(x), F(y)) for x, y in points)
+    dedup = []
+    for x, y in pts:
+        if dedup and dedup[-1][0] == x:
+            if dedup[-1][1] != y:
+                raise InputError(f"conflicting values {dedup[-1][1]} and {y} at x = {x}")
+            continue
+        dedup.append((x, y))
+    if len(dedup) < 2:
+        raise InputError("a breakpoint list needs at least two distinct points")
+
+    def collinear(a, b, c):
+        return (b[1] - a[1]) * (c[0] - b[0]) == (c[1] - b[1]) * (b[0] - a[0])
+
+    out = [dedup[0]]
+    for p in dedup[1:]:
+        while len(out) >= 2 and collinear(out[-2], out[-1], p):
+            out.pop()
+        out.append(p)
+    return tuple(out)
+
+
+def _reference_construct(cls, points):
+    """The Fraction validation of each constructor; returns its stored tuple."""
+    if cls is LcMono:
+        verts = tuple((F(v), F(t)) for v, t in points)
+        if len(verts) < 2 or verts[0] != (0, 0) or verts[-1] != (1, 1):
+            raise InputError("vertices must run from (0,0) to (1,1)")
+        vs, ts = [v for v, _ in verts], [t for _, t in verts]
+        if any(b < a for a, b in zip(vs, vs[1:])):
+            raise InputError("arguments must be weakly increasing")
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise InputError("values must be strictly increasing")
+        return verts
+    pts = _reference_normalize(points)
+    pairs = list(zip(pts, pts[1:]))
+    if cls is RoelckeCoord:
+        if pts[0] != (0, 0) or pts[-1] != (1, 0):
+            raise InputError("coordinate must vanish at both endpoints")
+        if any(abs(y1 - y0) > x1 - x0 for (x0, y0), (x1, y1) in pairs):
+            raise InputError("coordinate must be 1-Lipschitz")
+        return pts
+    if pts[0] != (0, 0) or pts[-1] != (1, 1):
+        raise InputError("must fix the endpoints: first (0,0), last (1,1)")
+    if any(y1 < y0 for (_, y0), (_, y1) in pairs):
+        raise InputError("values must be weakly increasing")
+    if cls is PLHomeo and any(y1 <= y0 for (_, y0), (_, y1) in pairs):
+        raise InputError("a homeomorphism must be strictly increasing")
+    return pts
+
+
+def _construct(cls, points):
+    obj = cls(points)
+    return obj.vertices if cls is LcMono else obj.breakpoints
+
+
+def _outcome(construct, cls, points):
+    try:
+        return "ok", construct(cls, points)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def raw_point_lists(draw):
+    """Monotone polylines on a small grid with collinear runs, plateaus,
+    duplicates (equal or conflicting), dips, shuffles, fewer than two
+    distinct x and mixed int, str and Fraction coordinates."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+    xs = sorted({0, den} | set(draw(st.lists(st.integers(0, den), max_size=4))))
+    ys = sorted(draw(st.lists(st.integers(0, den), min_size=len(xs), max_size=len(xs))))
+    if draw(st.integers(0, 4)) < 4:
+        ys[0], ys[-1] = 0, den
+    pts = [(F(x, den), F(y, den)) for x, y in zip(xs, ys)]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(pts) - 1))
+        (x0, y0), (x1, y1) = pts[i], pts[min(i + 1, len(pts) - 1)]
+        kind = draw(st.sampled_from(["collinear", "duplicate", "conflict", "dip"]))
+        if kind == "collinear":
+            t = F(draw(st.integers(1, 4)), 5)
+            pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+        elif kind == "duplicate":
+            pts.append((x0, y0))
+        elif kind == "conflict":
+            pts.append((x0, y0 + F(draw(st.sampled_from([-1, 1])), 2 * den)))
+        else:
+            pts.append(((x0 + x1) / 2, y0 - F(1, 2 * den)))
+    if draw(st.integers(0, 9)) == 9:
+        pts = pts[:1] * draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        pts = draw(st.permutations(pts))
+
+    def render(v):
+        form = draw(st.sampled_from(["fraction", "str", "int"]))
+        if form == "str":
+            return str(v)
+        return int(v) if form == "int" and v.denominator == 1 else v
+
+    return [(render(x), render(y)) for x, y in pts]
+
+
+@given(raw_point_lists())
+@settings(max_examples=300, deadline=None)
+def test_constructors_match_fraction_reference(points):
+    in_order = sorted(points, key=lambda p: (F(p[0]), F(p[1])))
+    cases = [
+        (PLMono, points),
+        (PLHomeo, points),
+        (LcMono, [(y, x) for x, y in points]),
+        (LcMono, [(y, x) for x, y in in_order]),
+        (RoelckeCoord, [(x, (F(y) - F(x)) / 2) for x, y in points]),
+    ]
+    for cls, pts in cases:
+        expected = _outcome(_reference_construct, cls, pts)
+        got = _outcome(_construct, cls, pts)
+        assert got == expected, (cls.__name__, pts)
+        if got[0] == "ok":
+            assert all(type(v) is F for pair in got[1] for v in pair)

@@ -15,6 +15,7 @@ from plmonoid import (
     PLMono,
     RoelckeCoord,
     canonicalize,
+    combine,
     compose,
     coord_to_pair,
     embed_homeo,
@@ -26,6 +27,7 @@ from plmonoid import (
     uniform_weights,
 )
 from plmonoid.gaps import extreme_pair
+from plmonoid.typespace import check_weights
 from plmonoid.explorer import random_homeo, random_mono, random_tuple
 
 seeds = st.integers(0, 2**32 - 1)
@@ -165,6 +167,82 @@ def test_canonical_tuple_validation():
     lo, hi = extreme_pair(I14)
     with pytest.raises(InputError):
         CanonicalTuple((lo, lo), uniform_weights(2))
+
+
+def _reference_canonical(comps, weights):
+    """The rule that rebuilt the weighted mean and measured every slope."""
+    w = check_weights(weights, len(comps))
+    if combine(list(zip(w, comps))) != identity():
+        raise InputError("weighted mean of a canonical tuple must be the identity")
+    for wi, c in zip(w, comps):
+        if max_slope(c) > 1 / wi:
+            raise InputError(f"component slope exceeds {1 / wi}")
+
+
+def _same_verdict(comps, weights):
+    """CanonicalTuple accepts, or rejects with the reference's message."""
+    verdicts = []
+    for check in (CanonicalTuple, _reference_canonical):
+        try:
+            check(comps, weights)
+            verdicts.append("accepted")
+        except InputError as exc:
+            verdicts.append(str(exc))
+    assert verdicts[0] == verdicts[1], verdicts
+    return verdicts[0]
+
+
+MEAN_MISSED = "weighted mean of a canonical tuple must be the identity"
+TINY = F(1, 2**40)
+
+
+def _moved_once(comps):
+    """Each way of moving one component by 2^-40 at one interior point of
+    the merged grid that keeps it monotone."""
+    grid = sorted({x for c in comps for x, _ in c.breakpoints} - {0, 1})
+    for i, c in enumerate(comps):
+        for x in grid:
+            for step in (TINY, -TINY):
+                pts = {px: py for px, py in c.breakpoints}
+                pts[x] = c(x) + step
+                try:
+                    moved = PLMono(tuple(pts.items()))
+                except InputError:
+                    continue
+                yield comps[:i] + (moved,) + comps[i + 1:], x
+
+
+@given(seeds, st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_canonical_check_matches_rebuilt_mean(seed, n):
+    rng = random.Random(seed)
+    t = random_tuple(rng, n)
+    raw = [rng.randrange(1, 6) for _ in range(n)]
+    w = tuple(F(r, sum(raw)) for r in raw)
+    ct, _ = canonicalize(t, w)
+    assert _same_verdict(ct.components, w) == "accepted"
+    _same_verdict(t.components, w)
+    for moved, x in _moved_once(ct.components):
+        assert _same_verdict(moved, w) == MEAN_MISSED
+        assert sum(wi * c(x) for wi, c in zip(w, moved)) != x
+
+
+def test_canonical_check_slope_boundary():
+    w = (F(1, 3), F(2, 3))
+    flat = PLMono(((0, 0), (F(1, 6), 0), (1, 1)))
+    steep = PLMono(((0, 0), (F(1, 6), F(1, 2)), (1, 1)))  # slope exactly 1/w
+    assert _same_verdict((steep, flat), w) == "accepted"
+    # steeper than 1/w by 2^-40: with monotone components that already
+    # moves the mean off the identity, so both rules give its message
+    steeper = PLMono(((0, 0), (F(1, 6), F(1, 2) + TINY / 6), (1, 1)))
+    assert max_slope(steeper) == 3 + TINY
+    assert _same_verdict((steeper, flat), w) == MEAN_MISSED
+
+
+def test_canonical_check_rejects_bad_weights_as_before():
+    pair = (identity(), identity())
+    for weights in ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 3)), (F(1, 2),), (0, 1)):
+        assert _same_verdict(pair, weights) != "accepted"
 
 
 # --- slope bounds
