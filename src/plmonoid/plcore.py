@@ -105,11 +105,12 @@ def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
     return xs, [_sweep(f._xs, f._ys, xs) for f in maps]
 
 
-def _ints(rows) -> list[list[int]]:
-    """Rows of Fractions as exact ints over one common denominator."""
+def _ints(rows) -> tuple[list[list[int]], int]:
+    """Rows of Fractions as exact ints over one common denominator d,
+    returned with d."""
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     d = lcm(*(q for row in ratios for _, q in row))
-    return [[n * (d // q) for n, q in row] for row in ratios]
+    return [[n * (d // q) for n, q in row] for row in ratios], d
 
 
 def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[list[int]]]:
@@ -117,7 +118,7 @@ def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[list
     index) int triples over one common denominator; the Fractions are kept as given."""
     pts = [(_frac(x), _frac(y)) for x, y in points]
     dedup: list[tuple[int, int, int]] = []
-    for X, Y, i in sorted((X, Y, i) for i, (X, Y) in enumerate(_ints(pts))):
+    for X, Y, i in sorted((X, Y, i) for i, (X, Y) in enumerate(_ints(pts)[0])):
         if dedup and dedup[-1][0] == X:
             if dedup[-1][1] != Y:
                 (x, y0), y = pts[dedup[-1][2]], pts[i][1]
@@ -230,7 +231,7 @@ class LcMono:
         if len(verts) < 2 or verts[0] != (ZERO, ZERO) or verts[-1] != (ONE, ONE):
             raise InputError("vertices must run from (0,0) to (1,1)")
         vs, ts = zip(*verts)
-        ivs, its = _ints((vs, ts))
+        (ivs, its), _ = _ints((vs, ts))
         if any(b < a for a, b in zip(ivs, ivs[1:])):
             raise InputError("arguments must be weakly increasing")
         if any(b <= a for a, b in zip(its, its[1:])):

@@ -17,6 +17,9 @@ components uniform norm, and is computed here three independent ways:
   supremum of the component distances along the piecewise-linear
   alignment the path induces, with every row of values an exact int
   over one common denominator.  Refining the grid never increases it.
+  Only diagonal steps check breakpoints inside a step: on a horizontal
+  or vertical step one side is fixed, each component difference is
+  monotone along it and peaks at the step's ends, which are nodes.
 
 For a canonical pair, the distance from its orbit (reparameterizations
 of the first component) to the identity pair is bounded by one explicit
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import floor, lcm
+from operator import sub
 from typing import NamedTuple
 
 from .plcore import (
@@ -45,6 +49,7 @@ from .plcore import (
     InvariantViolation,
     PLMono,
     _frac,
+    _ints,
     _sweep,
     _tabulate,
     compose,
@@ -103,12 +108,8 @@ class _FreeSpace:
             raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
         U, AU = _tabulate(a.components)
         V, BV = _tabulate(b.components)
-        d0 = lcm(*(x.denominator for row in (U, V, *AU, *BV) for x in row))
-
-        def ints(row):
-            return [x.numerator * (d0 // x.denominator) for x in row]
-
-        U, V, AU, BV = ints(U), ints(V), [ints(r) for r in AU], [ints(r) for r in BV]
+        (U, V, *values), d0 = _ints((U, V, *AU, *BV))
+        AU, BV = values[:len(a)], values[len(a):]
         # Per side: the grid an edge moves along, the values moving with
         # it and the other tuple's values at the fixed node.
         sides = ((U, AU, BV), (V, BV, AU))
@@ -330,10 +331,21 @@ def brute_oracle(a, b, k: int) -> Fraction:
     a true upper bound on the quotient distance and never increases
     when k is doubled, since the refined grid contains every old path.
 
+    Only diagonal steps look at interior breakpoints.  On a horizontal
+    or vertical step one side stays at a grid node, so each component
+    distance is a monotone map minus a constant in absolute value; it
+    peaks at an end of the step, and the path's node costs already
+    count both ends.  On a diagonal step both sides move, their
+    difference need not be monotone, and every kink of either side
+    inside the step is checked at its crossing.  So the cheapest cost of
+    reaching node (p, q) is max(node(p, q), min(cost(p-1, q),
+    cost(p, q-1), max(cost(p-1, q-1), diag(p, q)))), and row 0 and
+    column 0 are running maxima of the node costs.
+
     Every value a path can meet lies on an arithmetic run of one
     segment; each run's first value and increment are scaled to ints
     over one common denominator, the rows are expanded by int addition
-    and the dynamic programme runs on ints.
+    and the dynamic programme runs on ints, a row at a time.
     """
     a, b = _as_tuple(a), _as_tuple(b)
     if len(a) != len(b):
@@ -342,130 +354,63 @@ def brute_oracle(a, b, k: int) -> Fraction:
         raise InputError("grid resolution must be at least 1")
     n = len(a)
     sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
-    dens = set()
-    for vals, kinks in sides:
-        rows = vals + [runs for items in kinks.values() for _, _, runs in items]
-        dens.update(y.denominator for items in kinks.values() for _, y, _ in items)
-        dens.update(v.denominator for runs in rows for _, first, inc in runs for v in (first, inc))
-    denom = lcm(*dens)
 
-    def to_int(f: Fraction) -> int:
-        return f.numerator * (denom // f.denominator)
+    def flat(runs) -> list[Fraction]:
+        return [v for _, first, inc in runs for v in (first, inc)]
 
-    def expand(runs) -> list[int]:
+    def expand(runs, ints) -> list[int]:
         row = []
-        for length, first, inc in runs:
-            row.extend(accumulate(repeat(to_int(inc), length - 1), initial=to_int(first)))
+        for (length, _, _), first, inc in zip(runs, ints[::2], ints[1::2]):
+            row.extend(accumulate(repeat(inc, length - 1), initial=first))
         return row
 
-    def as_ints(vals, kinks):
-        # Horizontal and vertical edges need the kink value alone;
-        # diagonal edges need it with the other side's row as well.
-        return (
-            [expand(runs) for runs in vals],
-            {step: [(i, to_int(y)) for i, y, _ in items] for step, items in kinks.items()},
-            {
-                step: [(i, to_int(y), expand(runs)) for i, y, runs in items]
-                for step, items in kinks.items()
-            },
-        )
+    vals = [*sides[0][0], *sides[1][0]]
+    kinks = [
+        (s, step, y, runs) for s, (_, kk) in enumerate(sides) for step, items in kk.items() for _, y, runs in items
+    ]
+    ints, denom = _ints([*map(flat, vals), *([y, *flat(runs)] for _, _, y, runs in kinks)])
+    rows = [expand(runs, row) for runs, row in zip(vals, ints)]
+    ai, bi = rows[:n], rows[n:]
+    # diag[s][step] = [(kink value, partner values at its k crossings)]
+    diag = ({}, {})
+    for (s, step, _, runs), (y, *row) in zip(kinks, ints[2 * n:]):
+        diag[s].setdefault(step, []).append((y, expand(runs, row)))
 
-    ai, hor_i, diag_ai = as_ints(*sides[0])
-    bi, ver_i, diag_bi = as_ints(*sides[1])
-
-    def node_cost(p: int, q: int) -> int:
-        best = 0
+    def node_costs(p: int) -> list[int]:
+        """Max over components of |a_i(p/k) - b_i(q/k)|, for q = 0..k."""
+        costs = [0] * (k + 1)
         for i in range(n):
-            d = ai[i][p] - bi[i][q]
-            if d < 0:
-                d = -d
-            if d > best:
-                best = d
-        return best
-
-    def hor_edge_extra(p: int, q: int) -> int:
-        items = hor_i.get(p)
-        if not items:
-            return 0
-        best = 0
-        for i, y in items:
-            d = y - bi[i][q]
-            if d < 0:
-                d = -d
-            if d > best:
-                best = d
-        return best
-
-    def ver_edge_extra(p: int, q: int) -> int:
-        items = ver_i.get(q)
-        if not items:
-            return 0
-        best = 0
-        for i, y in items:
-            d = y - ai[i][p]
-            if d < 0:
-                d = -d
-            if d > best:
-                best = d
-        return best
-
-    def diag_edge_extra(p: int, q: int) -> int:
-        best = 0
-        items = diag_ai.get(p)
-        if items:
-            for i, y, row in items:
-                d = y - row[q - 1]
+            x = ai[i][p]
+            for q, y in enumerate(bi[i]):
+                d = x - y
                 if d < 0:
                     d = -d
-                if d > best:
-                    best = d
-        items = diag_bi.get(q)
-        if items:
-            for i, y, col in items:
-                d = y - col[p - 1]
-                if d < 0:
-                    d = -d
-                if d > best:
-                    best = d
-        return best
+                if d > costs[q]:
+                    costs[q] = d
+        return costs
 
-    prev = [0] * (k + 1)
-    prev[0] = node_cost(0, 0)
-    for q in range(1, k + 1):
-        step = prev[q - 1]
-        extra = ver_edge_extra(0, q)
-        if extra > step:
-            step = extra
-        c = node_cost(0, q)
-        prev[q] = step if step > c else c
+    prev = list(accumulate(node_costs(0), max))
     for p in range(1, k + 1):
-        cur = [0] * (k + 1)
-        via = prev[0]
-        extra = hor_edge_extra(p, 0)
-        if extra > via:
-            via = extra
-        c = node_cost(p, 0)
-        cur[0] = via if via > c else c
-        for q in range(1, k + 1):
-            via_h = prev[q]
-            e = hor_edge_extra(p, q)
-            if e > via_h:
-                via_h = e
-            via_v = cur[q - 1]
-            e = ver_edge_extra(p, q)
-            if e > via_v:
-                via_v = e
-            via_d = prev[q - 1]
-            e = diag_edge_extra(p, q)
-            if e > via_d:
-                via_d = e
-            best = via_h
-            if via_v < best:
-                best = via_v
-            if via_d < best:
-                best = via_d
-            c = node_cost(p, q)
-            cur[q] = best if best > c else c
+        c = node_costs(p)
+        # via_d[q - 1]: cost of reaching (p, q) by the diagonal step.
+        via_d = prev[:-1]
+        for y, row in diag[0].get(p, ()):
+            via_d = list(map(max, via_d, map(abs, map(sub, repeat(y), row))))
+        for q, items in diag[1].items():
+            for y, col in items:
+                e = abs(y - col[p - 1])
+                if e > via_d[q - 1]:
+                    via_d[q - 1] = e
+        cost = max(prev[0], c[0])
+        cur = [cost]
+        for node, up, diagonal in zip(c[1:], prev[1:], via_d):
+            if diagonal < up:
+                up = diagonal
+            if up < cost:
+                cost = up
+            if node > cost:
+                cost = node
+            cur.append(cost)
         prev = cur
     return Fraction(prev[k], denom)
 

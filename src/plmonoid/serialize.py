@@ -174,3 +174,5 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("malformed JSON: nested too deeply") from exc

@@ -287,6 +287,9 @@ def test_cli_missing_file():
     assert code == 2
 
 
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
@@ -294,8 +297,13 @@ def test_cli_missing_file():
         ("gaps", b'{"gaps": 5}\n'),
         ("canon", None),
         ("canon", b'\xff\xfe{"components": []}\n'),
+        ("canon", DEEP_JSON),
+        ("gaps", DEEP_JSON),
+        ("plot", DEEP_JSON),
+        ("witness", DEEP_JSON),
     ],
-    ids=["gap-arity", "gaps-not-a-list", "directory", "non-utf8"],
+    ids=["gap-arity", "gaps-not-a-list", "directory", "non-utf8",
+         "deep-canon", "deep-gaps", "deep-plot", "deep-witness"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, data):
     path = tmp_path / "input"
@@ -304,6 +312,17 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
     else:
         path.write_bytes(data)
     code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("deep_first", [True, False], ids=["deep-a", "deep-b"])
+def test_cli_dist_deep_json_exits_2_with_one_error_line(tmp_path, capsys, deep_first):
+    deep, pair = tmp_path / "deep.json", tmp_path / "pair.json"
+    deep.write_bytes(DEEP_JSON)
+    pair.write_text(ser.dumps(ser.tuple_to_obj(MonoTuple((identity(), identity())))))
+    code = main(["dist", *map(str, (deep, pair) if deep_first else (pair, deep))])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -320,6 +320,59 @@ def test_oracle_runs_match_pointwise_setup(k, monkeypatch):
     assert values == [brute_oracle(a, b, k), brute_oracle(b, a, k), brute_oracle(a, a, k)]
 
 
+def edge_extra_oracle(a, b, k):
+    """Reference grid oracle, pointwise in Fractions, with an edge extra on
+    every step: the largest component distance at each interior kink of a
+    moving side, measured where the step crosses it."""
+    a, b = a.components, b.components
+    n = len(a)
+
+    def kinks(t, step):
+        return [(i, x, y) for i, f in enumerate(t) for x, y in f.breakpoints[1:-1]
+                if F(step - 1, k) < x < F(step, k)]
+
+    def extra(dists):
+        return max(dists, default=F(0))
+
+    def node(p, q):
+        return max(abs(a[i](F(p, k)) - b[i](F(q, k))) for i in range(n))
+
+    def hor(p, q):
+        return extra(abs(y - b[i](F(q, k))) for i, _, y in kinks(a, p))
+
+    def ver(p, q):
+        return extra(abs(a[i](F(p, k)) - y) for i, _, y in kinks(b, q))
+
+    def diag(p, q):
+        return max(extra(abs(y - b[i](x + F(q - p, k))) for i, x, y in kinks(a, p)),
+                   extra(abs(a[i](x + F(p - q, k)) - y) for i, x, y in kinks(b, q)))
+
+    cost = {}
+    for p in range(k + 1):
+        for q in range(k + 1):
+            steps = []
+            if p:
+                steps.append(max(cost[p - 1, q], hor(p, q)))
+            if q:
+                steps.append(max(cost[p, q - 1], ver(p, q)))
+            if p and q:
+                steps.append(max(cost[p - 1, q - 1], diag(p, q)))
+            cost[p, q] = max(node(p, q), min(steps, default=F(0)))
+    return cost[k, k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_matches_edge_extra_reference(n, k):
+    # horizontal and vertical extras never change the answer: along such a
+    # step each component difference is monotone and peaks at a node
+    rng = random.Random(100 * n + k)
+    for make in (random_tuple, random_point):
+        a, b = make(rng, n), make(rng, n)
+        assert brute_oracle(a, b, k) == edge_extra_oracle(a, b, k)
+        assert brute_oracle(b, a, k) == edge_extra_oracle(b, a, k)
+
+
 def test_oracle_errors():
     a, b = worked_pair()
     with pytest.raises(InputError):
