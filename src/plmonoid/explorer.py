@@ -508,9 +508,9 @@ def _cmd_dist(args) -> None:
     tb, wb = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
     del wa, wb  # the quotient distance always compares with uniform weights
     tol = ser.parse_frac(args.tol)
-    qi = quot_dist(ta, tb, tol)
     ca, _ = canonicalize(ta)
     cb, _ = canonicalize(tb)
+    qi = quot_dist(ca, cb, tol)
     bound = max(sup_dist(f, g) for f, g in zip(ca.components, cb.components))
     out = ser.interval_to_obj(qi)
     out["canonical_bound"] = ser.frac_str(bound)

@@ -176,7 +176,7 @@ def _difference_support(f: PLMono, h: PLMono) -> list[Interval]:
         elif d1 == 0:
             zeros.append((x1, x1))
         elif (d0 < 0) != (d1 < 0):
-            x_star = _lerp(d0, x0, d1, x1, ZERO)
+            x_star = _lerp(*(v.as_integer_ratio() for v in (d0, x0, d1, x1, ZERO)))
             zeros.append((x_star, x_star))
     merged: list[Interval] = []
     for a, b in sorted(zeros):

@@ -11,7 +11,9 @@ to rounding.
 Representations are canonical: breakpoint lists carry no redundant
 (collinear) points, so equality of functions is equality of
 representations.  Constructors validate on exact ints over one common
-denominator; the stored coordinates are the caller's Fractions.
+denominator; the stored coordinates are the caller's Fractions.  The
+sweep kernel and grid merge compare (numerator, denominator) int pairs
+instead, scaling only the two values one comparison touches.
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.
@@ -71,8 +73,11 @@ def _frac(value) -> Fraction:
 
 
 def _lerp(x0, y0, x1, y1, t) -> Fraction:
-    """Value at t of the line through (x0, y0) and (x1, y1)."""
-    return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+    """Value at t of the line through (x0, y0) and (x1, y1), each given
+    as a (numerator, denominator) int pair: one Fraction of int products."""
+    (a0, b0), (p0, q0), (a1, b1), (p1, q1), (tn, td) = x0, y0, x1, y1, t
+    run = (a1 * b0 - a0 * b1) * td
+    return Fraction(p0 * q1 * run + (p1 * q0 - p0 * q1) * (tn * b0 - a0 * td) * b1, q0 * q1 * run)
 
 
 def _sweep(xs, ys, args, upper: bool = False) -> list[Fraction]:
@@ -83,25 +88,55 @@ def _sweep(xs, ys, args, upper: bool = False) -> list[Fraction]:
     lowest value is taken, or the highest when ``upper`` is set.  Swept
     over a reflected map (``ys`` against ``xs``) this gives the left or
     right end of the preimage of each level.
+
+    It steps while xn * td < tn * xd on (numerator, denominator) pairs
+    and hits a vertex on equal pairs (Fractions are normalized), so no
+    common denominator is built.
     """
+    xr = [x.as_integer_ratio() for x in xs]
     out = []
     i, last = 0, len(xs) - 1
+    xn, xd = xr[0]
     for t in args:
-        while xs[i] < t:
+        tr = tn, td = t.as_integer_ratio()
+        while xn * td < tn * xd:
             i += 1
-        if xs[i] == t:
+            xn, xd = xr[i]
+        if xn == tn and xd == td:
             if upper:
-                while i < last and xs[i + 1] == t:
+                while i < last and xr[i + 1] == tr:
                     i += 1
             out.append(ys[i])
         else:
-            out.append(_lerp(xs[i - 1], ys[i - 1], xs[i], ys[i], t))
+            y0, y1 = ys[i - 1].as_integer_ratio(), ys[i].as_integer_ratio()
+            out.append(ys[i] if y0 == y1 else _lerp(xr[i - 1], y0, xr[i], y1, tr))
+    return out
+
+
+def _merged(seqs) -> list[Fraction]:
+    """Ascending union of weakly ascending sequences, each value once (the
+    first met): a two-way merge per sequence on cross-multiplied int pairs."""
+    out, keys = [], []
+    for seq in seqs:
+        prev, prev_keys, n, i = out, keys, len(out), 0
+        out, keys = [], []
+        for v in seq:
+            r = vn, vd = v.as_integer_ratio()
+            while i < n and prev_keys[i][0] * vd <= vn * prev_keys[i][1]:
+                out.append(prev[i])
+                keys.append(prev_keys[i])
+                i += 1
+            if not keys or keys[-1] != r:
+                out.append(v)
+                keys.append(r)
+        out += prev[i:]
+        keys += prev_keys[i:]
     return out
 
 
 def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
     """The merged breakpoint grid of ``maps`` and each map's values on it."""
-    xs = sorted(set().union(*(f._xs for f in maps)))
+    xs = _merged(f._xs for f in maps)
     return xs, [_sweep(f._xs, f._ys, xs) for f in maps]
 
 
@@ -285,7 +320,7 @@ def compose(f: PLMono, g: PLMono) -> PLMono:
     level that is a breakpoint abscissa of f or a breakpoint value of
     g; f is constant there at its value on that level.
     """
-    levels = sorted(set(f._xs) | set(g._ys))
+    levels = _merged((f._xs, g._ys))
     lefts = _sweep(g._ys, g._xs, levels)
     rights = _sweep(g._ys, g._xs, levels, upper=True)
     pts = []
@@ -305,7 +340,7 @@ def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
     The result runs through (m(x), f(x)) for x on the merged breakpoint
     grid, where m is the map that ``inv`` reflects.
     """
-    xs = sorted(set(f._xs) | set(inv._ts))
+    xs = _merged((f._xs, inv._ts))
     fx = _sweep(f._xs, f._ys, xs)
     at = dict(zip(xs, fx))
     for v, lower, upper in inv.jumps():

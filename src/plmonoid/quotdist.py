@@ -50,6 +50,7 @@ from .plcore import (
     PLMono,
     _frac,
     _ints,
+    _merged,
     _sweep,
     _tabulate,
     compose,
@@ -339,8 +340,9 @@ def brute_oracle(a, b, k: int) -> Fraction:
     difference need not be monotone, and every kink of either side
     inside the step is checked at its crossing.  So the cheapest cost of
     reaching node (p, q) is max(node(p, q), min(cost(p-1, q),
-    cost(p, q-1), max(cost(p-1, q-1), diag(p, q)))), and row 0 and
-    column 0 are running maxima of the node costs.
+    cost(p, q-1), max(cost(p-1, q-1), diag(p, q)))).  On row 0 and
+    column 0 the cost is the node cost: as a_i(0) = b_i(0) = 0, node(0, q)
+    = max_i b_i(q/k) and node(p, 0) = max_i a_i(p/k) never decrease.
 
     Every value a path can meet lies on an arithmetic run of one
     segment; each run's first value and increment are scaled to ints
@@ -389,7 +391,7 @@ def brute_oracle(a, b, k: int) -> Fraction:
                     costs[q] = d
         return costs
 
-    prev = list(accumulate(node_costs(0), max))
+    prev = node_costs(0)
     for p in range(1, k + 1):
         c = node_costs(p)
         # via_d[q - 1]: cost of reaching (p, q) by the diagonal step.
@@ -401,7 +403,7 @@ def brute_oracle(a, b, k: int) -> Fraction:
                 e = abs(y - col[p - 1])
                 if e > via_d[q - 1]:
                     via_d[q - 1] = e
-        cost = max(prev[0], c[0])
+        cost = c[0]
         cur = [cost]
         for node, up, diagonal in zip(c[1:], prev[1:], via_d):
             if diagonal < up:
@@ -452,7 +454,7 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
         raise InputError("net resolution must be at least 1")
     first, second = point.components
 
-    levels = sorted(set(first._ys) | set(second._ys))
+    levels = _merged((first._ys, second._ys))
     ends = [_sweep(m._ys, m._xs, levels, upper) for m in (second, first) for upper in (False, True)]
     verts = []
     for t0, t1, x0, x1 in zip(*ends):

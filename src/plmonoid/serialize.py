@@ -51,17 +51,18 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def parse_frac(s) -> Fraction:
     """Exact value of a "p/q" or "p" string; nothing else is accepted, so
-    no exponent or decimal can expand into a huge integer."""
+    no exponent or decimal can expand into a huge integer.  Messages echo
+    at most 60 characters of a rejected value."""
     if not isinstance(s, str):
-        raise InputError(f"rationals must be strings like '1/4', got {s!r}")
+        raise InputError(f"rationals must be strings like '1/4', got {s!r:.60}")
     m = _RATIONAL.fullmatch(s)
     if m is None:
-        raise InputError(f"bad rational {s!r}")
+        raise InputError(f"bad rational {s!r:.60}")
     num, den = m.groups()
     try:
         return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {s!r}") from exc
+        raise InputError(f"bad rational {s!r:.60}") from exc
 
 
 def _point_list(pairs) -> list[list[str]]:

@@ -212,6 +212,32 @@ def test_cli_dist_worked(tmp_path):
     assert obj["decisions"] > 0
 
 
+
+def test_cli_dist_canonicalizes_each_input_once(tmp_path, monkeypatch):
+    from plmonoid import explorer, quotdist, typespace
+
+    rng = random.Random(7_2024)
+    for _ in range(60):
+        n = rng.choice((1, 2, 3))
+        ta, tb = random_tuple(rng, n), random_tuple(rng, n)
+        ca, cb = typespace.canonicalize(ta)[0], typespace.canonicalize(tb)[0]
+        assert quotdist.quot_dist(ca, cb, F(1, 64)) == quotdist.quot_dist(ta, tb, F(1, 64))
+    calls = []
+    real = typespace.canonicalize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (explorer, quotdist, typespace):
+        monkeypatch.setattr(module, "canonicalize", counting)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(ser.dumps(ser.tuple_to_obj(ta)))
+    b.write_text(ser.dumps(ser.tuple_to_obj(tb)))
+    code, out = run_cli(["dist", str(a), str(b), "--grid", "8"])
+    assert code == 0 and len(calls) == 2
+    assert ser.parse_frac(ser.loads(out)["hi"]) == quotdist.quot_dist(ta, tb, F(1, 64)).hi
+
 def test_cli_dist_length_mismatch(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -316,6 +342,16 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
+
+
+def test_cli_long_rational_error_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"components": [{"breakpoints": [["0", "0"], ["1/' + "9" * 5000 + '", "1"], ["1", "1"]]}]}')
+    code = main(["canon", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad rational") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 @pytest.mark.parametrize("deep_first", [True, False], ids=["deep-a", "deep-b"])
 def test_cli_dist_deep_json_exits_2_with_one_error_line(tmp_path, capsys, deep_first):

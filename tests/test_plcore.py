@@ -29,6 +29,7 @@ from plmonoid import (
     uniform_witness,
 )
 from plmonoid.gaps import _preimage_of_closed, extreme_pair
+from plmonoid.plcore import _merged, _sweep
 from plmonoid.explorer import random_homeo, random_mono
 
 I14 = (F(1, 4), F(3, 4))
@@ -491,3 +492,70 @@ def test_constructors_match_fraction_reference(points):
         assert got == expected, (cls.__name__, pts)
         if got[0] == "ok":
             assert all(type(v) is F for pair in got[1] for v in pair)
+
+
+# --- the int-pair sweep kernel and grid merge against the Fraction reference
+
+
+def _reference_lerp(x0, y0, x1, y1, t):
+    """Value at t of the line through (x0, y0) and (x1, y1)."""
+    return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
+def _reference_sweep(xs, ys, args, upper=False):
+    """The sweep kernel in Fraction operators, as before the int pairs."""
+    out = []
+    i, last = 0, len(xs) - 1
+    for t in args:
+        while xs[i] < t:
+            i += 1
+        if xs[i] == t:
+            if upper:
+                while i < last and xs[i + 1] == t:
+                    i += 1
+            out.append(ys[i])
+        else:
+            out.append(_reference_lerp(xs[i - 1], ys[i - 1], xs[i], ys[i], t))
+    return out
+
+
+def _reference_merged(seqs):
+    return sorted(set().union(*seqs))
+
+
+def _coprime_map(rng, d, n=8):
+    """Monotone map whose interior points are k/d for the given d, with
+    about one repeated level in three (plateaus)."""
+    xs = sorted({rng.randrange(1, d) for _ in range(n)})
+    ys = sorted(rng.randrange(1, d) for _ in xs)
+    ys = [ys[j - 1] if j and rng.randrange(3) == 0 else y for j, y in enumerate(ys)]
+    return PLMono(((0, 0), *((F(x, d), F(y, d)) for x, y in zip(xs, ys)), (1, 1)))
+
+
+def _kernel_pair(seed):
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        return rng, random_mono(rng), random_mono(rng)
+    if kind == 1:
+        return rng, random_homeo(rng), random_mono(rng)
+    d = 10**99 + rng.randrange(10**99)  # 100 digits; d and d + 1 are coprime
+    return rng, _coprime_map(rng, d), _coprime_map(rng, d + 1)
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_sweep_and_merge_match_fraction_reference(seed, upper):
+    rng, f, g = _kernel_pair(seed)
+    for seqs in ((f._xs, g._xs), (f._ys, g._ys), (g._ys, f._xs, f._ys), (f._xs,)):
+        merged = _merged(seqs)
+        assert merged == _reference_merged(seqs)
+        assert all(type(v) is F for v in merged)
+    samples = _reference_merged((f._xs, f._ys, g._xs, g._ys, [F(rng.randrange(65), 64) for _ in range(8)]))
+    arg_lists = [samples, list(f._xs), list(g._ys), [0, *samples[1:-1], 1]]
+    # Reflected maps (values against arguments) have vertical runs at plateaus.
+    for xs, ys in ((f._xs, f._ys), (g._xs, g._ys), (f._ys, f._xs), (g._ys, g._xs)):
+        for args in arg_lists:
+            got = _sweep(xs, ys, args, upper)
+            assert got == _reference_sweep(xs, ys, args, upper)
+            assert all(type(v) is F for v in got)
