@@ -60,7 +60,7 @@ MonoPseudoDist = Callable[[PLMono, PLMono], Fraction]
 def _check_interval(iv) -> Interval:
     a, b = _frac(iv[0]), _frac(iv[1])
     if not (ZERO <= a < b <= ONE):
-        raise InputError(f"not a nonempty open subinterval of [0, 1]: ({a}, {b})")
+        raise InputError(f"not a nonempty open subinterval of [0, 1]: ({a!s:.60}, {b!s:.60})")
     return a, b
 
 
@@ -80,7 +80,7 @@ class GapSet:
         ivs = tuple(_check_interval(iv) for iv in self.gaps)
         for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
             if a1 < b0:
-                raise InputError(f"gaps overlap: ({a0}, {b0}) and ({a1}, {b1})")
+                raise InputError(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")
         object.__setattr__(self, "gaps", ivs)
 
     def union_contains(self, x: Fraction) -> bool:

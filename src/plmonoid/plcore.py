@@ -10,10 +10,13 @@ to rounding.
 
 Representations are canonical: breakpoint lists carry no redundant
 (collinear) points, so equality of functions is equality of
-representations.  Constructors validate on exact ints over one common
-denominator; the stored coordinates are the caller's Fractions.  The
-sweep kernel and grid merge compare (numerator, denominator) int pairs
-instead, scaling only the two values one comparison touches.
+representations.  Every exact int kernel follows one scaling rule: a
+comparison scales only the values it touches, so no int carries the
+whole input's denominators.  The constructors cross-multiply the
+(numerator, denominator) int pairs of the two or three neighbouring
+points a check involves, as the sweep kernel and grid merge do for the
+two values they compare; the stored coordinates are the caller's
+Fractions.
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.
@@ -53,6 +56,7 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 Point = tuple[Fraction, Fraction]
+Ratio = tuple[int, int]  # (numerator, denominator)
 
 
 class InputError(ValueError):
@@ -69,7 +73,7 @@ def _frac(value) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"not a rational number: {value!r}") from exc
+        raise InputError(f"not a rational number: {value!r:.60}") from exc
 
 
 def _lerp(x0, y0, x1, y1, t) -> Fraction:
@@ -140,35 +144,51 @@ def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
     return xs, [_sweep(f._xs, f._ys, xs) for f in maps]
 
 
-def _ints(rows) -> tuple[list[list[int]], int]:
-    """Rows of Fractions as exact ints over one common denominator d,
-    returned with d."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
-    d = lcm(*(q for row in ratios for _, q in row))
-    return [[n * (d // q) for n, q in row] for row in ratios], d
+def _ints(ratios) -> tuple[list[int], int]:
+    """(numerator, denominator) pairs as exact ints over the lcm d of
+    their denominators, returned with d.  Callers pass only the values
+    that their comparisons touch, so d stays as small as those values."""
+    d = lcm(*[q for _, q in ratios])
+    return [n * (d // q) for n, q in ratios], d
 
 
-def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[list[int]]]:
-    """Sort points, drop duplicates and collinear interior points, all on (X, Y,
-    index) int triples over one common denominator; the Fractions are kept as given."""
-    pts = [(_frac(x), _frac(y)) for x, y in points]
-    dedup: list[tuple[int, int, int]] = []
-    for X, Y, i in sorted((X, Y, i) for i, (X, Y) in enumerate(_ints(pts)[0])):
-        if dedup and dedup[-1][0] == X:
-            if dedup[-1][1] != Y:
-                (x, y0), y = pts[dedup[-1][2]], pts[i][1]
-                raise InputError(f"conflicting values {y0} and {y} at x = {x}")
+def _ascending(ratios, strict: bool = False) -> bool:
+    """Whether (numerator, denominator) pairs ascend, weakly or strictly;
+    each neighbour pair is compared by cross-multiplying."""
+    if strict:
+        return all(a * d < c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
+    return all(a * d <= c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
+
+
+def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tuple[Ratio, Ratio]]]:
+    """Sort points, drop duplicates and collinear interior points.
+
+    Returns the kept points, as the caller's Fractions, and their
+    ((x numerator, x denominator), (y numerator, y denominator)) pairs.
+    Each test cross-multiplies the pairs of the two or three points it
+    compares.
+    """
+    out: list[tuple[Ratio, Ratio, Point]] = []
+    for p in sorted((_frac(x), _frac(y)) for x, y in points):
+        x, y = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+        if out and out[-1][0] == x:
+            if out[-1][1] != y:
+                y0, (x0, y1) = out[-1][2][1], p
+                raise InputError(f"conflicting values {y0!s:.60} and {y1!s:.60} at x = {x0!s:.60}")
             continue
-        dedup.append((X, Y, i))
-    if len(dedup) < 2:
-        raise InputError("a breakpoint list needs at least two distinct points")
-    out = [dedup[0]]
-    for X, Y, i in dedup[1:]:
-        while len(out) >= 2 and ((out[-1][1] - out[-2][1]) * (X - out[-1][0])
-                                 == (Y - out[-1][1]) * (out[-1][0] - out[-2][0])):
+        while len(out) >= 2:
+            # Collinear when the slopes (y1 - y0) / (x1 - x0) and
+            # (y2 - y1) / (x2 - x1) agree; xi = xn/xd, yi = yn/yd.
+            ((x0n, x0d), (y0n, y0d), _), ((x1n, x1d), (y1n, y1d), _) = out[-2:]
+            (x2n, x2d), (y2n, y2d) = x, y
+            if ((y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * y2d * x0d
+                    != (y2n * y1d - y1n * y2d) * (x1n * x0d - x0n * x1d) * y0d * x2d):
+                break
             out.pop()
-        out.append((X, Y, i))
-    return tuple(pts[i] for _, _, i in out), [[X, Y] for X, Y, _ in out]
+        out.append((x, y, p))
+    if len(out) < 2:
+        raise InputError("a breakpoint list needs at least two distinct points")
+    return tuple(p for _, _, p in out), [(x, y) for x, y, _ in out]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,18 +205,18 @@ class PLMono:
     breakpoints: tuple[Point, ...]
 
     def __post_init__(self):
-        pts, scaled = _normalize(self.breakpoints)
+        pts, ratios = _normalize(self.breakpoints)
         if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
             raise InputError("must fix the endpoints: first (0,0), last (1,1)")
-        ys = [Y for _, Y in scaled]
-        if any(b < a for a, b in zip(ys, ys[1:])):
+        ys = [y for _, y in ratios]
+        if not _ascending(ys):
             raise InputError("values must be weakly increasing")
         self._check_values(ys)
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
         object.__setattr__(self, "_ys", tuple(y for _, y in pts))
 
-    def _check_values(self, ys: list[int]) -> None:
+    def _check_values(self, ys: list[Ratio]) -> None:
         pass
 
     def __call__(self, t) -> Fraction:
@@ -222,8 +242,8 @@ class PLMono:
 class PLHomeo(PLMono):
     """Strictly increasing piecewise-linear self-homeomorphism of [0, 1]."""
 
-    def _check_values(self, ys: list[int]) -> None:
-        if any(b <= a for a, b in zip(ys, ys[1:])):
+    def _check_values(self, ys: list[Ratio]) -> None:
+        if not _ascending(ys, strict=True):
             raise InputError("a homeomorphism must be strictly increasing")
 
 
@@ -266,10 +286,9 @@ class LcMono:
         if len(verts) < 2 or verts[0] != (ZERO, ZERO) or verts[-1] != (ONE, ONE):
             raise InputError("vertices must run from (0,0) to (1,1)")
         vs, ts = zip(*verts)
-        (ivs, its), _ = _ints((vs, ts))
-        if any(b < a for a, b in zip(ivs, ivs[1:])):
+        if not _ascending([v.as_integer_ratio() for v in vs]):
             raise InputError("arguments must be weakly increasing")
-        if any(b <= a for a, b in zip(its, its[1:])):
+        if not _ascending([t.as_integer_ratio() for t in ts], strict=True):
             raise InputError("values must be strictly increasing")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "_vs", vs)

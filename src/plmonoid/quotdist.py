@@ -7,8 +7,8 @@ components uniform norm, and is computed here three independent ways:
 
 * an exact decision procedure ("is the distance at most eps?") that
   propagates feasible intervals through the free-space diagram of the
-  two merged breakpoint grids, entirely in exact ints over one common
-  denominator per pair and eps;
+  two merged breakpoint grids, entirely in exact ints, each scaled over
+  the values of one grid cell and one node only;
 * a bisection on eps driven by the decision procedure, bracketed above
   by the sup-distance of the canonical forms (the canonical map is
   contractive);
@@ -16,7 +16,8 @@ components uniform norm, and is computed here three independent ways:
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
   alignment the path induces, with every row of values an exact int
-  over one common denominator.  Refining the grid never increases it.
+  over one common denominator, since the DP compares every node cost
+  with every other.  Refining the grid never increases it.
   Only diagonal steps check breakpoints inside a step: on a horizontal
   or vertical step one side is fixed, each component difference is
   monotone along it and peaks at the step's ends, which are nodes.
@@ -85,7 +86,19 @@ class QuotInterval:
             raise InputError(f"not a bracket: [{self.lo}, {self.hi}]")
 
 
-Span = tuple[int, int] | None
+# A free span (lo, lo_scale, hi, hi_scale) is [lo/lo_scale, hi/hi_scale]:
+# its lower end may come from another edge of the cell, over that edge's
+# scale, so each end carries its own.
+Span = tuple[int, int, int, int] | None
+
+
+def _raised(fr: Span, low: Span) -> Span:
+    """fr with its lower end raised to low's, or None if that empties it."""
+    lo, ls, hi, hs = fr
+    if low[0] * ls <= lo * low[1]:
+        return fr
+    lo, ls = low[0], low[1]
+    return (lo, ls, hi, hs) if lo * hs <= hi * ls else None
 
 
 class _FreeSpace:
@@ -96,12 +109,16 @@ class _FreeSpace:
     all component distances are at most eps is convex and its trace on
     a cell edge is a subinterval with rational endpoints.
 
-    What an edge needs is tabulated once per pair as exact ints over one
-    common denominator D: the grids, and per edge and component either
-    the gap to a flat component or the centre and unit-eps half-width of
-    a sloped one.  A decision at eps = num/den scales by den, so every
-    span endpoint is an exact int over D * den and deciding does no
-    Fraction arithmetic.
+    Deciding only compares span ends inside one cell of one axis, so
+    every int is scaled locally.  Per side, each grid cell keeps its ends
+    and the moving components' values at them as ints over their lcm c,
+    with m the lcm of the components' nonzero rises; each node keeps the
+    other tuple's values there as ints over their lcm o.  The first time
+    a decision visits an edge, its grid ends, the gap to each flat
+    component and the centre and unit-eps half-width of each sloped one
+    are formed as ints over S = c * m * o and kept.  A decision at
+    eps = num/den scales by den, so a span end is an exact int over
+    S * den and deciding does no Fraction arithmetic.
     """
 
     def __init__(self, a: MonoTuple, b: MonoTuple):
@@ -109,37 +126,46 @@ class _FreeSpace:
             raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
         U, AU = _tabulate(a.components)
         V, BV = _tabulate(b.components)
-        (U, V, *values), d0 = _ints((U, V, *AU, *BV))
-        AU, BV = values[:len(a)], values[len(a):]
+        U, V, *rows = [[v.as_integer_ratio() for v in row] for row in (U, V, *AU, *BV)]
+        AU, BV = rows[:len(a)], rows[len(a):]
         # Per side: the grid an edge moves along, the values moving with
-        # it and the other tuple's values at the fixed node.
-        sides = ((U, AU, BV), (V, BV, AU))
-        rises = {r[c + 1] - r[c] for _, moving, _ in sides for r in moving for c in range(len(r) - 1)}
-        m = lcm(*(rises - {0}))
-        self.D = d0 * m
-        self._grids = ([x * m for x in U], [x * m for x in V])
-        # _edges[side][fixed][cell] = (largest gap to a flat component,
-        # ((centre, half-width at eps = 1) of each sloped component)),
-        # all over D.
-        self._edges = []
-        for grid, moving, other in sides:
-            rows = [[] for _ in other[0]]
+        # it and the other tuple's values at the fixed node, as int pairs.
+        self._cells, self._nodes, self._edges = [], [], []
+        for grid, moving, other in ((U, AU, BV), (V, BV, AU)):
+            cells = []
             for cell in range(len(grid) - 1):
-                lo, dx = grid[cell], grid[cell + 1] - grid[cell]
-                for fixed, row in enumerate(rows):
-                    gap, sloped = 0, []
-                    for mv, ov in zip(moving, other):
-                        f0, dv = mv[cell], mv[cell + 1] - mv[cell]
-                        if dv == 0:
-                            gap = max(gap, abs(ov[fixed] - f0) * m)
-                        else:
-                            k = m // dv
-                            sloped.append(((lo * dv + (ov[fixed] - f0) * dx) * k, dx * d0 * k))
-                    row.append((gap, tuple(sloped)))
-            self._edges.append(rows)
+                # The cell's ends, then each moving component's values there.
+                ends = [*grid[cell:cell + 2], *(v for mv in moving for v in mv[cell:cell + 2])]
+                (lo, hi, *vals), c = _ints(ends)
+                rises = [f1 - f0 for f0, f1 in zip(vals[::2], vals[1::2])]
+                m, dx = lcm(*filter(None, rises)), hi - lo
+                # Per component its start and, if it rises by dv, dx * m/dv
+                # and c * dx * m/dv (0 for a flat one), so that an edge
+                # only multiplies by its node's values and o.
+                comps = [(f0, dx * (m // dv), c * dx * (m // dv)) if dv else (f0, 0, 0)
+                         for f0, dv in zip(vals[::2], rises)]
+                cells.append((c, m, c * m, lo * m, hi * m, comps))
+            nodes = [_ints([ov[fixed] for ov in other]) for fixed in range(len(other[0]))]
+            self._cells.append(cells)
+            self._nodes.append(nodes)
+            self._edges.append([[None] * len(cells) for _ in nodes])
+
+    def _edge_ints(self, side: int, fixed: int, cell: int) -> tuple:
+        """(S, grid ends, largest gap to a flat component, ((centre,
+        half-width at eps = 1) of each sloped component)), all over S."""
+        c, m, cm, lo_m, hi_m, comps = self._cells[side][cell]
+        fixed_vals, o = self._nodes[side][fixed]
+        lo, gap, sloped = lo_m * o, 0, []
+        for (f0, dxk, width), g in zip(comps, fixed_vals):
+            off = g * c - f0 * o
+            if dxk:
+                sloped.append((lo + off * dxk, width * o))
+            elif abs(off) > gap:
+                gap = abs(off)
+        return cm * o, lo, hi_m * o, gap * m, sloped
 
     def edge_free(self, side: int, fixed: int, cell: int, num: int, den: int) -> Span:
-        """Free subinterval of one cell edge at eps = num/den, over D * den.
+        """Free subinterval of one cell edge at eps = num/den.
 
         Side 0 is the horizontal edge v = V[fixed], u in cell ``cell`` of
         U; side 1 is the vertical edge u = U[fixed], v in cell ``cell`` of
@@ -147,28 +173,32 @@ class _FreeSpace:
         its values at the cell's ends while its partner sits at the fixed
         node; the edge is free where every |moving - fixed| <= eps.
         """
-        gap, sloped = self._edges[side][fixed][cell]
-        if gap * den > num * self.D:
+        row = self._edges[side][fixed]
+        edge = row[cell]
+        if edge is None:
+            edge = row[cell] = self._edge_ints(side, fixed, cell)
+        S, span_lo, span_hi, gap, sloped = edge
+        if gap * den > num * S:
             return None
-        grid = self._grids[side]
-        span_lo, span_hi = grid[cell] * den, grid[cell + 1] * den
+        span_lo, span_hi = span_lo * den, span_hi * den
         for centre, width in sloped:
             c, w = centre * den, width * num
             span_lo, span_hi = max(span_lo, c - w), min(span_hi, c + w)
             if span_lo > span_hi:
                 return None
-        return span_lo, span_hi
+        scale = S * den
+        return span_lo, scale, span_hi, scale
 
     def _axis(self, side: int, num: int, den: int) -> list[Span]:
         """Free spans of the edges along one axis out of (0, 0); an edge
         counts only while every edge before it is free end to end."""
-        grid = self._grids[side]
         spans: list[Span] = []
         reached = True
-        for cell in range(len(grid) - 1):
+        row = self._edges[side][0]
+        for cell in range(len(row)):
             fr = self.edge_free(side, 0, cell, num, den) if reached else None
-            if fr is not None and fr[0] == grid[cell] * den:
-                reached = fr[1] == grid[cell + 1] * den
+            if fr is not None and fr[0] == row[cell][1] * den:
+                reached = fr[2] == row[cell][2] * den
             else:
                 fr, reached = None, False
             spans.append(fr)
@@ -177,7 +207,7 @@ class _FreeSpace:
     def decide(self, eps: Fraction) -> bool:
         """Monotone path from (0,0) to (1,1) through the free space?"""
         num, den = eps.numerator, eps.denominator
-        P, Q = len(self._grids[0]) - 1, len(self._grids[1]) - 1
+        P, Q = len(self._cells[0]), len(self._cells[1])
         vert: list[list[Span]] = [self._axis(1, num, den)]
         vert += [[None] * Q for _ in range(P)]
         horiz: list[list[Span]] = [[fr] + [None] * Q for fr in self._axis(0, num, den)]
@@ -189,24 +219,16 @@ class _FreeSpace:
                     continue
                 fr = self.edge_free(1, p + 1, q, num, den)
                 if fr is not None:
-                    if bottom is not None:
-                        vert[p + 1][q] = fr
-                    else:
-                        lo = max(fr[0], left[0])
-                        vert[p + 1][q] = (lo, fr[1]) if lo <= fr[1] else None
+                    vert[p + 1][q] = fr if bottom is not None else _raised(fr, left)
                 fr = self.edge_free(0, q + 1, p, num, den)
                 if fr is not None:
-                    if left is not None:
-                        horiz[p][q + 1] = fr
-                    else:
-                        lo = max(fr[0], bottom[0])
-                        horiz[p][q + 1] = (lo, fr[1]) if lo <= fr[1] else None
+                    horiz[p][q + 1] = fr if left is not None else _raised(fr, bottom)
 
-        one = self.D * den
+        # A span reaches (1, 1) when its upper end is 1: equal to its scale.
         top_right_vert = vert[P][Q - 1]
         top_right_horiz = horiz[P - 1][Q]
-        return (top_right_vert is not None and top_right_vert[1] == one) or (
-            top_right_horiz is not None and top_right_horiz[1] == one
+        return (top_right_vert is not None and top_right_vert[2] == top_right_vert[3]) or (
+            top_right_horiz is not None and top_right_horiz[2] == top_right_horiz[3]
         )
 
 
@@ -346,8 +368,9 @@ def brute_oracle(a, b, k: int) -> Fraction:
 
     Every value a path can meet lies on an arithmetic run of one
     segment; each run's first value and increment are scaled to ints
-    over one common denominator, the rows are expanded by int addition
-    and the dynamic programme runs on ints, a row at a time.
+    over one common denominator (the DP compares every node cost with
+    every other), the rows are expanded by int addition and the dynamic
+    programme runs on ints, a row at a time.
     """
     a, b = _as_tuple(a), _as_tuple(b)
     if len(a) != len(b):
@@ -360,23 +383,33 @@ def brute_oracle(a, b, k: int) -> Fraction:
     def flat(runs) -> list[Fraction]:
         return [v for _, first, inc in runs for v in (first, inc)]
 
-    def expand(runs, ints) -> list[int]:
-        row = []
-        for (length, _, _), first, inc in zip(runs, ints[::2], ints[1::2]):
-            row.extend(accumulate(repeat(inc, length - 1), initial=first))
-        return row
-
     vals = [*sides[0][0], *sides[1][0]]
     kinks = [
         (s, step, y, runs) for s, (_, kk) in enumerate(sides) for step, items in kk.items() for _, y, runs in items
     ]
-    ints, denom = _ints([*map(flat, vals), *([y, *flat(runs)] for _, _, y, runs in kinks)])
-    rows = [expand(runs, row) for runs, row in zip(vals, ints)]
+    # The one place where a scale spans more than one comparison: the DP
+    # compares every node cost with every other, so every value it meets
+    # shares one common denominator.
+    values = [v for runs in vals for v in flat(runs)]
+    for *_, y, runs in kinks:
+        values += [y, *flat(runs)]
+    ints, denom = _ints([v.as_integer_ratio() for v in values])
+    scaled = iter(ints)
+
+    def expand(runs) -> list[int]:
+        row = []
+        for length, _, _ in runs:
+            first, inc = next(scaled), next(scaled)
+            row.extend(accumulate(repeat(inc, length - 1), initial=first))
+        return row
+
+    rows = [expand(runs) for runs in vals]
     ai, bi = rows[:n], rows[n:]
     # diag[s][step] = [(kink value, partner values at its k crossings)]
     diag = ({}, {})
-    for (s, step, _, runs), (y, *row) in zip(kinks, ints[2 * n:]):
-        diag[s].setdefault(step, []).append((y, expand(runs, row)))
+    for s, step, _, runs in kinks:
+        y = next(scaled)
+        diag[s].setdefault(step, []).append((y, expand(runs)))
 
     def node_costs(p: int) -> list[int]:
         """Max over components of |a_i(p/k) - b_i(q/k)|, for q = 0..k."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .plcore import (
     ONE,
@@ -86,7 +87,7 @@ class MonoTuple:
             raise InputError("a tuple needs at least one component")
         for c in comps:
             if not isinstance(c, PLMono):
-                raise InputError(f"not a monotone map: {c!r}")
+                raise InputError(f"not a monotone map: {c!r:.60}")
         object.__setattr__(self, "components", comps)
 
     def __len__(self):
@@ -132,9 +133,12 @@ class CanonicalTuple:
         comps = tuple(self.components)
         w = check_weights(self.weights, len(comps))
         xs, rows = _tabulate(comps)
-        (nums, xs, *rows), d = _ints((w, xs, *rows))
-        if any(sum(n * v for n, v in zip(nums, col)) != d * x for x, *col in zip(xs, *rows)):
-            raise InputError("weighted mean of a canonical tuple must be the identity")
+        nums, wd = _ints([x.as_integer_ratio() for x in w])
+        for point in zip(*([v.as_integer_ratio() for v in row] for row in (xs, *rows))):
+            # sum(w_i * v_i) == x, over the lcm of this point's values
+            (x, *vals), _ = _ints(point)
+            if sum(map(mul, nums, vals)) != wd * x:
+                raise InputError("weighted mean of a canonical tuple must be the identity")
         # The slope bound needs no pass of its own: on each grid segment
         # the slopes s_i are >= 0 (monotone components), the weights are
         # positive and the mean has slope sum(w_i * s_i) = 1, so every
@@ -199,10 +203,12 @@ class RoelckeCoord:
     breakpoints: tuple[Point, ...]
 
     def __post_init__(self):
-        pts, scaled = _normalize(self.breakpoints)
+        pts, ratios = _normalize(self.breakpoints)
         if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ZERO):
             raise InputError("coordinate must vanish at both endpoints")
-        if any(abs(y1 - y0) > x1 - x0 for (x0, y0), (x1, y1) in zip(scaled, scaled[1:])):
+        # |y1 - y0| <= x1 - x0 on each segment, denominators cleared
+        if any(abs(y1n * y0d - y0n * y1d) * x0d * x1d > (x1n * x0d - x0n * x1d) * y0d * y1d
+               for ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) in zip(ratios, ratios[1:])):
             raise InputError("coordinate must be 1-Lipschitz")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_xs", tuple(x for x, _ in pts))

@@ -1,5 +1,6 @@
-"""Shared helpers: seeded samplers for gap sets and gap-adapted pairs,
-plus a terminal summary that prints one line per acceptance criterion.
+"""Shared helpers: seeded samplers for gap sets, gap-adapted pairs and
+maps with large coprime denominators, plus a terminal summary that
+prints one line per acceptance criterion.
 """
 
 import random
@@ -7,7 +8,7 @@ import re
 from fractions import Fraction
 
 
-from plmonoid import GapSet, PLMono, isolated_points, merge_gaps
+from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
 
 
 def random_gapset(rng: random.Random, max_gaps: int = 3) -> GapSet | None:
@@ -48,6 +49,43 @@ def gap_adapted_pair(rng: random.Random, g: GapSet) -> tuple[PLMono, PLMono]:
     lo_pts.append((Fraction(1), Fraction(1)))
     hi_pts.append((Fraction(1), Fraction(1)))
     return PLMono(tuple(lo_pts)), PLMono(tuple(hi_pts))
+
+
+# k * T + 1 for k = 10..20 are pairwise coprime 100-digit ints when
+# lcm(1..10) = 2520 divides T: a prime dividing two of them divides their
+# difference, a multiple of T below 11 * T, so it divides T, and no
+# prime factor of T divides k * T + 1.
+_T = 2520 * (10**98 // 2520 + 1)
+COPRIME_DENS = [k * _T + 1 for k in range(10, 21)]
+
+
+def coprime_map(rng: random.Random, d: int, n: int = 8) -> PLMono:
+    """Monotone map whose interior points are k/d for the given d, with
+    about one repeated level in three (plateaus)."""
+    xs = sorted({rng.randrange(1, d) for _ in range(n)})
+    ys = sorted(rng.randrange(1, d) for _ in xs)
+    ys = [ys[j - 1] if j and rng.randrange(3) == 0 else y for j, y in enumerate(ys)]
+    return PLMono(((Fraction(0), Fraction(0)), *((Fraction(x, d), Fraction(y, d)) for x, y in zip(xs, ys)),
+                   (Fraction(1), Fraction(1))))
+
+
+def probe_tuple(rng: random.Random, n: int = 10, digits: int = 100) -> MonoTuple:
+    """Two components, each through (0, 0), n interior points and (1, 1).
+    Each coordinate of point i is (i*d + r) / ((n+1)*d) for its own random
+    odd d of the given digits and r in [1, d/2), so the denominators are
+    large and almost surely pairwise coprime; an lcm over many of them
+    grows with their count."""
+    comps = []
+    for _ in range(2):
+        pts = [(Fraction(0), Fraction(0))]
+        for i in range(1, n + 1):
+            coords = []
+            for _ in range(2):
+                d = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+                coords.append(Fraction(i * d + rng.randrange(1, d // 2), (n + 1) * d))
+            pts.append(tuple(coords))
+        comps.append(PLMono((*pts, (Fraction(1), Fraction(1)))))
+    return MonoTuple(tuple(comps))
 
 
 _CRITERION = re.compile(r"test_c(\d+)([a-z]?)_(\w+)")

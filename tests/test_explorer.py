@@ -344,13 +344,25 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
 
 
 
-def test_cli_long_rational_error_is_one_short_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, text, prefix",
+    [
+        ("canon", '{"components": [{"breakpoints": [["0", "0"], ["1/' + "9" * 5000 + '", "1"], ["1", "1"]]}]}',
+         "error: bad rational"),
+        ("canon", '{"components": [{"breakpoints": [["0", "0"], ["1/2", "1/2"], ["1/2", "1/' + "7" * 4000
+         + '"], ["1", "1"]]}]}', "error: conflicting values 1/777"),
+        ("gaps", '{"gaps": [["1/2", "1/' + "3" * 4000 + '"]]}',
+         "error: not a nonempty open subinterval of [0, 1]: (1/2, 1/333"),
+    ],
+    ids=["bad-rational", "conflicting-values", "gaps-interval"],
+)
+def test_cli_long_rational_error_is_one_short_line(tmp_path, capsys, command, text, prefix):
     path = tmp_path / "long.json"
-    path.write_text('{"components": [{"breakpoints": [["0", "0"], ["1/' + "9" * 5000 + '", "1"], ["1", "1"]]}]}')
-    code = main(["canon", str(path)])
+    path.write_text(text)
+    code = main([command, str(path)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("error: bad rational") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert len(err.encode()) < 200
 
 @pytest.mark.parametrize("deep_first", [True, False], ids=["deep-a", "deep-b"])

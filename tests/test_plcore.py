@@ -32,6 +32,8 @@ from plmonoid.gaps import _preimage_of_closed, extreme_pair
 from plmonoid.plcore import _merged, _sweep
 from plmonoid.explorer import random_homeo, random_mono
 
+from conftest import COPRIME_DENS, coprime_map
+
 I14 = (F(1, 4), F(3, 4))
 GRID64 = [F(k, 64) for k in range(65)]
 
@@ -379,7 +381,8 @@ def _reference_normalize(points):
     for x, y in pts:
         if dedup and dedup[-1][0] == x:
             if dedup[-1][1] != y:
-                raise InputError(f"conflicting values {dedup[-1][1]} and {y} at x = {x}")
+                # Echoed values are cut at 60 characters, as the library does.
+                raise InputError(f"conflicting values {dedup[-1][1]!s:.60} and {y!s:.60} at x = {x!s:.60}")
             continue
         dedup.append((x, y))
     if len(dedup) < 2:
@@ -441,13 +444,20 @@ def _outcome(construct, cls, points):
 def raw_point_lists(draw):
     """Monotone polylines on a small grid with collinear runs, plateaus,
     duplicates (equal or conflicting), dips, shuffles, fewer than two
-    distinct x and mixed int, str and Fraction coordinates."""
+    distinct x and mixed int, str and Fraction coordinates.  In one draw
+    in four each distinct value inside (0, 1) moves to the nearest
+    fraction below it with its own 100-digit denominator, pairwise
+    coprime, so no two values share a scale."""
     den = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
     xs = sorted({0, den} | set(draw(st.lists(st.integers(0, den), max_size=4))))
     ys = sorted(draw(st.lists(st.integers(0, den), min_size=len(xs), max_size=len(xs))))
     if draw(st.integers(0, 4)) < 4:
         ys[0], ys[-1] = 0, den
     pts = [(F(x, den), F(y, den)) for x, y in zip(xs, ys)]
+    if draw(st.integers(0, 3)) == 0:
+        inner = sorted({v for p in pts for v in p} - {0, 1})
+        near = {v: F(v.numerator * d // v.denominator, d) for v, d in zip(inner, COPRIME_DENS)}
+        pts = [(near.get(x, x), near.get(y, y)) for x, y in pts]
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(pts) - 1))
         (x0, y0), (x1, y1) = pts[i], pts[min(i + 1, len(pts) - 1)]
@@ -523,15 +533,6 @@ def _reference_merged(seqs):
     return sorted(set().union(*seqs))
 
 
-def _coprime_map(rng, d, n=8):
-    """Monotone map whose interior points are k/d for the given d, with
-    about one repeated level in three (plateaus)."""
-    xs = sorted({rng.randrange(1, d) for _ in range(n)})
-    ys = sorted(rng.randrange(1, d) for _ in xs)
-    ys = [ys[j - 1] if j and rng.randrange(3) == 0 else y for j, y in enumerate(ys)]
-    return PLMono(((0, 0), *((F(x, d), F(y, d)) for x, y in zip(xs, ys)), (1, 1)))
-
-
 def _kernel_pair(seed):
     rng = random.Random(seed)
     kind = seed % 3
@@ -540,7 +541,7 @@ def _kernel_pair(seed):
     if kind == 1:
         return rng, random_homeo(rng), random_mono(rng)
     d = 10**99 + rng.randrange(10**99)  # 100 digits; d and d + 1 are coprime
-    return rng, _coprime_map(rng, d), _coprime_map(rng, d + 1)
+    return rng, coprime_map(rng, d), coprime_map(rng, d + 1)
 
 
 @given(seeds, st.booleans())

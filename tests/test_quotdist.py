@@ -29,6 +29,8 @@ from plmonoid.gaps import extreme_pair
 from plmonoid.explorer import random_homeo, random_point, random_tuple
 from plmonoid.plcore import _sweep, _tabulate
 
+from conftest import COPRIME_DENS, coprime_map, probe_tuple
+
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
 
@@ -147,13 +149,19 @@ def fraction_decision(a, b, eps):
     return any(fr is not None and fr[1] == 1 for fr in (vert[P][Q - 1], horiz[P - 1][Q]))
 
 
-@given(seeds, st.sampled_from([2, 3]), st.booleans())
+@given(seeds, st.sampled_from([2, 3]), st.sampled_from(["point", "tuple", "coprime"]))
 @settings(max_examples=5, deadline=None)
-def test_int_decision_matches_fraction_reference(seed, n, canonical):
+def test_int_decision_matches_fraction_reference(seed, n, kind):
     # Critical eps, where spans of neighbouring edges or components just
-    # touch, are where exact ties decide the answer.
+    # touch, are where exact ties decide the answer.  The coprime kind
+    # gives every component of both tuples its own 100-digit denominator.
     rng = random.Random(seed)
-    draw = (lambda: random_point(rng, n).as_tuple()) if canonical else (lambda: random_tuple(rng, n))
+    dens = rng.sample(COPRIME_DENS, 2 * n)
+    draw = {
+        "point": lambda: random_point(rng, n).as_tuple(),
+        "tuple": lambda: random_tuple(rng, n),
+        "coprime": lambda: MonoTuple(tuple(coprime_map(rng, dens.pop(), 1) for _ in range(n))),
+    }[kind]
     a, b = draw(), draw()
     _, AU = _tabulate(a.components)
     _, BV = _tabulate(b.components)
@@ -467,3 +475,46 @@ def test_orbit_identity_bound_validation():
     triple = random_point(rng, 3)
     with pytest.raises(InputError):
         orbit_identity_bound(triple, F(1, 8), 8)
+
+
+# --- sizes: every int is scaled over the values of one cell and one node
+
+
+def _ints_in(table):
+    if isinstance(table, int):
+        yield table
+    else:
+        for item in table:
+            yield from _ints_in(item)
+
+
+def _bits(values):
+    return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
+
+
+def test_free_space_ints_stay_local():
+    # Two probe tuples with coprime 100-digit denominators: the lcm of
+    # every denominator on their merged grids has 45,106 bits, and a
+    # common scale that also takes in the rises has far more.
+    rng = random.Random(1)
+    a, b = probe_tuple(rng), probe_tuple(rng)
+    space = quotdist._FreeSpace(a, b)
+    for eps in (F(0), F(1, 64), F(1, 8), F(1, 2)):
+        space.decide(eps)
+    U, AU = _tabulate(a.components)
+    V, BV = _tabulate(b.components)
+    visited = 0
+    for side, (grid, moving, other) in enumerate(((U, AU, BV), (V, BV, AU))):
+        cell_bits = [_bits([grid[c], grid[c + 1], *(v for mv in moving for v in mv[c:c + 2])])
+                     for c in range(len(grid) - 1)]
+        node_bits = [_bits([ov[f] for ov in other]) for f in range(len(other[0]))]
+        for table, held in zip(space._cells[side], cell_bits):
+            assert max(i.bit_length() for i in _ints_in(table)) <= 2 * held
+        for table, held in zip(space._nodes[side], node_bits):
+            assert max(i.bit_length() for i in _ints_in(table)) <= 2 * held
+        for row, held_node in zip(space._edges[side], node_bits):
+            for edge, held_cell in zip(row, cell_bits):
+                if edge is not None:
+                    visited += 1
+                    assert max(i.bit_length() for i in _ints_in(edge)) <= 2 * (held_cell + held_node)
+    assert visited

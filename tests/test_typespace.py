@@ -1,6 +1,7 @@
 """Canonical tuple representatives: means, reconstruction, invariance,
 slope bounds, pair coordinates and the group embedding."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -26,9 +27,13 @@ from plmonoid import (
     roelcke_coord,
     uniform_weights,
 )
+from plmonoid import plcore
 from plmonoid.gaps import extreme_pair
+from plmonoid.plcore import _tabulate
 from plmonoid.typespace import check_weights
 from plmonoid.explorer import random_homeo, random_mono, random_tuple
+
+from conftest import probe_tuple
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -338,3 +343,24 @@ def test_embed_rejects_non_homeo():
     lo, _ = extreme_pair(I14)
     with pytest.raises(InputError):
         embed_homeo(lo)
+
+
+# --- sizes: each lcm spans the values of one grid point
+
+
+def test_canonicalize_lcms_stay_local(monkeypatch):
+    # A probe tuple with coprime 100-digit denominators: an lcm over all
+    # its points holds over 20,000 bits, one grid point's about 2,000.
+    taken = []
+
+    def recording_lcm(*args):
+        d = math.lcm(*args)
+        taken.append(d)
+        return d
+
+    monkeypatch.setattr(plcore, "lcm", recording_lcm)
+    c, _ = canonicalize(probe_tuple(random.Random(1)))
+    xs, rows = _tabulate(c.components)
+    point_bits = max(sum(v.denominator.bit_length() for v in point) for point in zip(xs, *rows))
+    assert taken
+    assert max(d.bit_length() for d in taken) <= point_bits
