@@ -30,6 +30,7 @@ from .plcore import (
     InvariantViolation,
     PLHomeo,
     PLMono,
+    _ints,
     _sweep,
     identity,
     sup_dist,
@@ -321,16 +322,19 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
         raise InputError("need m >= 1")
     nodes = [Fraction(j, m) for j in range(m + 1)]
     node_vals = [_sweep(f._xs, f._ys, nodes) for f in point.components]
+    # brute_oracle's one-scale exception, as every cost meets every other:
+    # ints over d = lcm(m, node denominators) > 0 keep the argmin and ties.
+    (_, *flat), d = _ints([(0, m), *(v.as_integer_ratio() for col in zip(*node_vals) for v in col)])
 
+    @cache
     def dev(j, state):
         vals = list(state) + [n * j - sum(state)]
-        return max(abs(Fraction(v, m) - node_vals[i][j]) for i, v in enumerate(vals))
+        return max(abs(v * d // m - t) for v, t in zip(vals, flat[j * n:(j + 1) * n]))
 
     start = (0,) * (n - 1)
-    frontier: dict[tuple[int, ...], tuple[Fraction, tuple]] = {start: (dev(0, start), None)}
-    layers = [frontier]
+    layers: list[dict[tuple[int, ...], tuple[int, tuple]]] = [{start: (dev(0, start), None)}]
     for j in range(1, m + 1):
-        new: dict[tuple[int, ...], tuple[Fraction, tuple]] = {}
+        new: dict[tuple[int, ...], tuple[int, tuple]] = {}
         for state, (cost, _) in layers[j - 1].items():
             for nxt, _ in _net_moves(n, m, j, state):
                 c = max(cost, dev(j, nxt))
@@ -344,14 +348,9 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     states = [goal]
     for j in range(m, 0, -1):
         states.append(layers[j][states[-1]][1])
-    states.reverse()
-    rows = [[] for _ in range(n)]
-    for j, state in enumerate(states):
-        vals = list(state) + [n * j - sum(state)]
-        for i, v in enumerate(vals):
-            rows[i].append((Fraction(j, m), Fraction(v, m)))
-    comps_out = tuple(PLMono(tuple(r)) for r in rows)
-    return CanonicalTuple(comps_out, uniform_weights(n))
+    cols = [[*state, n * j - sum(state)] for j, state in enumerate(reversed(states))]
+    comps = (PLMono(tuple((Fraction(j, m), Fraction(col[i], m)) for j, col in enumerate(cols))) for i in range(n))
+    return CanonicalTuple(tuple(comps), uniform_weights(n))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def extreme_pair(interval) -> tuple[PLMono, PLMono]:
 def extreme_pair_all(g: GapSet) -> tuple[PLMono, PLMono]:
     """Extreme pair witnessing every gap at once: identity on the
     complement, gap-wise extreme maps inside each gap."""
-    bad = isolated_points(g)
+    bad = ", ".join(f"{p!s:.60}" for p in isolated_points(g))
     if bad:
         raise InputError(f"gap set has isolated complement points at {bad}")
     lo_pts = [(ZERO, ZERO)]
@@ -176,7 +176,7 @@ def _difference_support(f: PLMono, h: PLMono) -> list[Interval]:
         elif d1 == 0:
             zeros.append((x1, x1))
         elif (d0 < 0) != (d1 < 0):
-            x_star = _lerp(*(v.as_integer_ratio() for v in (d0, x0, d1, x1, ZERO)))
+            x_star = Fraction(*_lerp(*(v.as_integer_ratio() for v in (d0, x0, d1, x1, ZERO))))
             zeros.append((x_star, x_star))
     merged: list[Interval] = []
     for a, b in sorted(zeros):
@@ -240,7 +240,7 @@ def collapse_map(g: GapSet) -> PLMono:
     covering all of (0, 1), which identify everything (the trivial
     pseudo-distance).
     """
-    bad = isolated_points(g)
+    bad = ", ".join(f"{p!s:.60}" for p in isolated_points(g))
     if bad:
         raise InputError(f"gap set has isolated complement points at {bad}")
     free = ONE - sum((b - a for a, b in g.gaps), start=ZERO)

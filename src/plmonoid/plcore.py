@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from operator import pos
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "ZERO",
@@ -76,12 +77,12 @@ def _frac(value) -> Fraction:
         raise InputError(f"not a rational number: {value!r:.60}") from exc
 
 
-def _lerp(x0, y0, x1, y1, t) -> Fraction:
-    """Value at t of the line through (x0, y0) and (x1, y1), each given
-    as a (numerator, denominator) int pair: one Fraction of int products."""
+def _lerp(x0, y0, x1, y1, t) -> Ratio:
+    """Value at t of the line through (x0, y0) and (x1, y1), each given as
+    a (numerator, denominator) int pair, as an unreduced pair of int products."""
     (a0, b0), (p0, q0), (a1, b1), (p1, q1), (tn, td) = x0, y0, x1, y1, t
     run = (a1 * b0 - a0 * b1) * td
-    return Fraction(p0 * q1 * run + (p1 * q0 - p0 * q1) * (tn * b0 - a0 * td) * b1, q0 * q1 * run)
+    return p0 * q1 * run + (p1 * q0 - p0 * q1) * (tn * b0 - a0 * td) * b1, q0 * q1 * run
 
 
 def _sweep(xs, ys, args, upper: bool = False) -> list[Fraction]:
@@ -113,7 +114,7 @@ def _sweep(xs, ys, args, upper: bool = False) -> list[Fraction]:
             out.append(ys[i])
         else:
             y0, y1 = ys[i - 1].as_integer_ratio(), ys[i].as_integer_ratio()
-            out.append(ys[i] if y0 == y1 else _lerp(xr[i - 1], y0, xr[i], y1, tr))
+            out.append(ys[i] if y0 == y1 else Fraction(*_lerp(xr[i - 1], y0, xr[i], y1, tr)))
     return out
 
 
@@ -390,14 +391,26 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
     ))
 
 
+def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int]) -> Fraction:
+    """Largest size(f - g) on the merged breakpoint grid, from 0 at x = 0:
+    int pairs compared by cross-multiplying, one Fraction at the end."""
+    _, (fv, gv) = _tabulate((f, g))
+    best, best_d = 0, 1
+    for a, b in zip(fv, gv):
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        diff, d = size(an * bd - bn * ad), ad * bd
+        if diff * best_d > best * d:
+            best, best_d = diff, d
+    return Fraction(best, best_d)
+
+
 def sup_dist(f: PLMono, g: PLMono) -> Fraction:
     """Exact uniform distance sup |f - g|.
 
     The difference is piecewise linear, so the supremum is attained at
     a point of the merged breakpoint grid.
     """
-    _, (fv, gv) = _tabulate((f, g))
-    return max(abs(a - b) for a, b in zip(fv, gv))
+    return _max_difference(f, g, abs)
 
 
 def order_excess(f: PLMono, g: PLMono) -> Fraction:
@@ -406,8 +419,7 @@ def order_excess(f: PLMono, g: PLMono) -> Fraction:
     Zero exactly when g dominates f pointwise; otherwise it measures by
     how much it fails to.  Never negative, since both maps agree at 0.
     """
-    _, (fv, gv) = _tabulate((f, g))
-    return max(a - b for a, b in zip(fv, gv))
+    return _max_difference(f, g, pos)
 
 
 def max_slope(f: PLMono) -> Fraction:

@@ -17,7 +17,8 @@ components uniform norm, and is computed here three independent ways:
   supremum of the component distances along the piecewise-linear
   alignment the path induces, with every row of values an exact int
   over one common denominator, since the DP compares every node cost
-  with every other.  Refining the grid never increases it.
+  with every other, and no Fraction is built per value or per run.
+  Refining the grid never increases it.
   Only diagonal steps check breakpoints inside a step: on a horizontal
   or vertical step one side is fixed, each component difference is
   monotone along it and peaks at the step's ends, which are nodes.
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import floor, lcm
+from math import gcd, lcm
 from operator import sub
 from typing import NamedTuple
 
@@ -49,8 +50,10 @@ from .plcore import (
     InputError,
     InvariantViolation,
     PLMono,
+    Ratio,
     _frac,
     _ints,
+    _lerp,
     _merged,
     _sweep,
     _tabulate,
@@ -296,33 +299,34 @@ def _interior_kinks(components, k: int):
     """Breakpoints strictly inside grid steps, keyed by the step index.
 
     Returns {step: [(component, position, value), ...]} for positions in
-    ((step-1)/k, step/k).
+    ((step-1)/k, step/k), each coordinate a (numerator, denominator) pair.
     """
-    out: dict[int, list[tuple[int, Fraction, Fraction]]] = {}
+    out: dict[int, list[tuple[int, Ratio, Ratio]]] = {}
     for i, f in enumerate(components):
         for x, y in f.breakpoints[1:-1]:
-            scaled = x * k
-            if scaled.denominator != 1:
-                step = int(scaled) + 1
-                out.setdefault(step, []).append((i, x, y))
+            xn, xd = x.as_integer_ratio()
+            step, off = divmod(xn * k, xd)
+            if off:
+                out.setdefault(step + 1, []).append((i, (xn, xd), y.as_integer_ratio()))
     return out
 
 
-def _runs(f: PLMono, x0: Fraction, k: int, count: int) -> list[tuple[int, Fraction, Fraction]]:
+def _runs(f: PLMono, x0: Ratio, k: int, count: int) -> list[tuple[int, Ratio, Ratio]]:
     """f at x0 + m/k for m in range(count), as arithmetic runs.
 
     One run (length, first value, increment) per segment of f that the
     progression meets; f is affine on a segment, so each value of a run
-    is its first value plus a multiple of slope/k.
+    is its first value plus a multiple of slope/k.  x0 and the values are
+    int pairs, the values reduced; a run ends by int floor division.
     """
-    runs = []
-    m = 0
-    xs, ys = f._xs, f._ys
-    for j in range(len(xs) - 1):
-        end = min(count, floor((xs[j + 1] - x0) * k) + 1)
+    runs, m, (x0n, x0d) = [], 0, x0
+    xs, ys = [[v.as_integer_ratio() for v in vs] for vs in (f._xs, f._ys)]
+    for (a0, b0), (p0, q0), (a1, b1), (p1, q1) in zip(xs, ys, xs[1:], ys[1:]):
+        end = min(count, (a1 * x0d - x0n * b1) * k // (b1 * x0d) + 1)
         if end > m:
-            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-            runs.append((end - m, ys[j] + slope * (x0 + Fraction(m, k) - xs[j]), slope / k))
+            first = _lerp((a0, b0), (p0, q0), (a1, b1), (p1, q1), (x0n * k + m * x0d, x0d * k))
+            inc = (p1 * q0 - p0 * q1) * b0 * b1, (a1 * b0 - a0 * b1) * q0 * q1 * k
+            runs.append((end - m, *[(n // g, d // g) for n, d in (first, inc) for g in (gcd(n, d),)]))
             m = end
     return runs
 
@@ -336,10 +340,10 @@ def _oracle_side(own: MonoTuple, other: MonoTuple, k: int):
     crossing point of the kink on each of the k diagonal edges of that
     step: x + (q - step)/k for q = 1..k.
     """
-    vals = [_runs(f, ZERO, k, k + 1) for f in own]
+    vals = [_runs(f, (0, 1), k, k + 1) for f in own]
     kinks: dict[int, list] = {}
     for step, items in _interior_kinks(own.components, k).items():
-        kinks[step] = [(i, y, _runs(other[i], x + Fraction(1 - step, k), k, k)) for i, x, y in items]
+        kinks[step] = [(i, y, _runs(other[i], (xn * k + (1 - step) * xd, xd * k), k, k)) for i, (xn, xd), y in items]
     return vals, kinks
 
 
@@ -367,10 +371,10 @@ def brute_oracle(a, b, k: int) -> Fraction:
     = max_i b_i(q/k) and node(p, 0) = max_i a_i(p/k) never decrease.
 
     Every value a path can meet lies on an arithmetic run of one
-    segment; each run's first value and increment are scaled to ints
-    over one common denominator (the DP compares every node cost with
-    every other), the rows are expanded by int addition and the dynamic
-    programme runs on ints, a row at a time.
+    segment; each run's first value and increment, reduced int pairs,
+    are scaled to ints over one common denominator (the DP compares
+    every node cost with every other), the rows are expanded by int
+    addition and the dynamic programme runs on ints, a row at a time.
     """
     a, b = _as_tuple(a), _as_tuple(b)
     if len(a) != len(b):
@@ -380,7 +384,7 @@ def brute_oracle(a, b, k: int) -> Fraction:
     n = len(a)
     sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
 
-    def flat(runs) -> list[Fraction]:
+    def flat(runs) -> list[Ratio]:
         return [v for _, first, inc in runs for v in (first, inc)]
 
     vals = [*sides[0][0], *sides[1][0]]
@@ -393,7 +397,7 @@ def brute_oracle(a, b, k: int) -> Fraction:
     values = [v for runs in vals for v in flat(runs)]
     for *_, y, runs in kinks:
         values += [y, *flat(runs)]
-    ints, denom = _ints([v.as_integer_ratio() for v in values])
+    ints, denom = _ints(values)
     scaled = iter(ints)
 
     def expand(runs) -> list[int]:

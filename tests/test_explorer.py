@@ -20,6 +20,7 @@ from plmonoid import (
 )
 from plmonoid import serialize as ser
 from plmonoid.explorer import (
+    _net_moves,
     main,
     nearest_net_point,
     net_points,
@@ -132,6 +133,43 @@ def test_nearest_net_point_three_components():
     assert mean(q.as_tuple()) == identity()
     d = max(sup_dist(a, b) for a, b in zip(p.components, q.components))
     assert d <= F(2, 4)
+
+
+def fraction_net_states(point, m):
+    """Reference net DP with Fraction deviations: the net path's states."""
+    n = len(point)
+    node_vals = [[f(F(j, m)) for j in range(m + 1)] for f in point.components]
+
+    def dev(j, state):
+        vals = [*state, n * j - sum(state)]
+        return max(abs(F(v, m) - node_vals[i][j]) for i, v in enumerate(vals))
+
+    layers = [{(0,) * (n - 1): (dev(0, (0,) * (n - 1)), None)}]
+    for j in range(1, m + 1):
+        new = {}
+        for state, (cost, _) in layers[-1].items():
+            for nxt, _ in _net_moves(n, m, j, state):
+                c = max(cost, dev(j, nxt))
+                if nxt not in new or c < new[nxt][0]:
+                    new[nxt] = (c, state)
+        layers.append(new)
+    states = [(m,) * (n - 1)]
+    for j in range(m, 0, -1):
+        states.append(layers[j][states[-1]][1])
+    return states[::-1]
+
+
+def test_nearest_net_point_matches_fraction_reference():
+    # Int deviations over one positive scale keep the argmin and its ties.
+    rng = random.Random(9)
+    for n in (2, 3, 4):
+        for m in range(1, 9 if n < 4 else 5):
+            for _ in range(3):
+                p = random_point(rng, n)
+                states = fraction_net_states(p, m)
+                rows = [[*s, n * j - sum(s)] for j, s in enumerate(states)]
+                expected = tuple(PLMono(tuple((F(j, m), F(row[i], m)) for j, row in enumerate(rows))) for i in range(n))
+                assert nearest_net_point(p, m).components == expected
 
 
 # --- rendering

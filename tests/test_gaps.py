@@ -159,6 +159,15 @@ def test_extreme_pair_all_rejects_isolated():
         extreme_pair_all(g)
 
 
+@pytest.mark.parametrize("build", [extreme_pair_all, collapse_map])
+def test_isolated_point_message_is_short(build):
+    # a 4,000-digit shared endpoint is echoed cut to 60 characters
+    mid = F(1, 2) + F(1, 10**4000)
+    with pytest.raises(InputError) as exc:
+        build(GapSet(((F(1, 4), mid), (mid, F(3, 4)))))
+    assert "isolated" in str(exc.value) and len(str(exc.value)) < 120
+
+
 # --- equivalence decision
 
 

@@ -3,9 +3,10 @@ bracket, the independent grid oracle and the identity-proximity bound."""
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plmonoid import (
     CanonicalTuple,
@@ -26,8 +27,8 @@ from plmonoid import (
 )
 from plmonoid import quotdist
 from plmonoid.gaps import extreme_pair
-from plmonoid.explorer import random_homeo, random_point, random_tuple
-from plmonoid.plcore import _sweep, _tabulate
+from plmonoid.explorer import random_homeo, random_mono, random_point, random_tuple
+from plmonoid.plcore import _ints, _sweep, _tabulate
 
 from conftest import COPRIME_DENS, coprime_map, probe_tuple
 
@@ -94,35 +95,50 @@ def test_decision_errors():
         quot_decision(a, a, F(-1, 4))
 
 
-def fraction_decision(a, b, eps):
-    """Reference: the free-space decision computed edge by edge in Fractions."""
+def fraction_edges(a, b):
+    """The reference's edge data, in Fractions: per (side, fixed node,
+    cell) the grid ends, the largest gap to a flat component and the
+    (centre, half-width at eps = 1) of each sloped one."""
     U, AU = _tabulate(a.components)
     V, BV = _tabulate(b.components)
-    sides = ((U, AU, BV), (V, BV, AU))
+    edges = {}
+    for side, (grid, moving, other) in enumerate(((U, AU, BV), (V, BV, AU))):
+        for fixed in range(len(other[0])):
+            for cell in range(len(grid) - 1):
+                lo, hi = grid[cell], grid[cell + 1]
+                gap, sloped = F(0), []
+                for mv, ov in zip(moving, other):
+                    fixed_val, f0, f1 = ov[fixed], mv[cell], mv[cell + 1]
+                    if f0 == f1:
+                        gap = max(gap, abs(fixed_val - f0))
+                    else:
+                        width = (hi - lo) / (f1 - f0)
+                        sloped.append((lo + (fixed_val - f0) * width, width))
+                edges[side, fixed, cell] = lo, hi, gap, sloped
+    return edges, len(U) - 1, len(V) - 1
+
+
+def fraction_decision(a, b, eps, edges=None):
+    """Reference: the free-space decision computed edge by edge in Fractions."""
+    edges, P, Q = edges or fraction_edges(a, b)
 
     def edge_free(side, fixed, cell):
-        grid, moving, other = sides[side]
-        lo, hi = grid[cell], grid[cell + 1]
-        span_lo, span_hi = lo, hi
-        for mv, ov in zip(moving, other):
-            fixed_val, f0, f1 = ov[fixed], mv[cell], mv[cell + 1]
-            if f0 == f1:
-                if abs(fixed_val - f0) > eps:
-                    return None
-                continue
-            slope = (f1 - f0) / (hi - lo)
-            c0, c1 = sorted((lo + (fixed_val - eps - f0) / slope, lo + (fixed_val + eps - f0) / slope))
-            span_lo, span_hi = max(span_lo, c0), min(span_hi, c1)
+        span_lo, span_hi, gap, sloped = edges[side, fixed, cell]
+        if gap > eps:
+            return None
+        for centre, width in sloped:
+            span_lo, span_hi = max(span_lo, centre - eps * width), min(span_hi, centre + eps * width)
             if span_lo > span_hi:
                 return None
         return span_lo, span_hi
 
     def axis(side):
-        grid, spans, reached = sides[side][0], [], True
-        for cell in range(len(grid) - 1):
+        spans, reached = [], True
+        for cell in range(Q if side else P):
+            grid_lo, grid_hi, _, _ = edges[side, 0, cell]
             fr = edge_free(side, 0, cell) if reached else None
-            if fr is not None and fr[0] == grid[cell]:
-                reached = fr[1] == grid[cell + 1]
+            if fr is not None and fr[0] == grid_lo:
+                reached = fr[1] == grid_hi
             else:
                 fr, reached = None, False
             spans.append(fr)
@@ -136,7 +152,6 @@ def fraction_decision(a, b, eps):
         lo = max(fr[0], other[0])
         return (lo, fr[1]) if lo <= fr[1] else None
 
-    P, Q = len(U) - 1, len(V) - 1
     vert = [axis(1)] + [[None] * Q for _ in range(P)]
     horiz = [[fr] + [None] * Q for fr in axis(0)]
     for p in range(P):
@@ -149,12 +164,28 @@ def fraction_decision(a, b, eps):
     return any(fr is not None and fr[1] == 1 for fr in (vert[P][Q - 1], horiz[P - 1][Q]))
 
 
+def span_meeting_eps(edges):
+    """Each edge's critical eps: where the spans of two sloped components
+    meet, (c2 - c1)/(w1 + w2), and where one meets a grid end, |c - end|/w."""
+    out = set()
+    for lo, hi, _, sloped in edges.values():
+        for i, (c1, w1) in enumerate(sloped):
+            out |= {abs(c1 - end) / w1 for end in (lo, hi)}
+            out |= {abs(c2 - c1) / (w1 + w2) for c2, w2 in sloped[i + 1:]}
+    return out
+
+
 @given(seeds, st.sampled_from([2, 3]), st.sampled_from(["point", "tuple", "coprime"]))
+@example(1, 2, "coprime")
+@example(0, 3, "coprime")
 @settings(max_examples=5, deadline=None)
 def test_int_decision_matches_fraction_reference(seed, n, kind):
     # Critical eps, where spans of neighbouring edges or components just
-    # touch, are where exact ties decide the answer.  The coprime kind
-    # gives every component of both tuples its own 100-digit denominator.
+    # touch, are where exact ties decide the answer: node gaps, and where
+    # an edge's spans meet each other or its grid ends.  The coprime kind
+    # gives every component of both tuples its own 100-digit denominator;
+    # in the two explicit examples a cell scale that dropped one value's
+    # denominator flips the answer at a span-meeting eps.
     rng = random.Random(seed)
     dens = rng.sample(COPRIME_DENS, 2 * n)
     draw = {
@@ -168,8 +199,10 @@ def test_int_decision_matches_fraction_reference(seed, n, kind):
     gaps = {abs(x - y) for au, bv in zip(AU, BV) for x in au for y in bv}
     tiny = F(1, 2**40)
     qi = quot_dist(a, b, F(1, 1024))
-    for eps in sorted(gaps | {g - tiny for g in gaps if g >= tiny} | {F(0), qi.lo, qi.hi}):
-        assert quot_decision(a, b, eps) == fraction_decision(a, b, eps), eps
+    edges = fraction_edges(a, b)
+    critical = gaps | span_meeting_eps(edges[0])
+    for eps in sorted(critical | {g - tiny for g in gaps if g >= tiny} | {F(0), qi.lo, qi.hi}):
+        assert quot_decision(a, b, eps) == fraction_decision(a, b, eps, edges), eps
 
 
 # --- bisection bracket
@@ -291,16 +324,63 @@ def test_oracle_sandwich_small(seed):
 
 def pointwise_oracle_side(own, other, k):
     """Reference set-up: every grid value and crossing value by its own
-    sweep, as runs of length one."""
+    sweep, as runs of length one of (numerator, denominator) pairs."""
+    def runs(values):
+        return [(1, v.as_integer_ratio(), (0, 1)) for v in values]
+
     grid = [F(p, k) for p in range(k + 1)]
-    vals = [[(1, v, F(0)) for v in _sweep(f._xs, f._ys, grid)] for f in own]
+    vals = [runs(_sweep(f._xs, f._ys, grid)) for f in own]
     kinks = {}
     for step, items in quotdist._interior_kinks(own.components, k).items():
         kinks[step] = []
         for i, x, y in items:
-            crossings = [x + F(q - step, k) for q in range(1, k + 1)]
-            kinks[step].append((i, y, [(1, v, F(0)) for v in _sweep(other[i]._xs, other[i]._ys, crossings)]))
+            crossings = [F(*x) + F(q - step, k) for q in range(1, k + 1)]
+            kinks[step].append((i, y, runs(_sweep(other[i]._xs, other[i]._ys, crossings))))
     return vals, kinks
+
+
+@given(seeds, st.sampled_from([1, 2, 3, 7, 16, 64]), st.sampled_from(["grid", "off", "kink"]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_runs_match_pointwise_sweep(seed, k, start, coprime):
+    # Runs from 0, from a random x0 in (0, 1/k) and from a breakpoint's
+    # offset into its step (as the oracle's diagonal crossings do), with x0
+    # as an unreduced pair; each run's value pairs are reduced Fractions.
+    rng = random.Random(seed)
+    f = coprime_map(rng, rng.choice(COPRIME_DENS)) if coprime else random_mono(rng)
+    inside = [x - F(int(x * k), k) for x, _ in f.breakpoints[1:-1] if (x * k).denominator != 1]
+    if start == "grid":
+        x0, count = F(0), k + 1
+    else:
+        x0, count = F(rng.randrange(1, 10**6), 10**6 * k), k
+        if start == "kink" and inside:
+            x0 = rng.choice(inside)
+    scale = rng.randrange(1, 5)
+    runs = quotdist._runs(f, (x0.numerator * scale, x0.denominator * scale), k, count)
+    values = [F(*first) + j * F(*inc) for length, first, inc in runs for j in range(length)]
+    assert values == _sweep(f._xs, f._ys, [x0 + F(m, k) for m in range(count)])
+    assert all(r == F(*r).as_integer_ratio() for _, first, inc in runs for r in (first, inc))
+
+
+def test_oracle_scale_is_lcm_of_reduced_denominators(monkeypatch):
+    # The oracle's one scale is the lcm of the reduced denominators of
+    # every value it meets, as when each value was a Fraction.
+    scales = []
+
+    def recording_ints(ratios):
+        ints, d = _ints(ratios)
+        scales.append((d, lcm(*(F(n, q).denominator for n, q in ratios))))
+        return ints, d
+
+    monkeypatch.setattr(quotdist, "_ints", recording_ints)
+    rng = random.Random(12)
+    dens = rng.sample(COPRIME_DENS, 4)
+    pairs = [(random_point(rng, n).as_tuple(), random_point(rng, n).as_tuple()) for n in (2, 3)]
+    pairs.append(tuple(MonoTuple(tuple(coprime_map(rng, dens.pop(), 3) for _ in range(2))) for _ in range(2)))
+    for a, b in pairs:
+        for k in (3, 16):
+            brute_oracle(a, b, k)
+    assert len(scales) == 2 * len(pairs)
+    assert all(d == expected for d, expected in scales)
 
 
 def convex_map(xs, plateau=None):
