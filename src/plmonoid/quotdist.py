@@ -18,7 +18,9 @@ components uniform norm, and is computed here three independent ways:
   alignment the path induces, with every row of values an exact int
   over one common denominator, since the DP compares every node cost
   with every other, and no Fraction is built per value or per run.
-  Refining the grid never increases it.
+  Refining the grid never increases it.  The DP visits only the nodes
+  no dearer than the diagonal path, whose cost bounds the optimum; in
+  each row they form one band, so no optimal path is cut.
   Only diagonal steps check breakpoints inside a step: on a horizontal
   or vertical step one side is fixed, each component difference is
   monotone along it and peaks at the step's ends, which are nodes.
@@ -37,6 +39,7 @@ sequential by cell order, which is a data dependency only.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -186,7 +189,10 @@ class _FreeSpace:
         span_lo, span_hi = span_lo * den, span_hi * den
         for centre, width in sloped:
             c, w = centre * den, width * num
-            span_lo, span_hi = max(span_lo, c - w), min(span_hi, c + w)
+            if c - w > span_lo:
+                span_lo = c - w
+            if c + w < span_hi:
+                span_hi = c + w
             if span_lo > span_hi:
                 return None
         scale = S * den
@@ -366,9 +372,14 @@ def brute_oracle(a, b, k: int) -> Fraction:
     difference need not be monotone, and every kink of either side
     inside the step is checked at its crossing.  So the cheapest cost of
     reaching node (p, q) is max(node(p, q), min(cost(p-1, q),
-    cost(p, q-1), max(cost(p-1, q-1), diag(p, q)))).  On row 0 and
-    column 0 the cost is the node cost: as a_i(0) = b_i(0) = 0, node(0, q)
-    = max_i b_i(q/k) and node(p, 0) = max_i a_i(p/k) never decrease.
+    cost(p, q-1), max(cost(p-1, q-1), diag(p, q)))), from 0 at (0, 0).
+
+    The DP runs only on nodes no dearer than the diagonal path (p, p),
+    whose cost ``bound`` is max_i sup_dist(a_i, b_i).  An optimal path
+    costs at most ``bound``, so every node on it does too; as each b_i is
+    non-decreasing, those nodes of row p form one band of q, found by
+    bisection, that holds q = p.  Every other node reads as dearer than
+    ``bound``, which leaves the value at (k, k) unchanged.
 
     Every value a path can meet lies on an arithmetic run of one
     segment; each run's first value and increment, reduced int pairs,
@@ -409,40 +420,46 @@ def brute_oracle(a, b, k: int) -> Fraction:
 
     rows = [expand(runs) for runs in vals]
     ai, bi = rows[:n], rows[n:]
-    # diag[s][step] = [(kink value, partner values at its k crossings)]
+    # diag[s][step] = [(kink value y, [y, partner values at its k crossings])]:
+    # behind the leading y (a zero extra), index j is the crossing of the
+    # diagonal step into column j (s = 0) or row j (s = 1).
     diag = ({}, {})
     for s, step, _, runs in kinks:
         y = next(scaled)
-        diag[s].setdefault(step, []).append((y, expand(runs)))
+        diag[s].setdefault(step, []).append((y, [y, *expand(runs)]))
 
-    def node_costs(p: int) -> list[int]:
-        """Max over components of |a_i(p/k) - b_i(q/k)|, for q = 0..k."""
-        costs = [0] * (k + 1)
-        for i in range(n):
-            x = ai[i][p]
-            for q, y in enumerate(bi[i]):
+    # The diagonal path's cost: its nodes and its kink crossings.
+    bound = max(abs(x - y) for ar, br in zip(ai, bi) for x, y in zip(ar, br))
+    bound = max([bound] + [abs(y - r[step]) for side in diag for step, items in side.items() for y, r in items])
+    out = bound + 1
+    # Rows hold q = -1..k at index q + 1: column -1 is never reached.
+    prev = [out] * (k + 2)
+    for p in range(k + 1):
+        # Row p's band [lo, hi): the q with every |a_i(p/k) - b_i(q/k)| <= bound.
+        lo = max(bisect_left(br, ar[p] - bound) for ar, br in zip(ai, bi))
+        hi = min(bisect_right(br, ar[p] + bound) for ar, br in zip(ai, bi))
+        c = [0] * (hi - lo)
+        for ar, br in zip(ai, bi):
+            x = ar[p]
+            for j, y in enumerate(br[lo:hi]):
                 d = x - y
                 if d < 0:
                     d = -d
-                if d > costs[q]:
-                    costs[q] = d
-        return costs
-
-    prev = node_costs(0)
-    for p in range(1, k + 1):
-        c = node_costs(p)
-        # via_d[q - 1]: cost of reaching (p, q) by the diagonal step.
-        via_d = prev[:-1]
+                if d > c[j]:
+                    c[j] = d
+        # via_d[q - lo]: cost of reaching (p, q) by the diagonal step.
+        via_d = prev[lo:hi]
         for y, row in diag[0].get(p, ()):
-            via_d = list(map(max, via_d, map(abs, map(sub, repeat(y), row))))
+            via_d = list(map(max, via_d, map(abs, map(sub, repeat(y), row[lo:hi]))))
         for q, items in diag[1].items():
-            for y, col in items:
-                e = abs(y - col[p - 1])
-                if e > via_d[q - 1]:
-                    via_d[q - 1] = e
-        cost = c[0]
-        cur = [cost]
-        for node, up, diagonal in zip(c[1:], prev[1:], via_d):
+            if lo <= q < hi:
+                for y, col in items:
+                    e = abs(y - col[p])
+                    if e > via_d[q - lo]:
+                        via_d[q - lo] = e
+        cost = out if p else 0  # paths start at (0, 0)
+        cur = [out] * (lo + 1)
+        for node, up, diagonal in zip(c, prev[lo + 1:hi + 1], via_d):
             if diagonal < up:
                 up = diagonal
             if up < cost:
@@ -450,8 +467,9 @@ def brute_oracle(a, b, k: int) -> Fraction:
             if node > cost:
                 cost = node
             cur.append(cost)
+        cur += [out] * (k + 1 - hi)
         prev = cur
-    return Fraction(prev[k], denom)
+    return Fraction(prev[k + 1], denom)
 
 
 class IdentityProximity(NamedTuple):

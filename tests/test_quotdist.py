@@ -201,7 +201,12 @@ def test_int_decision_matches_fraction_reference(seed, n, kind):
     qi = quot_dist(a, b, F(1, 1024))
     edges = fraction_edges(a, b)
     critical = gaps | span_meeting_eps(edges[0])
-    for eps in sorted(critical | {g - tiny for g in gaps if g >= tiny} | {F(0), qi.lo, qi.hi}):
+    # One diagram decides every eps, as in quot_dist; the public entry
+    # point still decides the bracket's ends and 0.
+    space = quotdist._FreeSpace(a, b)
+    for eps in sorted(critical | {g - tiny for g in gaps if g >= tiny}):
+        assert space.decide(eps) == fraction_decision(a, b, eps, edges), eps
+    for eps in (F(0), qi.lo, qi.hi):
         assert quot_decision(a, b, eps) == fraction_decision(a, b, eps, edges), eps
 
 
@@ -459,6 +464,68 @@ def test_oracle_matches_edge_extra_reference(n, k):
         a, b = make(rng, n), make(rng, n)
         assert brute_oracle(a, b, k) == edge_extra_oracle(a, b, k)
         assert brute_oracle(b, a, k) == edge_extra_oracle(b, a, k)
+
+
+def full_grid_oracle(a, b, k):
+    """Reference: the oracle's min-max DP over every node of the grid, a
+    row at a time, on the oracle's own set-up expanded to Fractions."""
+    def values(runs):
+        return [F(*first) + j * F(*inc) for length, first, inc in runs for j in range(length)]
+
+    (va, ka), (vb, kb) = quotdist._oracle_side(a, b, k), quotdist._oracle_side(b, a, k)
+    ai, bi = [values(r) for r in va], [values(r) for r in vb]
+    row_kinks, col_kinks = ({step: [(F(*y), values(r)) for _, y, r in items] for step, items in kk.items()}
+                            for kk in (ka, kb))
+
+    def node(p, q):
+        return max(abs(x[p] - y[q]) for x, y in zip(ai, bi))
+
+    def diag(p, q):
+        extras = [abs(y - row[q - 1]) for y, row in row_kinks.get(p, ())]
+        return max(extras + [abs(y - col[p - 1]) for y, col in col_kinks.get(q, ())], default=F(0))
+
+    prev = [node(0, q) for q in range(k + 1)]
+    for p in range(1, k + 1):
+        cur = [node(p, 0)]
+        for q in range(1, k + 1):
+            cur.append(max(node(p, q), min(cur[q - 1], prev[q], max(prev[q - 1], diag(p, q)))))
+        prev = cur
+    return prev[k]
+
+
+def tent_pair(rng, n):
+    """(id + d, id - d, ...) against identities, d a tent of height h at c:
+    at u = c every alignment is h away from one of the first two
+    components, so the optimum is the diagonal path and h = max sup_dist."""
+    c = F(rng.randrange(1, 8), 8)
+    h = min(c, 1 - c) * F(rng.randrange(1, 4), 4)
+    tents = [PLMono(((F(0), F(0)), (c, c + s * h), (F(1), F(1)))) for s in (1, -1)]
+    return MonoTuple(tuple(tents[i % 2] for i in range(max(n, 2)))), MonoTuple((identity(),) * max(n, 2))
+
+
+@given(seeds, st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3, 7, 16, 64]),
+       st.sampled_from(["tuple", "point", "coprime", "tent"]))
+@example(3, 2, 64, "tent")
+@example(5, 3, 16, "tent")
+@settings(max_examples=30, deadline=None)
+def test_oracle_band_matches_full_grid_dp(seed, n, k, kind):
+    # The oracle runs its DP only on nodes no dearer than the diagonal
+    # path; the full grid gives the same value in both orders.  In the tent
+    # pairs the optimum is the diagonal path itself, and with c on the grid
+    # its node at c costs exactly the bound: a band end that dropped the
+    # nodes at the bound would lose the optimal path.
+    rng = random.Random(seed)
+    dens = rng.sample(COPRIME_DENS, 2 * n)
+    a, b = {
+        "tuple": lambda: (random_tuple(rng, n), random_tuple(rng, n)),
+        "point": lambda: (random_point(rng, n).as_tuple(), random_point(rng, n).as_tuple()),
+        "coprime": lambda: [MonoTuple(tuple(coprime_map(rng, dens.pop(), 3) for _ in range(n))) for _ in range(2)],
+        "tent": lambda: tent_pair(rng, n),
+    }[kind]()
+    assert brute_oracle(a, b, k) == full_grid_oracle(a, b, k)
+    assert brute_oracle(b, a, k) == full_grid_oracle(b, a, k)
+    if kind == "tent":
+        assert brute_oracle(a, b, k) == max(sup_dist(f, g) for f, g in zip(a, b))
 
 
 def test_oracle_errors():
