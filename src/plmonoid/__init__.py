@@ -9,97 +9,12 @@ decision procedure and an independent grid oracle; and the gap
 calculus of reparameterization-invariant pseudo-distances.
 """
 
-from .plcore import (
-    InputError,
-    InvariantViolation,
-    LcMono,
-    PLHomeo,
-    PLMono,
-    as_homeo,
-    combine,
-    compose,
-    compose_lc,
-    identity,
-    inverse,
-    max_slope,
-    order_excess,
-    pseudo_inverse,
-    sup_dist,
-    uniform_witness,
-)
-from .typespace import (
-    CanonicalTuple,
-    MonoTuple,
-    RoelckeCoord,
-    canonicalize,
-    coord_to_pair,
-    embed_homeo,
-    lipschitz_constant,
-    mean,
-    roelcke_coord,
-    uniform_weights,
-)
-from .quotdist import (
-    QuotInterval,
-    brute_oracle,
-    orbit_identity_bound,
-    quot_decision,
-    quot_dist,
-)
-from .gaps import (
-    GapSet,
-    collapse_map,
-    collapsed_dist,
-    equiv_test,
-    extreme_pair,
-    extreme_pair_all,
-    isolated_points,
-    merge_gaps,
-    pullback_pseudometric,
-)
+from . import gaps, plcore, quotdist, typespace
+from .plcore import *
+from .typespace import *
+from .quotdist import *
+from .gaps import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InputError",
-    "InvariantViolation",
-    "PLMono",
-    "PLHomeo",
-    "LcMono",
-    "identity",
-    "as_homeo",
-    "inverse",
-    "compose",
-    "compose_lc",
-    "pseudo_inverse",
-    "combine",
-    "sup_dist",
-    "order_excess",
-    "max_slope",
-    "uniform_witness",
-    "MonoTuple",
-    "CanonicalTuple",
-    "RoelckeCoord",
-    "uniform_weights",
-    "mean",
-    "canonicalize",
-    "lipschitz_constant",
-    "roelcke_coord",
-    "coord_to_pair",
-    "embed_homeo",
-    "QuotInterval",
-    "quot_decision",
-    "quot_dist",
-    "brute_oracle",
-    "orbit_identity_bound",
-    "GapSet",
-    "merge_gaps",
-    "isolated_points",
-    "extreme_pair",
-    "extreme_pair_all",
-    "equiv_test",
-    "collapse_map",
-    "collapsed_dist",
-    "pullback_pseudometric",
-    "__version__",
-]
+__all__ = [*plcore.__all__, *typespace.__all__, *quotdist.__all__, *gaps.__all__, "__version__"]

@@ -213,8 +213,6 @@ def random_point(rng: random.Random, n: int, max_tries: int = 5000) -> Canonical
 @cache
 def _net_steps(n: int) -> tuple[tuple[int, ...], ...]:
     """All per-step increment choices for the first n-1 components."""
-    if n == 2:
-        return tuple((i,) for i in range(3))
     out = []
 
     def rec(prefix, budget):
@@ -234,15 +232,15 @@ def _net_moves(n: int, m: int, j: int, state: tuple[int, ...]):
     ``state`` holds the first n-1 components' values (in units of 1/m)
     at node j - 1; the last component's value follows from the mean
     constraint.  Yields (next state, last component's value at node j)
-    for every step that keeps all components monotone and within m.
+    for every step that keeps all components within m.  All stay
+    monotone: the last one too, as a step's increments sum to at most n.
     """
-    prev_last = n * (j - 1) - sum(state)
     for incs in _net_steps(n):
         nxt = tuple(v + i for v, i in zip(state, incs))
         if any(v > m for v in nxt):
             continue
         last = n * j - sum(nxt)
-        if last < prev_last or last > m:
+        if last > m:
             continue
         yield nxt, last
 
@@ -394,7 +392,7 @@ def render_svg(obj) -> str:
     """Deterministic SVG for a map, tuple, coordinate or gap set."""
     body: list[str] = []
     diag = f'<polyline points="{_poly(((ZERO, ZERO), (ONE, ONE)))}" fill="none" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
-    if isinstance(obj, (CanonicalTuple, MonoTuple)):
+    if isinstance(obj, MonoTuple):
         body.append(diag)
         for i, comp in enumerate(obj):
             color = _PALETTE[i % len(_PALETTE)]
@@ -435,7 +433,7 @@ def render_svg(obj) -> str:
 def render_csv(obj) -> str:
     """Exact tabular form of the same objects ("p/q" strings)."""
     rows: list[str] = []
-    if isinstance(obj, (CanonicalTuple, MonoTuple)):
+    if isinstance(obj, MonoTuple):
         rows.append("component,x,y")
         for i, comp in enumerate(obj):
             for x, y in comp.breakpoints:

@@ -64,7 +64,7 @@ def _check_interval(iv) -> Interval:
     return a, b
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GapSet:
     """Finite set of disjoint open rational subintervals of (0, 1).
 
@@ -91,14 +91,6 @@ class GapSet:
 
     def __iter__(self):
         return iter(self.gaps)
-
-    def __eq__(self, other):
-        if isinstance(other, GapSet):
-            return self.gaps == other.gaps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.gaps)
 
 
 def merge_gaps(intervals) -> GapSet:
@@ -136,11 +128,7 @@ def extreme_pair(interval) -> tuple[PLMono, PLMono]:
     with the identity outside.  Their mean is exactly the identity, so
     the pair is a canonical pair.
     """
-    a, b = _check_interval(interval)
-    mid = (a + b) * HALF
-    lower = PLMono(((ZERO, ZERO), (a, a), (mid, a), (b, b), (ONE, ONE)))
-    upper = PLMono(((ZERO, ZERO), (a, a), (mid, b), (b, b), (ONE, ONE)))
-    return lower, upper
+    return extreme_pair_all(GapSet((interval,)))
 
 
 def extreme_pair_all(g: GapSet) -> tuple[PLMono, PLMono]:

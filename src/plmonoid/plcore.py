@@ -16,7 +16,9 @@ whole input's denominators.  The constructors cross-multiply the
 (numerator, denominator) int pairs of the two or three neighbouring
 points a check involves, as the sweep kernel and grid merge do for the
 two values they compare; the stored coordinates are the caller's
-Fractions.
+Fractions.  The two exceptions compare every cost with every other and
+keep one common denominator: the grid oracle's dynamic program
+(quotdist.brute_oracle) and the epsilon-net DP (explorer).
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.
@@ -31,9 +33,6 @@ from operator import pos
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
-    "ZERO",
-    "ONE",
-    "HALF",
     "InputError",
     "InvariantViolation",
     "PLMono",
@@ -75,6 +74,14 @@ def _frac(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"not a rational number: {value!r:.60}") from exc
+
+
+def _at(xs, ys, t) -> Fraction:
+    """Exact value at t in [0, 1] of the polyline through (xs[i], ys[i])."""
+    t = _frac(t)
+    if t < ZERO or t > ONE:
+        raise InputError(f"argument {t} outside [0, 1]")
+    return _sweep(xs, ys, (t,))[0]
 
 
 def _lerp(x0, y0, x1, y1, t) -> Ratio:
@@ -147,8 +154,7 @@ def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
 
 def _ints(ratios) -> tuple[list[int], int]:
     """(numerator, denominator) pairs as exact ints over the lcm d of
-    their denominators, returned with d.  Callers pass only the values
-    that their comparisons touch, so d stays as small as those values."""
+    their denominators, returned with d (the scaling rule is above)."""
     d = lcm(*[q for _, q in ratios])
     return [n * (d // q) for n, q in ratios], d
 
@@ -222,10 +228,7 @@ class PLMono:
 
     def __call__(self, t) -> Fraction:
         """Exact value at t by linear interpolation."""
-        t = _frac(t)
-        if t < ZERO or t > ONE:
-            raise InputError(f"argument {t} outside [0, 1]")
-        return _sweep(self._xs, self._ys, (t,))[0]
+        return _at(self._xs, self._ys, t)
 
     def __eq__(self, other):
         if isinstance(other, PLMono):
@@ -268,7 +271,7 @@ def inverse(g: PLHomeo) -> PLHomeo:
     return PLHomeo(tuple((y, x) for x, y in g.breakpoints))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LcMono:
     """Left-continuous weakly increasing inverse of a monotone surjection.
 
@@ -296,10 +299,7 @@ class LcMono:
         object.__setattr__(self, "_ts", ts)
 
     def __call__(self, v) -> Fraction:
-        v = _frac(v)
-        if v < ZERO or v > ONE:
-            raise InputError(f"argument {v} outside [0, 1]")
-        return _sweep(self._vs, self._ts, (v,))[0]
+        return _at(self._vs, self._ts, v)
 
     def jumps(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """All jumps as (argument, lower value, upper value) triples."""
@@ -308,14 +308,6 @@ class LcMono:
             if v0 == v1:
                 out.append((v0, t0, t1))
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, LcMono):
-            return self.vertices == other.vertices
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         pts = " ".join(f"({v},{t})" for v, t in self.vertices)

@@ -15,15 +15,9 @@ components uniform norm, and is computed here three independent ways:
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
-  alignment the path induces, with every row of values an exact int
-  over one common denominator, since the DP compares every node cost
-  with every other, and no Fraction is built per value or per run.
-  Refining the grid never increases it.  The DP visits only the nodes
-  no dearer than the diagonal path, whose cost bounds the optimum; in
-  each row they form one band, so no optimal path is cut.
-  Only diagonal steps check breakpoints inside a step: on a horizontal
-  or vertical step one side is fixed, each component difference is
-  monotone along it and peaks at the step's ends, which are nodes.
+  alignment the path induces.  Refining the grid never increases it.
+  brute_oracle's docstring gives its step rule, the band of nodes it
+  visits and the one common denominator of its rows.
 
 For a canonical pair, the distance from its orbit (reparameterizations
 of the first component) to the identity pair is bounded by one explicit
@@ -242,11 +236,7 @@ class _FreeSpace:
 
 
 def _as_tuple(t) -> MonoTuple:
-    if isinstance(t, MonoTuple):
-        return t
-    if isinstance(t, CanonicalTuple):
-        return t.as_tuple()
-    return MonoTuple(tuple(t))
+    return t if isinstance(t, MonoTuple) else MonoTuple(tuple(t))
 
 
 def _canonical(t) -> CanonicalTuple:

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .plcore import InputError, PLHomeo, PLMono
-from .typespace import CanonicalTuple, MonoTuple, RoelckeCoord, Weights
+from .typespace import CanonicalTuple, MonoTuple, RoelckeCoord, Weights, uniform_weights
 from .gaps import GapSet
 from .quotdist import QuotInterval
 
@@ -120,7 +120,7 @@ def tuple_from_obj(obj) -> tuple[MonoTuple, Weights | None]:
 
 
 def canonical_to_obj(ct: CanonicalTuple) -> dict:
-    out = tuple_to_obj(ct.as_tuple(), ct.weights)
+    out = tuple_to_obj(ct, ct.weights)
     out["canonical"] = True
     return out
 
@@ -128,8 +128,6 @@ def canonical_to_obj(ct: CanonicalTuple) -> dict:
 def canonical_from_obj(obj) -> CanonicalTuple:
     t, weights = tuple_from_obj(obj)
     if weights is None:
-        from .typespace import uniform_weights
-
         weights = uniform_weights(len(t))
     return CanonicalTuple(t.components, weights)
 

@@ -28,10 +28,10 @@ from .plcore import (
     PLHomeo,
     PLMono,
     Point,
+    _at,
     _frac,
     _ints,
     _normalize,
-    _sweep,
     _tabulate,
     combine,
     compose_lc,
@@ -75,7 +75,7 @@ def check_weights(weights, n: int) -> Weights:
     return w
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MonoTuple:
     """Nonempty finite tuple of monotone surjections."""
 
@@ -99,14 +99,6 @@ class MonoTuple:
     def __getitem__(self, i):
         return self.components[i]
 
-    def __eq__(self, other):
-        if isinstance(other, MonoTuple):
-            return self.components == other.components
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.components)
-
 
 def mean(t: MonoTuple, weights: Weights | None = None) -> PLMono:
     """Exact weighted mean of the components; stays in the monoid."""
@@ -114,8 +106,8 @@ def mean(t: MonoTuple, weights: Weights | None = None) -> PLMono:
     return combine(list(zip(w, t.components)))
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalTuple:
+@dataclass(frozen=True)
+class CanonicalTuple(MonoTuple):
     """A tuple whose weighted mean is exactly the identity.
 
     With uniform weights these are the canonical representatives of
@@ -126,13 +118,12 @@ class CanonicalTuple:
     follows from it because the components are monotone.
     """
 
-    components: tuple[PLMono, ...]
     weights: Weights
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        w = check_weights(self.weights, len(comps))
-        xs, rows = _tabulate(comps)
+        super().__post_init__()
+        w = check_weights(self.weights, len(self))
+        xs, rows = _tabulate(self.components)
         nums, wd = _ints([x.as_integer_ratio() for x in w])
         for point in zip(*([v.as_integer_ratio() for v in row] for row in (xs, *rows))):
             # sum(w_i * v_i) == x, over the lcm of this point's values
@@ -143,28 +134,11 @@ class CanonicalTuple:
         # the slopes s_i are >= 0 (monotone components), the weights are
         # positive and the mean has slope sum(w_i * s_i) = 1, so every
         # w_i * s_i <= 1.
-        object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
 
     def as_tuple(self) -> MonoTuple:
+        """The components as a plain MonoTuple, without the weights."""
         return MonoTuple(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def __eq__(self, other):
-        if isinstance(other, CanonicalTuple):
-            return self.components == other.components and self.weights == other.weights
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.components, self.weights))
 
 
 def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[CanonicalTuple, PLMono]:
@@ -192,7 +166,7 @@ def lipschitz_constant(c: CanonicalTuple, i: int) -> Fraction:
     return max_slope(c.components[i])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RoelckeCoord:
     """1-Lipschitz piecewise-linear function vanishing at both endpoints.
 
@@ -215,18 +189,7 @@ class RoelckeCoord:
         object.__setattr__(self, "_ys", tuple(y for _, y in pts))
 
     def __call__(self, t) -> Fraction:
-        t = _frac(t)
-        if t < ZERO or t > ONE:
-            raise InputError(f"argument {t} outside [0, 1]")
-        return _sweep(self._xs, self._ys, (t,))[0]
-
-    def __eq__(self, other):
-        if isinstance(other, RoelckeCoord):
-            return self.breakpoints == other.breakpoints
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.breakpoints)
+        return _at(self._xs, self._ys, t)
 
     def __repr__(self):
         pts = " ".join(f"({x},{y})" for x, y in self.breakpoints)

@@ -5,6 +5,8 @@ import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -21,6 +23,7 @@ from plmonoid import (
 from plmonoid import serialize as ser
 from plmonoid.explorer import (
     _net_moves,
+    _net_steps,
     main,
     nearest_net_point,
     net_points,
@@ -96,6 +99,16 @@ def test_net_sizes_small():
     assert net_size(2, 2) == 3
     assert net_size(2, 4) == 19
     assert net_size(1, 10) == 1
+
+
+def test_net_steps_are_lexicographic_and_counted():
+    # every increment choice of the first n-1 components with sum at most
+    # n, ascending; comb(2n-1, n-1) is the moves-per-state factor of the
+    # epsnet work limit
+    for n in range(2, 7):
+        steps = _net_steps(n)
+        assert list(steps) == [s for s in product(range(n + 1), repeat=n - 1) if sum(s) <= n]
+        assert len(steps) == comb(2 * n - 1, n - 1)
 
 
 def test_net_sizes_strictly_increase():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from plmonoid import (
     CanonicalTuple,
+    GapSet,
     InputError,
     MonoTuple,
     PLMono,
@@ -24,6 +25,8 @@ from plmonoid import (
     lipschitz_constant,
     max_slope,
     mean,
+    merge_gaps,
+    pseudo_inverse,
     roelcke_coord,
     uniform_weights,
 )
@@ -248,6 +251,31 @@ def test_canonical_check_rejects_bad_weights_as_before():
     pair = (identity(), identity())
     for weights in ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 3)), (F(1, 2),), (0, 1)):
         assert _same_verdict(pair, weights) != "accepted"
+
+
+# --- value types
+
+
+def test_value_types_compare_and_hash_by_fields():
+    with pytest.raises(InputError, match="not a monotone map"):
+        CanonicalTuple(("x",), (1,))
+    lo, hi = extreme_pair(I14)
+    ct = CanonicalTuple((lo, hi), uniform_weights(2))
+    assert isinstance(ct, MonoTuple)
+    assert MonoTuple((lo, hi)) != ct and ct != MonoTuple((lo, hi))
+    pair = (identity(), identity())
+    assert CanonicalTuple(pair, (F(1, 3), F(2, 3))) != CanonicalTuple(pair, uniform_weights(2))
+    assert pseudo_inverse(identity()) != identity()
+    assert PLMono(identity().breakpoints) == identity()
+    equal_values = [
+        (pseudo_inverse(lo), pseudo_inverse(PLMono(lo.breakpoints))),
+        (roelcke_coord(ct), RoelckeCoord(roelcke_coord(ct).breakpoints)),
+        (GapSet((I14,)), merge_gaps([I14, (F(1, 3), F(1, 2))])),
+        (MonoTuple((lo, hi)), ct.as_tuple()),
+        (ct, CanonicalTuple([lo, hi], ("1/2", "1/2"))),
+    ]
+    for a, b in equal_values:
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 # --- slope bounds
