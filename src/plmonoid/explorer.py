@@ -14,6 +14,7 @@ output ordering is fixed by input order in all commands.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from .typespace import (
     MonoTuple,
     RoelckeCoord,
     canonicalize,
-    mean,
     uniform_weights,
 )
 from .gaps import (
@@ -98,17 +98,6 @@ def _composition(rng: random.Random, total: int, slots: int) -> list[int]:
     return parts
 
 
-def _heavier_plateaus(rng: random.Random, incs: list[int]) -> None:
-    """Zero out some increments, dumping their mass elsewhere (in place)."""
-    steps = len(incs)
-    for idx in range(steps):
-        if incs[idx] and rng.randrange(3) == 0:
-            target = rng.randrange(steps)
-            if target != idx:
-                incs[target] += incs[idx]
-                incs[idx] = 0
-
-
 def _mono_from_increments(incs: list[int], total: int) -> PLMono:
     steps = len(incs)
     pts = [(ZERO, ZERO)]
@@ -119,21 +108,29 @@ def _mono_from_increments(incs: list[int], total: int) -> PLMono:
     return PLMono(tuple(pts))
 
 
-def random_mono(rng: random.Random, steps: int | None = None, units: int | None = None) -> PLMono:
-    """Random monotone surjection on a random rational grid.
-
-    Increments live on a value grid of 1/(steps*units); about half the
-    draws get extra plateaus by dumping increments onto other slots.
-    """
-    if steps is None:
-        steps = rng.randrange(3, 9)
-    if units is None:
-        units = rng.randrange(2, 7)
-    total = steps * units
+def _increments(rng: random.Random, total: int, steps: int) -> list[int]:
+    """Uniform composition of total into `steps` parts; about half the
+    draws get extra plateaus: some parts dump their mass onto others."""
     incs = _composition(rng, total, steps)
     if rng.randrange(2):
-        _heavier_plateaus(rng, incs)
-    return _mono_from_increments(incs, total)
+        for idx in range(steps):
+            if incs[idx] and rng.randrange(3) == 0:
+                target = rng.randrange(steps)
+                if target != idx:
+                    incs[target] += incs[idx]
+                    incs[idx] = 0
+    return incs
+
+
+def random_mono(rng: random.Random) -> PLMono:
+    """Random monotone surjection on a random rational grid.
+
+    Increments live on a value grid of 1/(steps*units).
+    """
+    steps = rng.randrange(3, 9)
+    units = rng.randrange(2, 7)
+    total = steps * units
+    return _mono_from_increments(_increments(rng, total, steps), total)
 
 
 def random_tuple(rng: random.Random, n: int) -> MonoTuple:
@@ -141,17 +138,15 @@ def random_tuple(rng: random.Random, n: int) -> MonoTuple:
     return MonoTuple(tuple(random_mono(rng) for _ in range(n)))
 
 
-def random_homeo(rng: random.Random, steps: int | None = None, units: int | None = None) -> PLHomeo:
+def random_homeo(rng: random.Random) -> PLHomeo:
     """Random increasing homeomorphism with slopes kept in tame range.
 
     Each grid increment is at least half the average, so slopes stay in
     roughly [1/2, (steps+1)/2]; resamples on the off chance the draw is
     the identity.
     """
-    if steps is None:
-        steps = rng.randrange(2, 5)
-    if units is None:
-        units = rng.randrange(4, 9)
+    steps = rng.randrange(2, 5)
+    units = rng.randrange(4, 9)
     base = (units + 1) // 2
     total = steps * units
     for _ in range(64):
@@ -174,7 +169,10 @@ def _point_params(rng: random.Random, n: int) -> tuple[int, int]:
     return steps, units
 
 
-def random_point(rng: random.Random, n: int, max_tries: int = 5000) -> CanonicalTuple:
+_MAX_TRIES = 5000
+
+
+def random_point(rng: random.Random, n: int) -> CanonicalTuple:
     """Random canonical tuple: mean is the identity bit-exactly.
 
     Draws the first n-1 components on a shared random grid and solves
@@ -188,15 +186,10 @@ def random_point(rng: random.Random, n: int, max_tries: int = 5000) -> Canonical
         raise InputError("need at least one component")
     if n == 1:
         return CanonicalTuple((identity(),), (ONE,))
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         steps, units = _point_params(rng, n)
         total = steps * units
-        rows = []
-        for _ in range(n - 1):
-            incs = _composition(rng, total, steps)
-            if rng.randrange(2):
-                _heavier_plateaus(rng, incs)
-            rows.append(incs)
+        rows = [_increments(rng, total, steps) for _ in range(n - 1)]
         cap = n * units
         last = [cap - sum(col) for col in zip(*rows)]
         if any(inc < 0 for inc in last):
@@ -204,7 +197,7 @@ def random_point(rng: random.Random, n: int, max_tries: int = 5000) -> Canonical
         rows.append(last)
         comps = tuple(_mono_from_increments(r, total) for r in rows)
         return CanonicalTuple(comps, uniform_weights(n))
-    raise InvariantViolation(f"rejection sampling failed after {max_tries} tries")
+    raise InvariantViolation(f"rejection sampling failed after {_MAX_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +238,19 @@ def _net_moves(n: int, m: int, j: int, state: tuple[int, ...]):
         yield nxt, last
 
 
+def _dp_resolution(n: int, m: int) -> int:
+    """The resolution the net DPs run at.  At n = 1 the mean constraint
+    pins the lone component to the identity, so the net is that one
+    point at every m, and a DP over m layers would only rebuild it."""
+    return 1 if n == 1 else m
+
+
 def net_size(n: int, m: int) -> int:
     """Number of net points at resolution m: grid tuples with node sums
     pinned to the mean constraint.  Counted by dynamic programming."""
     if n < 1 or m < 1:
         raise InputError("need n >= 1 and m >= 1")
-    if n == 1:
-        return 1
+    m = _dp_resolution(n, m)
     states = {(0,) * (n - 1): 1}
     for j in range(1, m + 1):
         new: dict[tuple[int, ...], int] = {}
@@ -262,6 +261,14 @@ def net_size(n: int, m: int) -> int:
     return states.get((m,) * (n - 1), 0)
 
 
+def _net_point(n: int, m: int, path) -> CanonicalTuple:
+    """The net point through the given states at nodes 0..m; the last
+    component's values follow from the mean constraint."""
+    cols = [[*state, n * j - sum(state)] for j, state in enumerate(path)]
+    comps = (PLMono(tuple((Fraction(j, m), Fraction(col[i], m)) for j, col in enumerate(cols))) for i in range(n))
+    return CanonicalTuple(tuple(comps), uniform_weights(n))
+
+
 def net_points(n: int, m: int):
     """Enumerate all net points at resolution m, lexicographically.
 
@@ -270,29 +277,17 @@ def net_points(n: int, m: int):
     """
     if n < 1 or m < 1:
         raise InputError("need n >= 1 and m >= 1")
-    if n == 1:
-        yield CanonicalTuple((identity(),), (ONE,))
-        return
+    m = _dp_resolution(n, m)
 
-    def build(rows):
-        comps = []
-        for r in rows:
-            pts = [(Fraction(j, m), Fraction(v, m)) for j, v in enumerate(r)]
-            comps.append(PLMono(tuple(pts)))
-        return CanonicalTuple(tuple(comps), uniform_weights(n))
-
-    def rec(j, state, rows):
-        if j == m:
-            if state == (m,) * (n - 1):
-                yield build(rows)
+    def rec(path):
+        if len(path) > m:
+            if path[-1] == (m,) * (n - 1):
+                yield _net_point(n, m, path)
             return
-        for nxt, last in _net_moves(n, m, j + 1, state):
-            new_rows = [r + [v] for r, v in zip(rows[:-1], nxt)]
-            new_rows.append(rows[-1] + [last])
-            yield from rec(j + 1, nxt, new_rows)
+        for nxt, _ in _net_moves(n, m, len(path), path[-1]):
+            yield from rec((*path, nxt))
 
-    start = (0,) * (n - 1)
-    yield from rec(0, start, [[0] for _ in range(n)])
+    yield from rec(((0,) * (n - 1),))
 
 
 @dataclass(frozen=True)
@@ -314,10 +309,9 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     canonical tuple; the continuous distance to it is at most 2/m for
     pairs (by the 1-Lipschitz coordinate argument)."""
     n = len(point)
-    if n == 1:
-        return CanonicalTuple((identity(),), (ONE,))
     if m < 1:
         raise InputError("need m >= 1")
+    m = _dp_resolution(n, m)
     nodes = [Fraction(j, m) for j in range(m + 1)]
     node_vals = [_sweep(f._xs, f._ys, nodes) for f in point.components]
     # brute_oracle's one-scale exception, as every cost meets every other:
@@ -346,9 +340,7 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     states = [goal]
     for j in range(m, 0, -1):
         states.append(layers[j][states[-1]][1])
-    cols = [[*state, n * j - sum(state)] for j, state in enumerate(reversed(states))]
-    comps = (PLMono(tuple((Fraction(j, m), Fraction(col[i], m)) for j, col in enumerate(cols))) for i in range(n))
-    return CanonicalTuple(tuple(comps), uniform_weights(n))
+    return _net_point(n, m, states[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +384,8 @@ def render_svg(obj) -> str:
     """Deterministic SVG for a map, tuple, coordinate or gap set."""
     body: list[str] = []
     diag = f'<polyline points="{_poly(((ZERO, ZERO), (ONE, ONE)))}" fill="none" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
+    if isinstance(obj, PLMono):
+        obj = MonoTuple((obj,))
     if isinstance(obj, MonoTuple):
         body.append(diag)
         for i, comp in enumerate(obj):
@@ -400,12 +394,6 @@ def render_svg(obj) -> str:
                 f'<polyline points="{_poly(comp.breakpoints)}" fill="none" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
-    elif isinstance(obj, PLMono):
-        body.append(diag)
-        body.append(
-            f'<polyline points="{_poly(obj.breakpoints)}" fill="none" '
-            f'stroke="{_PALETTE[0]}" stroke-width="2"/>'
-        )
     elif isinstance(obj, RoelckeCoord):
         lo, hi = -ONE, ONE
         zero_y = _py(ZERO, lo, hi)
@@ -433,15 +421,13 @@ def render_svg(obj) -> str:
 def render_csv(obj) -> str:
     """Exact tabular form of the same objects ("p/q" strings)."""
     rows: list[str] = []
+    if isinstance(obj, PLMono):
+        obj = MonoTuple((obj,))
     if isinstance(obj, MonoTuple):
         rows.append("component,x,y")
         for i, comp in enumerate(obj):
             for x, y in comp.breakpoints:
                 rows.append(f"{i},{x},{y}")
-    elif isinstance(obj, PLMono):
-        rows.append("component,x,y")
-        for x, y in obj.breakpoints:
-            rows.append(f"0,{x},{y}")
     elif isinstance(obj, RoelckeCoord):
         rows.append("x,y")
         for x, y in obj.breakpoints:
@@ -467,23 +453,13 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _parse_plot_object(obj):
     if not isinstance(obj, dict):
         raise InputError("expected a JSON object")
     if "breakpoints" in obj:
         return ser.mono_from_obj(obj)
     if "components" in obj:
-        t, weights = ser.tuple_from_obj(obj)
-        if obj.get("canonical"):
-            return CanonicalTuple(t.components, weights or uniform_weights(len(t)))
-        return t
+        return ser.canonical_from_obj(obj) if obj.get("canonical") else ser.tuple_from_obj(obj)[0]
     if "coord" in obj:
         return ser.coord_from_obj(obj)
     if "gaps" in obj:
@@ -491,19 +467,18 @@ def _parse_plot_object(obj):
     raise InputError("unknown object kind: expected breakpoints, components, coord or gaps")
 
 
-def _cmd_canon(args) -> None:
+def _cmd_canon(args) -> str:
     t, weights = ser.tuple_from_obj(ser.loads(_read_text(args.input)))
     ct, m = canonicalize(t, weights)
-    out = {"canonical": ser.canonical_to_obj(ct), "mean": ser.mono_to_obj(m)}
-    _write_out(ser.dumps(out), args.out)
+    return ser.dumps({"canonical": ser.canonical_to_obj(ct), "mean": ser.mono_to_obj(m)})
 
 
-def _cmd_dist(args) -> None:
+def _cmd_dist(args) -> str:
     if args.grid > 4096:
         raise InputError(f"--grid {args.grid} exceeds 4096; the oracle's work grows as its square")
-    ta, wa = ser.tuple_from_obj(ser.loads(_read_text(args.a)))
-    tb, wb = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
-    del wa, wb  # the quotient distance always compares with uniform weights
+    # the quotient distance always compares with uniform weights
+    ta, _ = ser.tuple_from_obj(ser.loads(_read_text(args.a)))
+    tb, _ = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
     tol = ser.parse_frac(args.tol)
     ca, _ = canonicalize(ta)
     cb, _ = canonicalize(tb)
@@ -513,10 +488,10 @@ def _cmd_dist(args) -> None:
     out["canonical_bound"] = ser.frac_str(bound)
     if args.grid:
         out["oracle_upper"] = ser.frac_str(brute_oracle(ta, tb, args.grid))
-    _write_out(ser.dumps(out), args.out)
+    return ser.dumps(out)
 
 
-def _cmd_epsnet(args) -> None:
+def _cmd_epsnet(args) -> str:
     n, m, check = args.n, args.net, args.check
     # net DP steps (layers x states x moves); a covering check costs about ten times that
     steps = m * (m + 1) ** (n - 1) * comb(2 * n - 1, n - 1) if 0 < n <= 6 and m > 0 else 0
@@ -542,32 +517,27 @@ def _cmd_epsnet(args) -> None:
                 )
         out["covering_checked"] = args.check
         out["covering_radius"] = ser.frac_str(radius)
-    _write_out(ser.dumps(out), args.out)
+    return ser.dumps(out)
 
 
-def _cmd_sample(args) -> None:
+def _cmd_sample(args) -> str:
     if not 0 <= args.count <= 1000 or args.n > 16:
         raise InputError(f"sample --count {args.count} --n {args.n}: need count 0..1000, n <= 16")
     rng = random.Random(args.seed)
-    samples = [random_point(rng, args.n) for _ in range(args.count)]
-    out = [ser.canonical_to_obj(ct) for ct in samples]
-    _write_out(ser.dumps(out), args.out)
+    return ser.dumps([ser.canonical_to_obj(random_point(rng, args.n)) for _ in range(args.count)])
 
 
-def _cmd_plot(args) -> None:
+def _cmd_plot(args) -> str:
     obj = _parse_plot_object(ser.loads(_read_text(args.input)))
-    render = render_svg if args.format == "svg" else render_csv
-    _write_out(render(obj), args.out)
+    return (render_svg if args.format == "svg" else render_csv)(obj)
 
 
-def _cmd_witness(args) -> None:
+def _cmd_witness(args) -> str:
     g = ser.homeo_from_obj(ser.loads(_read_text(args.input)))
-    w = uniform_witness(g)
-    out = {"witness": ser.mono_to_obj(w), "distance": "1"}
-    _write_out(ser.dumps(out), args.out)
+    return ser.dumps({"witness": ser.mono_to_obj(uniform_witness(g)), "distance": "1"})
 
 
-def _cmd_gaps(args) -> None:
+def _cmd_gaps(args) -> str:
     merged = merge_gaps(ser._gap_pairs(ser.loads(_read_text(args.input))))
     bad = isolated_points(merged)
     out: dict = ser.gapset_to_obj(merged)
@@ -582,7 +552,7 @@ def _cmd_gaps(args) -> None:
             out["collapse"] = ser.mono_to_obj(collapse_map(merged))
         except InputError:
             out["collapse"] = None
-    _write_out(ser.dumps(out), args.out)
+    return ser.dumps(out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -595,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical form and mean of a tuple")
     p.add_argument("input", help="tuple JSON file ('-' for stdin)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("dist", help="bracket the quotient distance of two tuples")
@@ -604,7 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", default="1/64", help="bracket width, a rational like 1/64")
     p.add_argument("--grid", type=int, default=0,
                    help="also report the grid-path oracle upper bound at this resolution")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("epsnet", help="size (and optionally points) of the epsilon net")
@@ -614,41 +582,60 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", type=int, default=0,
                    help="verify this many seeded samples are within 2/net of the net")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_epsnet)
 
     p = sub.add_parser("sample", help="seeded random canonical tuples")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("plot", help="render an object as SVG or CSV")
     p.add_argument("input")
     p.add_argument("--format", choices=("csv", "svg"), default="svg")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("witness", help="uniform-distance witness for a homeomorphism")
     p.add_argument("input")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("gaps", help="merge raw intervals into a gap set, with "
                        "isolated points, witnesses and collapse map")
     p.add_argument("input")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gaps)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return ap
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _drop_stdout() -> None:
+    """After a failed write, point stdout's descriptor at os.devnull so the
+    interpreter's flush at exit cannot fail again (the docs' broken-pipe recipe)."""
     try:
-        args.func(args)
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-memory stream is not flushed at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        text = args.func(args)
+        target = "-" if args.out is None else args.out
+        try:
+            if target == "-":
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
+                Path(target).write_text(text)
+        except OSError as exc:
+            if target == "-":
+                _drop_stdout()
+            raise InputError(f"cannot write {target:.60}: {exc.strerror or exc}") from exc
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

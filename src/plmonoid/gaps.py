@@ -33,7 +33,7 @@ from .plcore import (
     compose,
     sup_dist,
 )
-from .typespace import MonoTuple
+from .typespace import MonoTuple, _as_tuple
 
 __all__ = [
     "GapSet",
@@ -259,8 +259,7 @@ def pullback_pseudometric(base: MonoTuple, rho: TuplePseudoDist) -> MonoPseudoDi
     Pseudo-metric axioms are inherited from rho; they are spot-checked
     in tests rather than enforced.
     """
-    if not isinstance(base, MonoTuple):
-        base = MonoTuple(tuple(base))
+    base = _as_tuple(base)
 
     def pulled(f: PLMono, h: PLMono) -> Fraction:
         left = MonoTuple(tuple(compose(c, f) for c in base))

@@ -57,7 +57,7 @@ from .plcore import (
     compose,
     sup_dist,
 )
-from .typespace import CanonicalTuple, MonoTuple, canonicalize, uniform_weights
+from .typespace import CanonicalTuple, MonoTuple, _as_tuple, canonicalize, uniform_weights
 
 __all__ = [
     "QuotInterval",
@@ -233,10 +233,6 @@ class _FreeSpace:
         return (top_right_vert is not None and top_right_vert[2] == top_right_vert[3]) or (
             top_right_horiz is not None and top_right_horiz[2] == top_right_horiz[3]
         )
-
-
-def _as_tuple(t) -> MonoTuple:
-    return t if isinstance(t, MonoTuple) else MonoTuple(tuple(t))
 
 
 def _canonical(t) -> CanonicalTuple:

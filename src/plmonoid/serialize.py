@@ -69,16 +69,21 @@ def _point_list(pairs) -> list[list[str]]:
     return [[frac_str(x), frac_str(y)] for x, y in pairs]
 
 
-def _parse_points(obj, what: str):
-    if not isinstance(obj, list) or not all(isinstance(p, list) and len(p) == 2 for p in obj):
-        raise InputError(f"{what} must be a list of [x, y] pairs")
-    return tuple((parse_frac(x), parse_frac(y)) for x, y in obj)
-
-
 def _require_dict(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise InputError(f"{what} must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _points(obj, what: str, key: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The [x, y] pairs under ``key`` of the JSON object for ``what``, as given."""
+    obj = _require_dict(obj, what)
+    if key not in obj:
+        raise InputError(f"missing {key!r}")
+    pairs = obj[key]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise InputError(f"{key!r} must be a list of [x, y] pairs")
+    return tuple((parse_frac(x), parse_frac(y)) for x, y in pairs)
 
 
 def mono_to_obj(f: PLMono) -> dict:
@@ -86,17 +91,11 @@ def mono_to_obj(f: PLMono) -> dict:
 
 
 def mono_from_obj(obj) -> PLMono:
-    obj = _require_dict(obj, "a monotone map")
-    if "breakpoints" not in obj:
-        raise InputError("missing 'breakpoints'")
-    return PLMono(_parse_points(obj["breakpoints"], "'breakpoints'"))
+    return PLMono(_points(obj, "a monotone map", "breakpoints"))
 
 
 def homeo_from_obj(obj) -> PLHomeo:
-    obj = _require_dict(obj, "a homeomorphism")
-    if "breakpoints" not in obj:
-        raise InputError("missing 'breakpoints'")
-    return PLHomeo(_parse_points(obj["breakpoints"], "'breakpoints'"))
+    return PLHomeo(_points(obj, "a homeomorphism", "breakpoints"))
 
 
 def tuple_to_obj(t: MonoTuple, weights: Weights | None = None) -> dict:
@@ -137,10 +136,7 @@ def coord_to_obj(rc: RoelckeCoord) -> dict:
 
 
 def coord_from_obj(obj) -> RoelckeCoord:
-    obj = _require_dict(obj, "a coordinate")
-    if "coord" not in obj:
-        raise InputError("missing 'coord'")
-    return RoelckeCoord(_parse_points(obj["coord"], "'coord'"))
+    return RoelckeCoord(_points(obj, "a coordinate", "coord"))
 
 
 def gapset_to_obj(g: GapSet) -> dict:
@@ -149,10 +145,7 @@ def gapset_to_obj(g: GapSet) -> dict:
 
 def _gap_pairs(obj) -> tuple[tuple[Fraction, Fraction], ...]:
     """The [lo, hi] pairs of a gap-set object as given, not yet merged."""
-    obj = _require_dict(obj, "a gap set")
-    if "gaps" not in obj:
-        raise InputError("missing 'gaps'")
-    return _parse_points(obj["gaps"], "'gaps'")
+    return _points(obj, "a gap set", "gaps")
 
 
 def gapset_from_obj(obj) -> GapSet:
@@ -171,7 +164,7 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an int beyond sys.get_int_max_str_digits()
         raise InputError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError("malformed JSON: nested too deeply") from exc

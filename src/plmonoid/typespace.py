@@ -100,6 +100,10 @@ class MonoTuple:
         return self.components[i]
 
 
+def _as_tuple(t) -> MonoTuple:
+    return t if isinstance(t, MonoTuple) else MonoTuple(tuple(t))
+
+
 def mean(t: MonoTuple, weights: Weights | None = None) -> PLMono:
     """Exact weighted mean of the components; stays in the monoid."""
     w = uniform_weights(len(t)) if weights is None else check_weights(weights, len(t))

@@ -1,12 +1,17 @@
 """Samplers, epsilon nets, rendering and the command-line interface."""
 
+import errno
 import io
+import json
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from plmonoid import (
     mean,
     sup_dist,
 )
+from plmonoid import explorer
 from plmonoid import serialize as ser
 from plmonoid.explorer import (
     _net_moves,
@@ -378,9 +384,12 @@ DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
         ("gaps", DEEP_JSON),
         ("plot", DEEP_JSON),
         ("witness", DEEP_JSON),
+        # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+        # int literal beyond sys.get_int_max_str_digits() (4300 by default)
+        ("canon", b'{"components": ' + b"7" * 5000 + b"}"),
     ],
     ids=["gap-arity", "gaps-not-a-list", "directory", "non-utf8",
-         "deep-canon", "deep-gaps", "deep-plot", "deep-witness"],
+         "deep-canon", "deep-gaps", "deep-plot", "deep-witness", "int-beyond-digit-limit"],
 )
 def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, data):
     path = tmp_path / "input"
@@ -502,3 +511,95 @@ def test_cli_invariant_violation_exit_code(monkeypatch):
     monkeypatch.setitem(explorer._build_parser.__globals__, "_cmd_epsnet", boom)
     code, _ = run_cli(["epsnet", "--n", "2", "--net", "2"])
     assert code == 3
+
+
+def test_nearest_net_point_single_component_is_identity():
+    # n = 1 runs the general net DP: its one state is the empty tuple
+    point = random_point(random.Random(0), 1)
+    for m in (1, 2, 5):
+        assert nearest_net_point(point, m).components == (identity(),)
+
+
+def test_single_component_net_runs_one_layer(monkeypatch):
+    # at n = 1 the net is the identity alone at every m; a DP over m layers
+    # would cost O(m) here and nest m generators in net_points
+    calls = []
+    monkeypatch.setattr(explorer, "_net_moves", lambda *a: calls.append(a) or _net_moves(*a))
+    point = random_point(random.Random(0), 1)
+    assert net_size(1, 10**6) == 1
+    assert [p.components for p in net_points(1, 10**6)] == [(identity(),)]
+    assert nearest_net_point(point, 10**6).components == (identity(),)
+    assert len(calls) <= 3
+
+
+def test_cli_single_component_epsnet_points():
+    code, out = run_cli(["epsnet", "--n", "1", "--net", "2000", "--points"])
+    assert code == 0
+    assert json.loads(out)["points"] == [ser.canonical_to_obj(CanonicalTuple((identity(),), (F(1),)))]
+
+
+def test_cli_plot_decodes_canonical_objects_as_canon_does(tmp_path, capsys):
+    path = tmp_path / "empty-weights.json"
+    path.write_text(ser.dumps({"components": [ser.mono_to_obj(identity())], "weights": [], "canonical": True}))
+    errors = []
+    for command in ("canon", "plot"):
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: weight/length mismatch: 0 weights for 1 components\n"
+
+
+OUT_ARGV = {
+    "canon": ["canon", "{pair}"],
+    "dist": ["dist", "{pair}", "{pair}"],
+    "epsnet": ["epsnet", "--n", "2", "--net", "2"],
+    "sample": ["sample"],
+    "plot": ["plot", "{pair}"],
+    "witness": ["witness", "{homeo}"],
+    "gaps": ["gaps", "{gaps}"],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_cli_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, target):
+    files = {
+        "pair": ser.tuple_to_obj(MonoTuple((identity(), identity()))),
+        "homeo": ser.mono_to_obj(PLHomeo(((0, 0), (F(1, 2), F(3, 4)), (1, 1)))),
+        "gaps": {"gaps": [["1/4", "1/2"]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(ser.dumps(obj))
+    argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in files}) for arg in OUT_ARGV[command]]
+    out_path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    code = main([*argv, "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_unwritable_stdout_exits_2_with_one_error_line(monkeypatch, capsys):
+    class FullStdout(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(["sample"])
+    _, err = capsys.readouterr()
+    assert code == 2 and err == "error: cannot write -: No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("count", ["1", "1000"])
+def test_cli_full_stdout_in_a_process_exits_2_with_one_error_line(count):
+    # block-buffered stdout: the interpreter flushes it again at exit, which
+    # must not fail a second time; 1000 samples overflow the buffer in write()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(explorer.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "plmonoid", "sample", "--count", count],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write -: No space left on device\n"
