@@ -448,9 +448,10 @@ def _read_text(path: str) -> str:
     try:
         return sys.stdin.read() if path == "-" else Path(path).read_text()
     except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+        raise InputError(f"no such file: {path:.60}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        # strerror leaves out the path that an OSError's text repeats
+        raise InputError(f"cannot read {path:.60}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _parse_plot_object(obj):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import pos
+from operator import itemgetter, mul, pos
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -168,16 +168,25 @@ def _ascending(ratios, strict: bool = False) -> bool:
 
 
 def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tuple[Ratio, Ratio]]]:
-    """Sort points, drop duplicates and collinear interior points.
+    """Order points by (x, y), drop duplicates and collinear interior points.
 
     Returns the kept points, as the caller's Fractions, and their
     ((x numerator, x denominator), (y numerator, y denominator)) pairs.
-    Each test cross-multiplies the pairs of the two or three points it
-    compares.
+    Points are sorted only when two neighbours are out of (x, y) order:
+    input that ascends (x rising, or x equal and y not falling) is what
+    the sort would return, and compose, compose_lc, combine and the
+    samplers give theirs that way.  Each test cross-multiplies the pairs
+    of the two or three points it compares.
     """
+    rows = [(x.as_integer_ratio(), y.as_integer_ratio(), (x, y))
+            for x, y in ((_frac(x), _frac(y)) for x, y in points)]
+    for ((x0n, x0d), (y0n, y0d), _), ((x1n, x1d), (y1n, y1d), _) in zip(rows, rows[1:]):
+        if not (x0n * x1d < x1n * x0d or x0n == x1n and x0d == x1d and y0n * y1d <= y1n * y0d):
+            rows.sort(key=itemgetter(2))
+            break
     out: list[tuple[Ratio, Ratio, Point]] = []
-    for p in sorted((_frac(x), _frac(y)) for x, y in points):
-        x, y = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    for row in rows:
+        x, y, p = row
         if out and out[-1][0] == x:
             if out[-1][1] != y:
                 y0, (x0, y1) = out[-1][2][1], p
@@ -192,7 +201,7 @@ def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tupl
                     != (y2n * y1d - y1n * y2d) * (x1n * x0d - x0n * x1d) * y0d * x2d):
                 break
             out.pop()
-        out.append((x, y, p))
+        out.append(row)
     if len(out) < 2:
         raise InputError("a breakpoint list needs at least two distinct points")
     return tuple(p for _, _, p in out), [(x, y) for x, y, _ in out]
@@ -213,7 +222,7 @@ class PLMono:
 
     def __post_init__(self):
         pts, ratios = _normalize(self.breakpoints)
-        if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
+        if ratios[0] != ((0, 1), (0, 1)) or ratios[-1] != ((1, 1), (1, 1)):
             raise InputError("must fix the endpoints: first (0,0), last (1,1)")
         ys = [y for _, y in ratios]
         if not _ascending(ys):
@@ -366,15 +375,20 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
 
     The coefficients must be positive and sum to one for the result to
     stay in the monoid; the constructor enforces the endpoint and
-    monotonicity invariants.
+    monotonicity invariants.  The sum is taken in ints, by the scaling
+    rule: the coefficients over the lcm cd of their denominators, the
+    values at each grid point over that point's own lcm d, and one
+    Fraction of the int sum over cd * d per point.
     """
     if not terms:
         raise InputError("empty combination")
-    coeffs = [_frac(c) for c, _ in terms]
+    coeffs, cd = _ints([_frac(c).as_integer_ratio() for c, _ in terms])
     xs, rows = _tabulate([f for _, f in terms])
-    return PLMono(tuple(
-        (x, sum((c * v for c, v in zip(coeffs, vals)), ZERO)) for x, *vals in zip(xs, *rows)
-    ))
+    pts = []
+    for x, *vals in zip(xs, *rows):
+        nums, d = _ints([v.as_integer_ratio() for v in vals])
+        pts.append((x, Fraction(sum(map(mul, coeffs, nums)), cd * d)))
+    return PLMono(tuple(pts))
 
 
 def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int]) -> Fraction:

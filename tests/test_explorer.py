@@ -403,6 +403,17 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-file"])
+def test_cli_long_input_path_error_is_one_short_line(tmp_path, capsys, target):
+    long_dir = tmp_path / ("d" * 200)
+    long_dir.mkdir()
+    path = long_dir if target == "directory" else long_dir / "missing.json"
+    code = main(["canon", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
+
 
 @pytest.mark.parametrize(
     "command, text, prefix",

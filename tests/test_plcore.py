@@ -29,7 +29,7 @@ from plmonoid import (
     uniform_witness,
 )
 from plmonoid.gaps import _preimage_of_closed, extreme_pair
-from plmonoid.plcore import _merged, _sweep
+from plmonoid.plcore import _merged, _sweep, _tabulate
 from plmonoid.explorer import random_homeo, random_mono
 
 from conftest import COPRIME_DENS, coprime_map
@@ -502,6 +502,63 @@ def test_constructors_match_fraction_reference(points):
         assert got == expected, (cls.__name__, pts)
         if got[0] == "ok":
             assert all(type(v) is F for pair in got[1] for v in pair)
+
+
+# Each input is in (x, y) order or not, and the constructors sort only the
+# latter; an order check on x alone would keep the first case's larger y
+# first and flip the two values in its message.
+SORT_SKIP = {
+    "equal-x-larger-y-first": [(0, 0), (F(1, 2), F(3, 4)), (F(1, 2), F(1, 4)), (1, 1)],
+    "equal-x-smaller-y-first": [(0, 0), (F(1, 2), F(1, 4)), (F(1, 2), F(3, 4)), (1, 1)],
+    "exact-duplicate": [(0, 0), (F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)), (1, 1)],
+    "last-out-of-order": [(0, 0), (F(1, 4), F(1, 8)), (F(3, 4), F(1, 2)), (1, 1), (F(1, 2), F(1, 4))],
+    "reversed": [(1, 1), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 4)), (F(1, 4), F(1, 8)), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("points", SORT_SKIP.values(), ids=SORT_SKIP.keys())
+def test_sort_skip_matches_fraction_reference(points):
+    coord = [(x, (F(y) - F(x)) / 2) for x, y in points]
+    for cls, pts in ((PLMono, points), (PLHomeo, points), (RoelckeCoord, coord)):
+        assert _outcome(_construct, cls, pts) == _outcome(_reference_construct, cls, pts), cls.__name__
+
+
+# --- combine's int sums against the Fraction reference
+
+
+def _reference_combine(terms):
+    """combine in Fraction arithmetic on the merged grid, as before the ints."""
+    coeffs = [F(c) for c, _ in terms]
+    xs, rows = _tabulate([f for _, f in terms])
+    return PLMono(tuple((x, sum((c * v for c, v in zip(coeffs, vals)), F(0))) for x, *vals in zip(xs, *rows)))
+
+
+@given(seeds, st.lists(st.booleans(), min_size=1, max_size=5), st.sampled_from(["uniform", "random", "off-sum"]))
+@settings(max_examples=60, deadline=None)
+def test_combine_matches_fraction_reference(seed, coprime, weights):
+    """Components are random_mono maps, or coprime_map maps each over its
+    own 100-digit denominator; off-sum coefficients miss 1 and fail the
+    endpoint check in both."""
+    rng = random.Random(seed)
+    maps = [coprime_map(rng, d) if c else random_mono(rng) for c, d in zip(coprime, COPRIME_DENS)]
+    ks = [rng.randint(2, 20) for _ in maps]
+    if weights == "uniform":
+        coeffs = [F(1, len(maps))] * len(maps)
+    else:
+        total = sum(ks) + (0 if weights == "random" else rng.choice([-1, 1, 2]))
+        coeffs = [F(k, total) for k in ks]
+    terms = list(zip(coeffs, maps))
+
+    def outcome(combine_terms):
+        try:
+            return "ok", combine_terms(terms).breakpoints
+        except InputError as exc:
+            return "error", str(exc)
+
+    got = outcome(combine)
+    assert got == outcome(_reference_combine)
+    if got[0] == "ok":
+        assert all(type(v) is F for pair in got[1] for v in pair)
 
 
 # --- the int-pair sweep kernel and grid merge against the Fraction reference
