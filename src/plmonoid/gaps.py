@@ -25,11 +25,11 @@ from .plcore import (
     ZERO,
     InputError,
     PLMono,
+    _combined,
     _frac,
     _lerp,
     _sweep,
     _tabulate,
-    combine,
     compose,
     sup_dist,
 )
@@ -148,9 +148,9 @@ def extreme_pair_all(g: GapSet) -> tuple[PLMono, PLMono]:
     return PLMono(tuple(lo_pts)), PLMono(tuple(hi_pts))
 
 
-def _difference_support(f: PLMono, h: PLMono) -> list[Interval]:
-    """Maximal open intervals where f and h differ, exactly."""
-    xs, (fv, hv) = _tabulate((f, h))
+def _difference_support(xs: list[Fraction], fv: list[Fraction], hv: list[Fraction]) -> list[Interval]:
+    """Maximal open intervals where two maps differ, exactly, from their
+    values fv and hv on their merged breakpoint grid xs."""
     vals = [a - b for a, b in zip(fv, hv)]
     # Zero set of the piecewise-linear difference, as closed pieces.
     zeros: list[Interval] = []
@@ -205,10 +205,11 @@ def equiv_test(f: PLMono, h: PLMono, g: GapSet) -> bool:
     intersecting the open support of the difference with the midpoint
     map's preimage of each closed complement piece.
     """
-    support = _difference_support(f, h)
+    xs, rows = _tabulate((f, h))
+    support = _difference_support(xs, *rows)
     if not support:
         return True
-    midpoint = combine([(HALF, f), (HALF, h)])
+    midpoint = PLMono(tuple(zip(xs, _combined((HALF, HALF), rows))))
     for lo, hi in _complement_pieces(g):
         l, r = _preimage_of_closed(midpoint, lo, hi)
         if l > r:

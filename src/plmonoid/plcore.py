@@ -174,9 +174,9 @@ def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tupl
     ((x numerator, x denominator), (y numerator, y denominator)) pairs.
     Points are sorted only when two neighbours are out of (x, y) order:
     input that ascends (x rising, or x equal and y not falling) is what
-    the sort would return, and compose, compose_lc, combine and the
-    samplers give theirs that way.  Each test cross-multiplies the pairs
-    of the two or three points it compares.
+    the sort would return, and compose, compose_lc, combine, canonicalize
+    and the samplers give theirs that way.  Each test cross-multiplies
+    the pairs of the two or three points it compares.
     """
     rows = [(x.as_integer_ratio(), y.as_integer_ratio(), (x, y))
             for x, y in ((_frac(x), _frac(y)) for x, y in points)]
@@ -382,13 +382,24 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
     """
     if not terms:
         raise InputError("empty combination")
-    coeffs, cd = _ints([_frac(c).as_integer_ratio() for c, _ in terms])
-    xs, rows = _tabulate([f for _, f in terms])
-    pts = []
-    for x, *vals in zip(xs, *rows):
+    coeffs = [_frac(c) for c, _ in terms]
+    maps = [f for _, f in terms]
+    for f in maps:
+        if not isinstance(f, PLMono):
+            raise InputError(f"not a monotone map: {f!r:.60}")
+    xs, rows = _tabulate(maps)
+    return PLMono(tuple(zip(xs, _combined(coeffs, rows))))
+
+
+def _combined(coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """sum(c * v) at each grid point, the v read down the rows (one row
+    of values per map, as _tabulate gives them), as combine describes."""
+    coeffs, cd = _ints([c.as_integer_ratio() for c in coeffs])
+    out = []
+    for vals in zip(*rows):
         nums, d = _ints([v.as_integer_ratio() for v in vals])
-        pts.append((x, Fraction(sum(map(mul, coeffs, nums)), cd * d)))
-    return PLMono(tuple(pts))
+        out.append(Fraction(sum(map(mul, coeffs, nums)), cd * d))
+    return out
 
 
 def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int]) -> Fraction:

@@ -7,6 +7,16 @@ of the tuple.  The canonical form has mean exactly the identity and
 each component is Lipschitz with constant at most one over its weight;
 composing it back with the mean recovers the original tuple bit-exactly.
 
+The form is built from one tabulation.  On the merged breakpoint grid
+X of the components, the mean m takes the weighted sums of their
+values, and each canonical component runs through the points
+(m(x), f_i(x)) for x in X.  That is the splice through the
+left-continuous inverse of m: X holds every breakpoint of m and of
+f_i, so between neighbours of X both are affine, and the constructor
+drops the collinear and repeated points down to the unique minimal
+form.  Positive weights make a plateau of m one of every f_i, so the
+points arrive in (x, y) order and are not sorted.
+
 Pairs in canonical form with equal weights can equivalently be encoded
 by a single 1-Lipschitz function vanishing at the endpoints (the
 difference between the first component and the identity); this is the
@@ -25,19 +35,19 @@ from .plcore import (
     ONE,
     ZERO,
     InputError,
+    InvariantViolation,
     PLHomeo,
     PLMono,
     Point,
     _at,
+    _combined,
     _frac,
     _ints,
     _normalize,
     _tabulate,
     combine,
-    compose_lc,
     identity,
     max_slope,
-    pseudo_inverse,
 )
 
 __all__ = [
@@ -105,7 +115,9 @@ def _as_tuple(t) -> MonoTuple:
 
 
 def mean(t: MonoTuple, weights: Weights | None = None) -> PLMono:
-    """Exact weighted mean of the components; stays in the monoid."""
+    """Exact weighted mean of the components (any sequence of maps);
+    stays in the monoid."""
+    t = _as_tuple(t)
     w = uniform_weights(len(t)) if weights is None else check_weights(weights, len(t))
     return combine(list(zip(w, t.components)))
 
@@ -148,18 +160,25 @@ class CanonicalTuple(MonoTuple):
 def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[CanonicalTuple, PLMono]:
     """Split a tuple into its canonical form and its mean.
 
-    Returns (c, m) with m the weighted mean of t and c the tuple whose
-    i-th component is t[i] composed with the left-continuous inverse of
-    m.  The splice through the inverse's jumps is well defined because a
-    plateau of the mean forces a shared plateau of every component, and
-    composing back gives compose(c[i], m) == t[i] bit-exactly.
+    Returns (c, m) with m the weighted mean of t (any sequence of maps)
+    and c the tuple whose i-th component is t[i] composed with the
+    left-continuous inverse of m, compose_lc(t[i], pseudo_inverse(m)),
+    built from one tabulation of t as the module docstring says.  A
+    repeated m(x) must repeat t[i](x); a point that breaks this raises
+    InvariantViolation.  Composing back gives compose(c[i], m) == t[i]
+    bit-exactly.
     """
+    t = _as_tuple(t)
     w = uniform_weights(len(t)) if weights is None else check_weights(weights, len(t))
-    m = mean(t, w)
+    xs, rows = _tabulate(t.components)
+    levels = _combined(w, rows)
+    m = PLMono(tuple(zip(xs, levels)))
     if m == identity():
         return CanonicalTuple(t.components, w), m
-    minv = pseudo_inverse(m)
-    comps = tuple(compose_lc(f, minv) for f in t.components)
+    try:
+        comps = tuple(PLMono(tuple(zip(levels, row))) for row in rows)
+    except InputError as exc:
+        raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
     return CanonicalTuple(comps, w), m
 
 

@@ -14,6 +14,8 @@ from plmonoid import (
     PLMono,
     collapse_map,
     collapsed_dist,
+    combine,
+    compose,
     equiv_test,
     extreme_pair,
     extreme_pair_all,
@@ -25,8 +27,10 @@ from plmonoid import (
     sup_dist,
 )
 from plmonoid.explorer import random_mono, random_point
+from plmonoid.gaps import _complement_pieces, _difference_support, _preimage_of_closed
+from plmonoid.plcore import _tabulate
 
-from conftest import gap_adapted_pair, random_gapset
+from conftest import COPRIME_DENS, coprime_map, gap_adapted_pair, random_gapset
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -235,6 +239,39 @@ def test_equiv_respects_isolated_point():
     g = merge_gaps([(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4))])
     lo, hi = extreme_pair(I14)
     assert equiv_test(lo, hi, g) is False
+
+
+def _reference_equiv(f, h, g):
+    """equiv_test with its midpoint built by combine."""
+    xs, rows = _tabulate((f, h))
+    support = _difference_support(xs, *rows)
+    midpoint = combine([(F(1, 2), f), (F(1, 2), h)])
+    for lo, hi in _complement_pieces(g):
+        l, r = _preimage_of_closed(midpoint, lo, hi)
+        if l <= r and any(l < b and r > a for a, b in support):
+            return False
+    return True
+
+
+@given(seeds, st.sampled_from(["adapted", "point", "random", "moved", "coprime"]))
+@settings(max_examples=60, deadline=None)
+def test_equiv_matches_combine_midpoint_reference(seed, kind):
+    rng = random.Random(seed)
+    g = random_gapset(rng)
+    if g is None:
+        return
+    if kind == "adapted":
+        f, h = gap_adapted_pair(rng, g)
+    elif kind == "point":
+        f, h = random_point(rng, 2).components
+    elif kind == "random":
+        f, h = random_mono(rng), random_mono(rng)
+    elif kind == "moved":
+        f = random_mono(rng)
+        h = compose(f, random_mono(rng))
+    else:
+        f, h = (coprime_map(rng, rng.choice(COPRIME_DENS)) for _ in range(2))
+    assert equiv_test(f, h, g) is _reference_equiv(f, h, g)
 
 
 # --- collapse map

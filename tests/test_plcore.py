@@ -270,6 +270,13 @@ def test_combine_rejects_empty():
         combine([])
 
 
+def test_combine_rejects_a_term_that_is_not_a_map():
+    with pytest.raises(InputError, match="not a monotone map: 'x'"):
+        combine([(1, "x")])
+    with pytest.raises(InputError, match="not a monotone map: None"):
+        combine([(F(1, 2), identity()), (F(1, 2), None)])
+
+
 # --- uniform-distance witness
 
 

@@ -13,12 +13,14 @@ from plmonoid import (
     CanonicalTuple,
     GapSet,
     InputError,
+    InvariantViolation,
     MonoTuple,
     PLMono,
     RoelckeCoord,
     canonicalize,
     combine,
     compose,
+    compose_lc,
     coord_to_pair,
     embed_homeo,
     identity,
@@ -30,13 +32,13 @@ from plmonoid import (
     roelcke_coord,
     uniform_weights,
 )
-from plmonoid import plcore
+from plmonoid import plcore, typespace
 from plmonoid.gaps import extreme_pair
 from plmonoid.plcore import _tabulate
 from plmonoid.typespace import check_weights
 from plmonoid.explorer import random_homeo, random_mono, random_tuple
 
-from conftest import probe_tuple
+from conftest import COPRIME_DENS, coprime_map, probe_tuple
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -169,6 +171,72 @@ def test_canonicalize_through_boundary_plateaus():
     assert mean(ct.as_tuple()) == identity()
     for i in range(2):
         assert compose(ct[i], m) == t[i]
+
+
+def test_canonicalize_and_mean_accept_any_sequence():
+    f, g = random_tuple(random.Random(4), 2)
+    for seq in ((f,), [f, g], (f, g)):
+        assert canonicalize(seq) == canonicalize(MonoTuple(tuple(seq)))
+        assert mean(seq) == mean(MonoTuple(tuple(seq)))
+    for bad in ((), (f, "x")):
+        with pytest.raises(InputError):
+            canonicalize(bad)
+        with pytest.raises(InputError):
+            mean(bad)
+
+
+@given(seeds, st.sampled_from([1, 2, 3, 5]), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_canonicalize_matches_two_step_reference(seed, n, coprime, plateaus):
+    """The one-tabulation form against the mean, its pseudo-inverse and
+    one splice per component.  Components are random_mono maps or
+    coprime_map maps with 100-digit denominators; composed with one
+    random_mono, the mean has plateaus every component shares."""
+    rng = random.Random(seed)
+    comps = [coprime_map(rng, rng.choice(COPRIME_DENS)) if coprime else random_mono(rng) for _ in range(n)]
+    if plateaus:
+        g = random_mono(rng)
+        comps = [compose(f, g) for f in comps]
+    raw = [rng.randrange(1, 7) for _ in range(n)]
+    w = tuple(F(r, sum(raw)) for r in raw)
+    t = MonoTuple(tuple(comps))
+    ct, m = canonicalize(t, w)
+    assert m == mean(t, w)
+    minv = pseudo_inverse(m)
+    assert ct.components == tuple(compose_lc(f, minv) for f in t)
+    assert ct.weights == w
+
+
+def test_canonicalize_tabulates_once(monkeypatch):
+    calls = []
+    real = typespace._tabulate
+
+    def counting(maps):
+        calls.append(tuple(maps))
+        return real(maps)
+
+    monkeypatch.setattr(typespace, "_tabulate", counting)
+    t = random_tuple(random.Random(5), 3)
+    ct, m = canonicalize(t)
+    assert m != identity()
+    assert calls == [t.components, ct.components]
+
+
+def test_canonicalize_false_plateau_is_invariant_violation(monkeypatch):
+    # Flatten the mean over one grid segment where it rises: the mean is
+    # still a monotone map, but the components move across the plateau.
+    real = typespace._combined
+
+    def flattened(coeffs, rows):
+        levels = real(coeffs, rows)
+        k = next(k for k in range(len(levels) - 2) if levels[k] != levels[k + 1])
+        levels[k + 1] = levels[k]
+        return levels
+
+    monkeypatch.setattr(typespace, "_combined", flattened)
+    t = random_tuple(random.Random(6), 2)
+    with pytest.raises(InvariantViolation, match="spliced composition left the monoid: conflicting values"):
+        canonicalize(t)
 
 
 def test_canonical_tuple_validation():
