@@ -6,9 +6,6 @@ same seed) produce byte-identical output.  Numeric I/O uses exact
 "p/q" strings; SVG output quantizes to integer pixels only for display.
 
 Exit codes: 0 success, 2 input error, 3 internal invariant violation.
-
-Batch work (distance matrices over samples) is embarrassingly parallel;
-output ordering is fixed by input order in all commands.
 """
 
 from __future__ import annotations
@@ -351,16 +348,12 @@ _MARGIN = 24
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _round_half_up(f: Fraction) -> int:
-    return int(f + HALF) if f >= 0 else -int(-f + HALF)
-
-
 def _px(x: Fraction) -> int:
-    return _MARGIN + _round_half_up(x * _SIZE)
+    return _MARGIN + int(x * _SIZE + HALF)
 
 
 def _py(y: Fraction, lo=ZERO, hi=ONE) -> int:
-    return _MARGIN + _SIZE - _round_half_up((y - lo) / (hi - lo) * _SIZE)
+    return _MARGIN + _SIZE - int((y - lo) / (hi - lo) * _SIZE + HALF)
 
 
 def _poly(points, lo=ZERO, hi=ONE) -> str:

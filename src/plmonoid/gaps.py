@@ -25,10 +25,7 @@ from .plcore import (
     ZERO,
     InputError,
     PLMono,
-    _combined,
     _frac,
-    _lerp,
-    _sweep,
     _tabulate,
     compose,
     sup_dist,
@@ -148,76 +145,35 @@ def extreme_pair_all(g: GapSet) -> tuple[PLMono, PLMono]:
     return PLMono(tuple(lo_pts)), PLMono(tuple(hi_pts))
 
 
-def _difference_support(xs: list[Fraction], fv: list[Fraction], hv: list[Fraction]) -> list[Interval]:
-    """Maximal open intervals where two maps differ, exactly, from their
-    values fv and hv on their merged breakpoint grid xs."""
-    vals = [a - b for a, b in zip(fv, hv)]
-    # Zero set of the piecewise-linear difference, as closed pieces.
-    zeros: list[Interval] = []
-    for i in range(len(xs) - 1):
-        d0, d1 = vals[i], vals[i + 1]
-        x0, x1 = xs[i], xs[i + 1]
-        if d0 == 0 and d1 == 0:
-            zeros.append((x0, x1))
-        elif d0 == 0:
-            zeros.append((x0, x0))
-        elif d1 == 0:
-            zeros.append((x1, x1))
-        elif (d0 < 0) != (d1 < 0):
-            x_star = Fraction(*_lerp(*(v.as_integer_ratio() for v in (d0, x0, d1, x1, ZERO))))
-            zeros.append((x_star, x_star))
-    merged: list[Interval] = []
-    for a, b in sorted(zeros):
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    # Endpoints are always in the zero set (both maps fix 0 and 1).
-    support: list[Interval] = []
-    for (_, b0), (a1, _) in zip(merged, merged[1:]):
-        support.append((b0, a1))
-    return support
-
-
-def _preimage_of_closed(m: PLMono, lo: Fraction, hi: Fraction) -> Interval:
-    """Exact preimage [l, r] of the closed band [lo, hi] under a
-    monotone surjection; nonempty whenever 0 <= lo <= hi <= 1."""
-    return _sweep(m._ys, m._xs, (lo,))[0], _sweep(m._ys, m._xs, (hi,), upper=True)[0]
-
-
-def _complement_pieces(g: GapSet) -> list[Interval]:
-    """Closed components of [0, 1] minus the gap union, degenerate
-    points included."""
-    pieces: list[Interval] = []
-    cursor = ZERO
-    for a, b in g.gaps:
-        pieces.append((cursor, a))
-        cursor = b
-    pieces.append((cursor, ONE))
-    return pieces
-
-
 def equiv_test(f: PLMono, h: PLMono, g: GapSet) -> bool:
     """Decide whether f and h are identified by the gap set, exactly.
 
     True when at every point where f and h differ, the midpoint of
-    their two values lies inside the union of gaps.  Decided by
-    intersecting the open support of the difference with the midpoint
-    map's preimage of each closed complement piece.
+    their two values lies inside the union of gaps.  On a maximal open
+    interval (a, b) where f and h differ, both maps are monotone and
+    agree at a and at b, so their midpoint takes exactly the values in
+    (f(a), f(b)) there: it cannot reach f(a) or f(b) inside, where the
+    maps differ.  That open interval lies in a union of disjoint open
+    gaps exactly when it lies in one gap (lo, hi), that is when
+    lo <= f(a) and f(b) <= hi.  On each cell of the merged breakpoint
+    grid the difference is affine, so the values at the ends of the
+    intervals are read off the grid: where the difference leaves or
+    returns to 0 at a grid point, and where it changes sign inside a
+    cell, which closes one interval and opens the next.
     """
-    xs, rows = _tabulate((f, h))
-    support = _difference_support(xs, *rows)
-    if not support:
-        return True
-    midpoint = PLMono(tuple(zip(xs, _combined((HALF, HALF), rows))))
-    for lo, hi in _complement_pieces(g):
-        l, r = _preimage_of_closed(midpoint, lo, hi)
-        if l > r:
-            continue
-        for a, b in support:
-            if l < b and r > a:
-                return False
-    return True
+    _, (fv, hv) = _tabulate((f, h))
+    ends: list[Fraction] = []
+    for f0, f1, h0, h1 in zip(fv, fv[1:], hv, hv[1:]):
+        d0, d1 = f0 - h0, f1 - h1
+        if not d0:
+            if d1:
+                ends.append(f0)
+        elif not d1:
+            ends.append(f1)
+        elif (d0 < 0) != (d1 < 0):
+            y = (f0 * h1 - h0 * f1) / (d0 - d1)
+            ends += (y, y)
+    return all(any(lo <= a and b <= hi for lo, hi in g.gaps) for a, b in zip(ends[::2], ends[1::2]))
 
 
 def collapse_map(g: GapSet) -> PLMono:

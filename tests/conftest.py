@@ -1,6 +1,8 @@
 """Shared helpers: seeded samplers for gap sets, gap-adapted pairs and
-maps with large coprime denominators, plus a terminal summary that
-prints one line per acceptance criterion.
+maps with large coprime denominators, the support, complement-piece
+and preimage helpers of a search-based equiv_test (the reference the
+closed form is checked against), plus a terminal summary that prints
+one line per acceptance criterion.
 """
 
 import random
@@ -9,16 +11,30 @@ from fractions import Fraction
 
 
 from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
+from plmonoid.plcore import ONE, ZERO, _lerp, _sweep
+
+Interval = tuple[Fraction, Fraction]
 
 
-def random_gapset(rng: random.Random, max_gaps: int = 3) -> GapSet | None:
-    """Random isolated-point-free gap set, or None if the draw was bad."""
+def random_gapset(rng: random.Random, max_gaps: int = 3, touching: bool = False) -> GapSet | None:
+    """Random gap set, or None if the draw was bad.
+
+    Sets with isolated points are rejected unless ``touching`` is set;
+    then one draw in two splits a gap at its midpoint, so two gaps share
+    an endpoint.
+    """
     pairs = rng.randrange(1, max_gaps + 1)
     cuts = sorted(Fraction(rng.randrange(1, 64), 64) for _ in range(2 * pairs))
     ivs = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(pairs) if cuts[2 * i] < cuts[2 * i + 1]]
     if not ivs:
         return None
     g = merge_gaps(ivs)
+    if touching:
+        if rng.randrange(2):
+            i = rng.randrange(len(g))
+            a, b = g.gaps[i]
+            g = GapSet((*g.gaps[:i], (a, (a + b) / 2), ((a + b) / 2, b), *g.gaps[i + 1:]))
+        return g
     if isolated_points(g):
         return None
     return g
@@ -86,6 +102,55 @@ def probe_tuple(rng: random.Random, n: int = 10, digits: int = 100) -> MonoTuple
             pts.append(tuple(coords))
         comps.append(PLMono((*pts, (Fraction(1), Fraction(1)))))
     return MonoTuple(tuple(comps))
+
+
+def _difference_support(xs: list[Fraction], fv: list[Fraction], hv: list[Fraction]) -> list[Interval]:
+    """Maximal open intervals where two maps differ, exactly, from their
+    values fv and hv on their merged breakpoint grid xs."""
+    vals = [a - b for a, b in zip(fv, hv)]
+    # Zero set of the piecewise-linear difference, as closed pieces.
+    zeros: list[Interval] = []
+    for i in range(len(xs) - 1):
+        d0, d1 = vals[i], vals[i + 1]
+        x0, x1 = xs[i], xs[i + 1]
+        if d0 == 0 and d1 == 0:
+            zeros.append((x0, x1))
+        elif d0 == 0:
+            zeros.append((x0, x0))
+        elif d1 == 0:
+            zeros.append((x1, x1))
+        elif (d0 < 0) != (d1 < 0):
+            x_star = Fraction(*_lerp(*(v.as_integer_ratio() for v in (d0, x0, d1, x1, ZERO))))
+            zeros.append((x_star, x_star))
+    merged: list[Interval] = []
+    for a, b in sorted(zeros):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    # Endpoints are always in the zero set (both maps fix 0 and 1).
+    support: list[Interval] = []
+    for (_, b0), (a1, _) in zip(merged, merged[1:]):
+        support.append((b0, a1))
+    return support
+
+
+def _preimage_of_closed(m: PLMono, lo: Fraction, hi: Fraction) -> Interval:
+    """Exact preimage [l, r] of the closed band [lo, hi] under a
+    monotone surjection; nonempty whenever 0 <= lo <= hi <= 1."""
+    return _sweep(m._ys, m._xs, (lo,))[0], _sweep(m._ys, m._xs, (hi,), upper=True)[0]
+
+
+def _complement_pieces(g: GapSet) -> list[Interval]:
+    """Closed components of [0, 1] minus the gap union, degenerate
+    points included."""
+    pieces: list[Interval] = []
+    cursor = ZERO
+    for a, b in g.gaps:
+        pieces.append((cursor, a))
+        cursor = b
+    pieces.append((cursor, ONE))
+    return pieces
 
 
 _CRITERION = re.compile(r"test_c(\d+)([a-z]?)_(\w+)")

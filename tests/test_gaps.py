@@ -27,10 +27,17 @@ from plmonoid import (
     sup_dist,
 )
 from plmonoid.explorer import random_mono, random_point
-from plmonoid.gaps import _complement_pieces, _difference_support, _preimage_of_closed
 from plmonoid.plcore import _tabulate
 
-from conftest import COPRIME_DENS, coprime_map, gap_adapted_pair, random_gapset
+from conftest import (
+    COPRIME_DENS,
+    _complement_pieces,
+    _difference_support,
+    _preimage_of_closed,
+    coprime_map,
+    gap_adapted_pair,
+    random_gapset,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -257,7 +264,7 @@ def _reference_equiv(f, h, g):
 @settings(max_examples=60, deadline=None)
 def test_equiv_matches_combine_midpoint_reference(seed, kind):
     rng = random.Random(seed)
-    g = random_gapset(rng)
+    g = random_gapset(rng, touching=True)
     if g is None:
         return
     if kind == "adapted":
@@ -272,6 +279,19 @@ def test_equiv_matches_combine_midpoint_reference(seed, kind):
     else:
         f, h = (coprime_map(rng, rng.choice(COPRIME_DENS)) for _ in range(2))
     assert equiv_test(f, h, g) is _reference_equiv(f, h, g)
+
+
+def test_equiv_support_interval_through_a_crossing():
+    # f - h leaves 0 at t = 1/4 (value 1/4), changes sign inside the cell
+    # (3/8, 5/8) at value 1/2, and returns to 0 at t = 1 (value 1): two
+    # support intervals, whose midpoint values are (1/4, 1/2) and (1/2, 1)
+    f = PLMono(((0, 0), (F(1, 4), F(1, 4)), (F(3, 8), F(1, 4)), (F(5, 8), 1), (1, 1)))
+    h = PLMono(((0, 0), (F(1, 4), F(1, 4)), (F(3, 8), F(1, 2)), (F(3, 4), F(1, 2)), (1, 1)))
+    touching = merge_gaps([(F(1, 4), F(1, 2)), (F(1, 2), 1)])
+    assert equiv_test(f, h, touching) is True
+    assert equiv_test(h, f, touching) is True
+    assert equiv_test(f, h, GapSet(((F(1, 4), 1),))) is True
+    assert equiv_test(f, h, GapSet(((F(1, 4), F(1, 2)),))) is False
 
 
 # --- collapse map

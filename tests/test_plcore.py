@@ -28,11 +28,11 @@ from plmonoid import (
     sup_dist,
     uniform_witness,
 )
-from plmonoid.gaps import _preimage_of_closed, extreme_pair
+from plmonoid.gaps import extreme_pair
 from plmonoid.plcore import _merged, _sweep, _tabulate
 from plmonoid.explorer import random_homeo, random_mono
 
-from conftest import COPRIME_DENS, coprime_map
+from conftest import COPRIME_DENS, _preimage_of_closed, coprime_map
 
 I14 = (F(1, 4), F(3, 4))
 GRID64 = [F(k, 64) for k in range(65)]
