@@ -14,7 +14,6 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -28,6 +27,7 @@ from .plcore import (
     InvariantViolation,
     PLHomeo,
     PLMono,
+    _Value,
     _ints,
     _sweep,
     identity,
@@ -41,14 +41,6 @@ from .typespace import (
     canonicalize,
     uniform_weights,
 )
-from .gaps import (
-    GapSet,
-    collapse_map,
-    extreme_pair_all,
-    isolated_points,
-    merge_gaps,
-)
-from .quotdist import brute_oracle, quot_dist
 from . import serialize as ser
 
 __all__ = [
@@ -287,14 +279,14 @@ def net_points(n: int, m: int):
     yield from rec(((0,) * (n - 1),))
 
 
-@dataclass(frozen=True)
-class EpsNet:
+class EpsNet(_Value):
     """Materialized net at one resolution; every point is canonical and
     lives on the 1/resolution grid."""
 
-    n: int
-    resolution: int
-    points: tuple[CanonicalTuple, ...]
+    _fields = ("n", "resolution", "points")
+
+    def __init__(self, n: int, resolution: int, points: tuple[CanonicalTuple, ...]):
+        self.__dict__.update(n=n, resolution=resolution, points=points)
 
 
 def build_net(n: int, m: int) -> EpsNet:
@@ -373,6 +365,14 @@ def _svg_doc(body: list[str]) -> str:
     return "\n".join([head, frame, *body, "</svg>"]) + "\n"
 
 
+def _is_gapset(obj) -> bool:
+    # gaps is loaded here, after the other kinds are ruled out, so that
+    # plotting a map, tuple or coordinate does not import it
+    from .gaps import GapSet
+
+    return isinstance(obj, GapSet)
+
+
 def render_svg(obj) -> str:
     """Deterministic SVG for a map, tuple, coordinate or gap set."""
     body: list[str] = []
@@ -398,7 +398,7 @@ def render_svg(obj) -> str:
             f'<polyline points="{_poly(obj.breakpoints, lo, hi)}" fill="none" '
             f'stroke="{_PALETTE[0]}" stroke-width="2"/>'
         )
-    elif isinstance(obj, GapSet):
+    elif _is_gapset(obj):
         for a, b in obj:
             x0, x1 = _px(a), _px(b)
             body.append(
@@ -425,7 +425,7 @@ def render_csv(obj) -> str:
         rows.append("x,y")
         for x, y in obj.breakpoints:
             rows.append(f"{x},{y}")
-    elif isinstance(obj, GapSet):
+    elif _is_gapset(obj):
         rows.append("gap,lo,hi")
         for i, (a, b) in enumerate(obj):
             rows.append(f"{i},{a},{b}")
@@ -468,6 +468,8 @@ def _cmd_canon(args) -> str:
 
 
 def _cmd_dist(args) -> str:
+    from .quotdist import brute_oracle, quot_dist
+
     if args.grid > 4096:
         raise InputError(f"--grid {args.grid} exceeds 4096; the oracle's work grows as its square")
     # the quotient distance always compares with uniform weights
@@ -532,6 +534,8 @@ def _cmd_witness(args) -> str:
 
 
 def _cmd_gaps(args) -> str:
+    from .gaps import collapse_map, extreme_pair_all, isolated_points, merge_gaps
+
     merged = merge_gaps(ser._gap_pairs(ser.loads(_read_text(args.input))))
     bad = isolated_points(merged)
     out: dict = ser.gapset_to_obj(merged)

@@ -15,7 +15,6 @@ consumed here must be pure functions, safe for concurrent invocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -25,6 +24,7 @@ from .plcore import (
     ZERO,
     InputError,
     PLMono,
+    _Value,
     _frac,
     _tabulate,
     compose,
@@ -61,8 +61,7 @@ def _check_interval(iv) -> Interval:
     return a, b
 
 
-@dataclass(frozen=True)
-class GapSet:
+class GapSet(_Value):
     """Finite set of disjoint open rational subintervals of (0, 1).
 
     Intervals are sorted and pairwise disjoint.  Two intervals may share
@@ -71,14 +70,14 @@ class GapSet:
     pseudo-distance.
     """
 
-    gaps: tuple[Interval, ...]
+    _fields = ("gaps",)
 
-    def __post_init__(self):
-        ivs = tuple(_check_interval(iv) for iv in self.gaps)
+    def __init__(self, gaps: tuple[Interval, ...]):
+        ivs = tuple(_check_interval(iv) for iv in gaps)
         for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
             if a1 < b0:
                 raise InputError(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")
-        object.__setattr__(self, "gaps", ivs)
+        self.__dict__["gaps"] = ivs
 
     def union_contains(self, x: Fraction) -> bool:
         return any(a < x < b for a, b in self.gaps)

@@ -26,7 +26,6 @@ module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, mul, pos
@@ -65,6 +64,40 @@ class InputError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a library bug."""
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass's ``__init__`` writes each field once into the instance
+    ``__dict__``; assigning or deleting an attribute afterwards raises
+    AttributeError.  Two instances of one class are equal when the fields
+    named in ``_fields`` are, hash by them, and print as
+    ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _frac(value) -> Fraction:
@@ -207,8 +240,7 @@ def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tupl
     return tuple(p for _, _, p in out), [(x, y) for x, y, _ in out]
 
 
-@dataclass(frozen=True, eq=False)
-class PLMono:
+class PLMono(_Value):
     """Continuous weakly increasing piecewise-linear surjection of [0, 1].
 
     Breakpoints are held in the unique minimal form: x-coordinates
@@ -218,19 +250,23 @@ class PLMono:
     instances are equal exactly when they are the same function.
     """
 
-    breakpoints: tuple[Point, ...]
+    def __init__(self, breakpoints: tuple[Point, ...]):
+        # The body is a method of its own, looked up on the instance, so
+        # that perfbench's tracer can wrap it by name.
+        self.__post_init__(breakpoints)
 
-    def __post_init__(self):
-        pts, ratios = _normalize(self.breakpoints)
+    def __post_init__(self, breakpoints):
+        pts, ratios = _normalize(breakpoints)
         if ratios[0] != ((0, 1), (0, 1)) or ratios[-1] != ((1, 1), (1, 1)):
             raise InputError("must fix the endpoints: first (0,0), last (1,1)")
         ys = [y for _, y in ratios]
         if not _ascending(ys):
             raise InputError("values must be weakly increasing")
         self._check_values(ys)
-        object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
-        object.__setattr__(self, "_ys", tuple(y for _, y in pts))
+        fields = self.__dict__
+        fields["breakpoints"] = pts
+        fields["_xs"] = tuple(x for x, _ in pts)
+        fields["_ys"] = tuple(y for _, y in pts)
 
     def _check_values(self, ys: list[Ratio]) -> None:
         pass
@@ -280,8 +316,7 @@ def inverse(g: PLHomeo) -> PLHomeo:
     return PLHomeo(tuple((y, x) for x, y in g.breakpoints))
 
 
-@dataclass(frozen=True)
-class LcMono:
+class LcMono(_Value):
     """Left-continuous weakly increasing inverse of a monotone surjection.
 
     Stored as the reflected polyline of the function it inverts: the
@@ -292,10 +327,10 @@ class LcMono:
     sends a plateau's common value to the plateau's left endpoint.
     """
 
-    vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        verts = tuple((_frac(v), _frac(t)) for v, t in self.vertices)
+    def __init__(self, vertices: tuple[Point, ...]):
+        verts = tuple((_frac(v), _frac(t)) for v, t in vertices)
         if len(verts) < 2 or verts[0] != (ZERO, ZERO) or verts[-1] != (ONE, ONE):
             raise InputError("vertices must run from (0,0) to (1,1)")
         vs, ts = zip(*verts)
@@ -303,9 +338,7 @@ class LcMono:
             raise InputError("arguments must be weakly increasing")
         if not _ascending([t.as_integer_ratio() for t in ts], strict=True):
             raise InputError("values must be strictly increasing")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_vs", vs)
-        object.__setattr__(self, "_ts", ts)
+        self.__dict__.update(vertices=verts, _vs=vs, _ts=ts)
 
     def __call__(self, v) -> Fraction:
         return _at(self._vs, self._ts, v)

@@ -34,7 +34,6 @@ sequential by cell order, which is a data dependency only.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -48,6 +47,7 @@ from .plcore import (
     InvariantViolation,
     PLMono,
     Ratio,
+    _Value,
     _frac,
     _ints,
     _lerp,
@@ -69,21 +69,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuotInterval:
+class QuotInterval(_Value):
     """Bracket [lo, hi] around a quotient distance.
 
     The decision procedure answered False at lo (or lo is 0) and True
     at hi; ``decisions`` counts how many decision calls were spent.
     """
 
-    lo: Fraction
-    hi: Fraction
-    decisions: int = 0
+    _fields = ("lo", "hi", "decisions")
 
-    def __post_init__(self):
-        if not (ZERO <= self.lo <= self.hi):
-            raise InputError(f"not a bracket: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction, decisions: int = 0):
+        if not (ZERO <= lo <= hi):
+            raise InputError(f"not a bracket: [{lo}, {hi}]")
+        self.__dict__.update(lo=lo, hi=hi, decisions=decisions)
 
 
 # A free span (lo, lo_scale, hi, hi_scale) is [lo/lo_scale, hi/hi_scale]:

@@ -16,11 +16,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .plcore import InputError, PLHomeo, PLMono
 from .typespace import CanonicalTuple, MonoTuple, RoelckeCoord, Weights, uniform_weights
-from .gaps import GapSet
-from .quotdist import QuotInterval
+
+if TYPE_CHECKING:  # gaps and quotdist load on first use, not with this module
+    from .gaps import GapSet
+    from .quotdist import QuotInterval
 
 __all__ = [
     "frac_str",
@@ -149,6 +152,8 @@ def _gap_pairs(obj) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def gapset_from_obj(obj) -> GapSet:
+    from .gaps import GapSet
+
     return GapSet(_gap_pairs(obj))
 
 

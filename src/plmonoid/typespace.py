@@ -27,7 +27,6 @@ Pure functions over immutable values throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -39,6 +38,7 @@ from .plcore import (
     PLHomeo,
     PLMono,
     Point,
+    _Value,
     _at,
     _combined,
     _frac,
@@ -85,20 +85,19 @@ def check_weights(weights, n: int) -> Weights:
     return w
 
 
-@dataclass(frozen=True)
-class MonoTuple:
+class MonoTuple(_Value):
     """Nonempty finite tuple of monotone surjections."""
 
-    components: tuple[PLMono, ...]
+    _fields = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components: tuple[PLMono, ...]):
+        comps = tuple(components)
         if not comps:
             raise InputError("a tuple needs at least one component")
         for c in comps:
             if not isinstance(c, PLMono):
                 raise InputError(f"not a monotone map: {c!r:.60}")
-        object.__setattr__(self, "components", comps)
+        self.__dict__["components"] = comps
 
     def __len__(self):
         return len(self.components)
@@ -122,7 +121,6 @@ def mean(t: MonoTuple, weights: Weights | None = None) -> PLMono:
     return combine(list(zip(w, t.components)))
 
 
-@dataclass(frozen=True)
 class CanonicalTuple(MonoTuple):
     """A tuple whose weighted mean is exactly the identity.
 
@@ -134,11 +132,15 @@ class CanonicalTuple(MonoTuple):
     follows from it because the components are monotone.
     """
 
-    weights: Weights
+    _fields = ("components", "weights")
 
-    def __post_init__(self):
-        super().__post_init__()
-        w = check_weights(self.weights, len(self))
+    def __init__(self, components: tuple[PLMono, ...], weights: Weights):
+        # As in PLMono, perfbench's tracer wraps the body by name.
+        self.__post_init__(components, weights)
+
+    def __post_init__(self, components, weights):
+        super().__init__(components)
+        w = check_weights(weights, len(self))
         xs, rows = _tabulate(self.components)
         nums, wd = _ints([x.as_integer_ratio() for x in w])
         for point in zip(*([v.as_integer_ratio() for v in row] for row in (xs, *rows))):
@@ -150,7 +152,7 @@ class CanonicalTuple(MonoTuple):
         # the slopes s_i are >= 0 (monotone components), the weights are
         # positive and the mean has slope sum(w_i * s_i) = 1, so every
         # w_i * s_i <= 1.
-        object.__setattr__(self, "weights", w)
+        self.__dict__["weights"] = w
 
     def as_tuple(self) -> MonoTuple:
         """The components as a plain MonoTuple, without the weights."""
@@ -189,27 +191,24 @@ def lipschitz_constant(c: CanonicalTuple, i: int) -> Fraction:
     return max_slope(c.components[i])
 
 
-@dataclass(frozen=True)
-class RoelckeCoord:
+class RoelckeCoord(_Value):
     """1-Lipschitz piecewise-linear function vanishing at both endpoints.
 
     The coordinate of a canonical pair with equal weights: first
     component minus the identity.  Every segment slope lies in [-1, 1].
     """
 
-    breakpoints: tuple[Point, ...]
+    _fields = ("breakpoints",)
 
-    def __post_init__(self):
-        pts, ratios = _normalize(self.breakpoints)
+    def __init__(self, breakpoints: tuple[Point, ...]):
+        pts, ratios = _normalize(breakpoints)
         if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ZERO):
             raise InputError("coordinate must vanish at both endpoints")
         # |y1 - y0| <= x1 - x0 on each segment, denominators cleared
         if any(abs(y1n * y0d - y0n * y1d) * x0d * x1d > (x1n * x0d - x0n * x1d) * y0d * y1d
                for ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) in zip(ratios, ratios[1:])):
             raise InputError("coordinate must be 1-Lipschitz")
-        object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "_xs", tuple(x for x, _ in pts))
-        object.__setattr__(self, "_ys", tuple(y for _, y in pts))
+        self.__dict__.update(breakpoints=pts, _xs=tuple(x for x, _ in pts), _ys=tuple(y for _, y in pts))
 
     def __call__(self, t) -> Fraction:
         return _at(self._xs, self._ys, t)

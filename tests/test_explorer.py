@@ -107,6 +107,21 @@ def test_net_sizes_small():
     assert net_size(1, 10) == 1
 
 
+def test_net_size_counts_contingency_tables():
+    # net points are the m x n nonnegative int tables with every row
+    # summing to n (the increments of one step) and every column to m
+    # (each component ends at 1); transposing one gives net_size(m, n)
+    def compositions(total, parts):
+        return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+    for n, m in product(range(1, 5), repeat=2):
+        assert net_size(n, m) == net_size(m, n)
+        if n <= 3 and m <= 3:
+            tables = product(compositions(n, n), repeat=m)
+            assert net_size(n, m) == sum(all(sum(col) == m for col in zip(*rows)) for rows in tables)
+    assert net_size(3, 4) == net_size(4, 3) == 415
+
+
 def test_net_steps_are_lexicographic_and_counted():
     # every increment choice of the first n-1 components with sum at most
     # n, ascending; comb(2n-1, n-1) is the moves-per-state factor of the
