@@ -30,6 +30,7 @@ from .plcore import (
     _Value,
     _ints,
     _sweep,
+    as_homeo,
     identity,
     sup_dist,
     uniform_witness,
@@ -141,7 +142,7 @@ def random_homeo(rng: random.Random) -> PLHomeo:
     for _ in range(64):
         extra = _composition(rng, total - steps * base, steps)
         incs = [base + e for e in extra]
-        h = PLHomeo(_mono_from_increments(incs, total).breakpoints)
+        h = as_homeo(_mono_from_increments(incs, total))
         if h != identity():
             return h
     raise InvariantViolation("homeomorphism sampler drew the identity 64 times")
@@ -301,11 +302,11 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     if m < 1:
         raise InputError("need m >= 1")
     m = _dp_resolution(n, m)
-    nodes = [Fraction(j, m) for j in range(m + 1)]
-    node_vals = [_sweep(f._xs, f._ys, nodes) for f in point.components]
+    nodes = [Fraction(j, m).as_integer_ratio() for j in range(m + 1)]
+    node_vals = [_sweep(f._xr, f._yr, nodes) for f in point.components]
     # brute_oracle's one-scale exception, as every cost meets every other:
     # ints over d = lcm(m, node denominators) > 0 keep the argmin and ties.
-    (_, *flat), d = _ints([(0, m), *(v.as_integer_ratio() for col in zip(*node_vals) for v in col)])
+    (_, *flat), d = _ints([(0, m), *(v for col in zip(*node_vals) for v in col)])
 
     @cache
     def dev(j, state):

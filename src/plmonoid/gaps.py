@@ -162,15 +162,17 @@ def equiv_test(f: PLMono, h: PLMono, g: GapSet) -> bool:
     """
     _, (fv, hv) = _tabulate((f, h))
     ends: list[Fraction] = []
-    for f0, f1, h0, h1 in zip(fv, fv[1:], hv, hv[1:]):
-        d0, d1 = f0 - h0, f1 - h1
+    for (a, b), (c, d), (p, q), (r, s) in zip(fv, fv[1:], hv, hv[1:]):
+        # f - h at the cell's ends is d0 / (b * q) and d1 / (d * s).
+        d0, d1 = a * q - p * b, c * s - r * d
         if not d0:
             if d1:
-                ends.append(f0)
+                ends.append(Fraction(a, b))
         elif not d1:
-            ends.append(f1)
+            ends.append(Fraction(c, d))
         elif (d0 < 0) != (d1 < 0):
-            y = (f0 * h1 - h0 * f1) / (d0 - d1)
+            # The crossing (f0 * h1 - h0 * f1) / ((f0 - h0) - (f1 - h1)).
+            y = Fraction(a * r * q * d - p * c * b * s, d0 * d * s - d1 * b * q)
             ends += (y, y)
     return all(any(lo <= a and b <= hi for lo, hi in g.gaps) for a, b in zip(ends[::2], ends[1::2]))
 

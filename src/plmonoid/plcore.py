@@ -10,26 +10,33 @@ to rounding.
 
 Representations are canonical: breakpoint lists carry no redundant
 (collinear) points, so equality of functions is equality of
-representations.  Every exact int kernel follows one scaling rule: a
-comparison scales only the values it touches, so no int carries the
-whole input's denominators.  The constructors cross-multiply the
-(numerator, denominator) int pairs of the two or three neighbouring
-points a check involves, as the sweep kernel and grid merge do for the
-two values they compare; the stored coordinates are the caller's
-Fractions.  The two exceptions compare every cost with every other and
-keep one common denominator: the grid oracle's dynamic program
-(quotdist.brute_oracle) and the epsilon-net DP (explorer).
+representations.  A map stores each breakpoint coordinate once, as a
+reduced (numerator, denominator) int pair; ``breakpoints``, its points
+as Fractions, is built from those pairs on the first read and kept.
+The kernels (sweep, grid merge, tabulation, linear combination) take
+and return reduced pairs, so equal values are equal pairs.  Every exact
+int kernel follows one scaling rule: a comparison scales only the
+values it touches, so no int carries the whole input's denominators.
+The constructors cross-multiply the pairs of the two or three
+neighbouring points a check involves, as the sweep kernel and grid
+merge do for the two values they compare.  The two exceptions compare
+every cost with every other and keep one common denominator: the grid
+oracle's dynamic program (quotdist.brute_oracle) and the epsilon-net DP
+(explorer).
 
 All values are immutable and all operations are pure functions; the
-module is safe for unrestricted concurrent use.
+module is safe for unrestricted concurrent use.  The one write after
+construction, the first read of a map's ``breakpoints``, is a benign
+race: threads that read it at once each build a tuple from the same
+pairs, the tuples are equal, and the map keeps one of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter, mul, pos
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from operator import mul, pos
+from typing import Callable, Sequence
 
 __all__ = [
     "InputError",
@@ -69,13 +76,14 @@ class InvariantViolation(RuntimeError):
 class _Value:
     """Base of the immutable value types.
 
-    A subclass's ``__init__`` writes each field once into the instance
-    ``__dict__``; assigning or deleting an attribute afterwards raises
-    AttributeError.  Two instances of one class are equal when the fields
-    named in ``_fields`` are, hash by them, and print as
-    ``Name(field=value, ...)``.
+    A subclass's ``__init__`` writes each field once, into the instance
+    ``__dict__`` or, for the maps, into their slots; assigning or
+    deleting an attribute afterwards raises AttributeError.  Two
+    instances of one class are equal when the fields named in
+    ``_fields`` are, hash by them, and print as ``Name(field=value, ...)``.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -109,12 +117,29 @@ def _frac(value) -> Fraction:
         raise InputError(f"not a rational number: {value!r:.60}") from exc
 
 
-def _at(xs, ys, t) -> Fraction:
-    """Exact value at t in [0, 1] of the polyline through (xs[i], ys[i])."""
+def _rows(points) -> list[tuple[Ratio, Ratio]]:
+    """The caller's points as (x, y) rows of reduced int pairs;
+    InputError for anything but an iterable of (x, y) pairs of rationals."""
+    try:
+        items = list(points)
+    except TypeError as exc:
+        raise InputError(f"points must be an iterable of (x, y) pairs, got {points!r:.60}") from exc
+    out = []
+    for p in items:
+        try:
+            x, y = p
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"not an (x, y) pair: {p!r:.60}") from exc
+        out.append((_frac(x).as_integer_ratio(), _frac(y).as_integer_ratio()))
+    return out
+
+
+def _at(xr, yr, t) -> Fraction:
+    """Exact value at t in [0, 1] of the polyline through (xr[i], yr[i])."""
     t = _frac(t)
     if t < ZERO or t > ONE:
         raise InputError(f"argument {t} outside [0, 1]")
-    return _sweep(xs, ys, (t,))[0]
+    return Fraction(*_sweep(xr, yr, (t.as_integer_ratio(),))[0])
 
 
 def _lerp(x0, y0, x1, y1, t) -> Ratio:
@@ -125,64 +150,68 @@ def _lerp(x0, y0, x1, y1, t) -> Ratio:
     return p0 * q1 * run + (p1 * q0 - p0 * q1) * (tn * b0 - a0 * td) * b1, q0 * q1 * run
 
 
-def _sweep(xs, ys, args, upper: bool = False) -> list[Fraction]:
-    """Values of the polyline through (xs[i], ys[i]) at ascending args.
+def _sweep(xr, yr, args, upper: bool = False) -> list[Ratio]:
+    """Values of the polyline through (xr[i], yr[i]) at ascending args.
 
-    One merge pass over the vertices.  ``xs`` is weakly increasing and
-    spans every argument; where it repeats (a vertical segment) the
-    lowest value is taken, or the highest when ``upper`` is set.  Swept
-    over a reflected map (``ys`` against ``xs``) this gives the left or
-    right end of the preimage of each level.
+    Coordinates, arguments and values are reduced (numerator,
+    denominator) pairs.  One merge pass over the vertices.  ``xr`` is
+    weakly increasing and spans every argument; where it repeats (a
+    vertical segment) the lowest value is taken, or the highest when
+    ``upper`` is set.  Swept over a reflected map (``yr`` against
+    ``xr``) this gives the left or right end of the preimage of each
+    level.
 
-    It steps while xn * td < tn * xd on (numerator, denominator) pairs
-    and hits a vertex on equal pairs (Fractions are normalized), so no
-    common denominator is built.
+    It steps while xn * td < tn * xd and hits a vertex on equal pairs,
+    so no common denominator is built; an interpolated value is reduced
+    by one gcd.
     """
-    xr = [x.as_integer_ratio() for x in xs]
     out = []
-    i, last = 0, len(xs) - 1
+    i, last = 0, len(xr) - 1
     xn, xd = xr[0]
     for t in args:
-        tr = tn, td = t.as_integer_ratio()
+        tn, td = t
         while xn * td < tn * xd:
             i += 1
             xn, xd = xr[i]
         if xn == tn and xd == td:
             if upper:
-                while i < last and xr[i + 1] == tr:
+                while i < last and xr[i + 1] == t:
                     i += 1
-            out.append(ys[i])
+            out.append(yr[i])
         else:
-            y0, y1 = ys[i - 1].as_integer_ratio(), ys[i].as_integer_ratio()
-            out.append(ys[i] if y0 == y1 else Fraction(*_lerp(xr[i - 1], y0, xr[i], y1, tr)))
+            y0, y1 = yr[i - 1], yr[i]
+            if y0 == y1:
+                out.append(y1)
+            else:
+                n, d = _lerp(xr[i - 1], y0, xr[i], y1, t)
+                g = gcd(n, d)
+                out.append((n // g, d // g))
     return out
 
 
-def _merged(seqs) -> list[Fraction]:
-    """Ascending union of weakly ascending sequences, each value once (the
-    first met): a two-way merge per sequence on cross-multiplied int pairs."""
-    out, keys = [], []
+def _merged(seqs) -> list[Ratio]:
+    """Ascending union of weakly ascending sequences of reduced pairs,
+    each value once: a two-way merge per sequence, cross-multiplying."""
+    out: list[Ratio] = []
     for seq in seqs:
-        prev, prev_keys, n, i = out, keys, len(out), 0
-        out, keys = [], []
+        prev, n, i = out, len(out), 0
+        out = []
         for v in seq:
-            r = vn, vd = v.as_integer_ratio()
-            while i < n and prev_keys[i][0] * vd <= vn * prev_keys[i][1]:
+            vn, vd = v
+            while i < n and prev[i][0] * vd <= vn * prev[i][1]:
                 out.append(prev[i])
-                keys.append(prev_keys[i])
                 i += 1
-            if not keys or keys[-1] != r:
+            if not out or out[-1] != v:
                 out.append(v)
-                keys.append(r)
         out += prev[i:]
-        keys += prev_keys[i:]
     return out
 
 
-def _tabulate(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """The merged breakpoint grid of ``maps`` and each map's values on it."""
-    xs = _merged(f._xs for f in maps)
-    return xs, [_sweep(f._xs, f._ys, xs) for f in maps]
+def _tabulate(maps) -> tuple[list[Ratio], list[list[Ratio]]]:
+    """The merged breakpoint grid of ``maps`` and each map's values on it,
+    as reduced pairs."""
+    xs = _merged(f._xr for f in maps)
+    return xs, [_sweep(f._xr, f._yr, xs) for f in maps]
 
 
 def _ints(ratios) -> tuple[list[int], int]:
@@ -200,35 +229,34 @@ def _ascending(ratios, strict: bool = False) -> bool:
     return all(a * d <= c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
 
 
-def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tuple[Ratio, Ratio]]]:
+def _normalize(rows) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...]]:
     """Order points by (x, y), drop duplicates and collinear interior points.
 
-    Returns the kept points, as the caller's Fractions, and their
-    ((x numerator, x denominator), (y numerator, y denominator)) pairs.
-    Points are sorted only when two neighbours are out of (x, y) order:
-    input that ascends (x rising, or x equal and y not falling) is what
-    the sort would return, and compose, compose_lc, combine, canonicalize
-    and the samplers give theirs that way.  Each test cross-multiplies
-    the pairs of the two or three points it compares.
+    Takes (x, y) rows of reduced (numerator, denominator) pairs and
+    returns the kept points' x pairs and y pairs.  Rows are sorted only
+    when two neighbours are out of (x, y) order: input that ascends (x
+    rising, or x equal and y not falling) is what the sort would return,
+    and compose, compose_lc, combine, canonicalize and the samplers give
+    theirs that way.  Each test cross-multiplies the pairs of the two or
+    three points it compares.
     """
-    rows = [(x.as_integer_ratio(), y.as_integer_ratio(), (x, y))
-            for x, y in ((_frac(x), _frac(y)) for x, y in points)]
-    for ((x0n, x0d), (y0n, y0d), _), ((x1n, x1d), (y1n, y1d), _) in zip(rows, rows[1:]):
+    rows = list(rows)
+    for ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) in zip(rows, rows[1:]):
         if not (x0n * x1d < x1n * x0d or x0n == x1n and x0d == x1d and y0n * y1d <= y1n * y0d):
-            rows.sort(key=itemgetter(2))
+            rows.sort(key=lambda row: (Fraction(*row[0]), Fraction(*row[1])))
             break
-    out: list[tuple[Ratio, Ratio, Point]] = []
+    out: list[tuple[Ratio, Ratio]] = []
     for row in rows:
-        x, y, p = row
+        x, y = row
         if out and out[-1][0] == x:
             if out[-1][1] != y:
-                y0, (x0, y1) = out[-1][2][1], p
+                y0, y1, x0 = (Fraction(*r) for r in (out[-1][1], y, x))
                 raise InputError(f"conflicting values {y0!s:.60} and {y1!s:.60} at x = {x0!s:.60}")
             continue
         while len(out) >= 2:
             # Collinear when the slopes (y1 - y0) / (x1 - x0) and
             # (y2 - y1) / (x2 - x1) agree; xi = xn/xd, yi = yn/yd.
-            ((x0n, x0d), (y0n, y0d), _), ((x1n, x1d), (y1n, y1d), _) = out[-2:]
+            ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) = out[-2:]
             (x2n, x2d), (y2n, y2d) = x, y
             if ((y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * y2d * x0d
                     != (y2n * y1d - y1n * y2d) * (x1n * x0d - x0n * x1d) * y0d * x2d):
@@ -237,7 +265,8 @@ def _normalize(points: Iterable[Sequence]) -> tuple[tuple[Point, ...], list[tupl
         out.append(row)
     if len(out) < 2:
         raise InputError("a breakpoint list needs at least two distinct points")
-    return tuple(p for _, _, p in out), [(x, y) for x, y, _ in out]
+    xr, yr = zip(*out)
+    return xr, yr
 
 
 class PLMono(_Value):
@@ -248,40 +277,66 @@ class PLMono(_Value):
     increasing, no three consecutive points collinear.  Plateaus are
     segments of zero slope.  Instances are immutable and hashable; two
     instances are equal exactly when they are the same function.
+
+    The slots hold the coordinates as reduced int pairs, ``_xr`` and
+    ``_yr``, and ``_bps``, the Fraction points once ``breakpoints`` has
+    been read.
     """
+
+    __slots__ = ("_xr", "_yr", "_bps")
 
     def __init__(self, breakpoints: tuple[Point, ...]):
         # The body is a method of its own, looked up on the instance, so
         # that perfbench's tracer can wrap it by name.
-        self.__post_init__(breakpoints)
+        self.__post_init__(_rows(breakpoints))
 
-    def __post_init__(self, breakpoints):
-        pts, ratios = _normalize(breakpoints)
-        if ratios[0] != ((0, 1), (0, 1)) or ratios[-1] != ((1, 1), (1, 1)):
+    @classmethod
+    def _from_pairs(cls, rows):
+        """The map through (x, y) rows of reduced int pairs, built by the
+        constructor's own body and checks."""
+        self = object.__new__(cls)
+        self.__post_init__(rows)
+        return self
+
+    def __post_init__(self, rows):
+        xr, yr = _normalize(rows)
+        if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (1, 1):
             raise InputError("must fix the endpoints: first (0,0), last (1,1)")
-        ys = [y for _, y in ratios]
-        if not _ascending(ys):
+        if not _ascending(yr):
             raise InputError("values must be weakly increasing")
-        self._check_values(ys)
-        fields = self.__dict__
-        fields["breakpoints"] = pts
-        fields["_xs"] = tuple(x for x, _ in pts)
-        fields["_ys"] = tuple(y for _, y in pts)
+        self._check_values(yr)
+        _set = object.__setattr__
+        _set(self, "_xr", xr)
+        _set(self, "_yr", yr)
+        _set(self, "_bps", None)
 
-    def _check_values(self, ys: list[Ratio]) -> None:
+    def _check_values(self, ys: tuple[Ratio, ...]) -> None:
         pass
+
+    @property
+    def breakpoints(self) -> tuple[Point, ...]:
+        """The breakpoints as (x, y) Fractions, built on the first read."""
+        bps = self._bps
+        if bps is None:
+            bps = tuple((Fraction(*x), Fraction(*y)) for x, y in zip(self._xr, self._yr))
+            object.__setattr__(self, "_bps", bps)
+        return bps
 
     def __call__(self, t) -> Fraction:
         """Exact value at t by linear interpolation."""
-        return _at(self._xs, self._ys, t)
+        return _at(self._xr, self._yr, t)
 
     def __eq__(self, other):
         if isinstance(other, PLMono):
-            return self.breakpoints == other.breakpoints
+            return self._xr == other._xr and self._yr == other._yr
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.breakpoints)
+        return hash((self._xr, self._yr))
+
+    def __reduce__(self):
+        # Pickle and copy would restore the slots through __setattr__.
+        return type(self)._from_pairs, (tuple(zip(self._xr, self._yr)),)
 
     def __repr__(self):
         pts = " ".join(f"({x},{y})" for x, y in self.breakpoints)
@@ -291,7 +346,9 @@ class PLMono(_Value):
 class PLHomeo(PLMono):
     """Strictly increasing piecewise-linear self-homeomorphism of [0, 1]."""
 
-    def _check_values(self, ys: list[Ratio]) -> None:
+    __slots__ = ()
+
+    def _check_values(self, ys: tuple[Ratio, ...]) -> None:
         if not _ascending(ys, strict=True):
             raise InputError("a homeomorphism must be strictly increasing")
 
@@ -306,14 +363,14 @@ def identity() -> PLHomeo:
 
 def as_homeo(f: PLMono) -> PLHomeo:
     """Reinterpret a plateau-free monotone map as a homeomorphism."""
-    return PLHomeo(f.breakpoints)
+    return PLHomeo._from_pairs(zip(f._xr, f._yr))
 
 
 def inverse(g: PLHomeo) -> PLHomeo:
     """Exact inverse homeomorphism (reflect the breakpoints)."""
     if not isinstance(g, PLHomeo):
         raise InputError("inverse needs a strictly increasing map; use pseudo_inverse otherwise")
-    return PLHomeo(tuple((y, x) for x, y in g.breakpoints))
+    return PLHomeo._from_pairs(zip(g._yr, g._xr))
 
 
 class LcMono(_Value):
@@ -330,18 +387,19 @@ class LcMono(_Value):
     _fields = ("vertices",)
 
     def __init__(self, vertices: tuple[Point, ...]):
-        verts = tuple((_frac(v), _frac(t)) for v, t in vertices)
-        if len(verts) < 2 or verts[0] != (ZERO, ZERO) or verts[-1] != (ONE, ONE):
+        rows = _rows(vertices)
+        if len(rows) < 2 or rows[0] != ((0, 1), (0, 1)) or rows[-1] != ((1, 1), (1, 1)):
             raise InputError("vertices must run from (0,0) to (1,1)")
-        vs, ts = zip(*verts)
-        if not _ascending([v.as_integer_ratio() for v in vs]):
+        vr, tr = zip(*rows)
+        if not _ascending(vr):
             raise InputError("arguments must be weakly increasing")
-        if not _ascending([t.as_integer_ratio() for t in ts], strict=True):
+        if not _ascending(tr, strict=True):
             raise InputError("values must be strictly increasing")
-        self.__dict__.update(vertices=verts, _vs=vs, _ts=ts)
+        verts = tuple((Fraction(*v), Fraction(*t)) for v, t in rows)
+        self.__dict__.update(vertices=verts, _vr=vr, _tr=tr)
 
     def __call__(self, v) -> Fraction:
-        return _at(self._vs, self._ts, v)
+        return _at(self._vr, self._tr, v)
 
     def jumps(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """All jumps as (argument, lower value, upper value) triples."""
@@ -374,15 +432,15 @@ def compose(f: PLMono, g: PLMono) -> PLMono:
     level that is a breakpoint abscissa of f or a breakpoint value of
     g; f is constant there at its value on that level.
     """
-    levels = _merged((f._xs, g._ys))
-    lefts = _sweep(g._ys, g._xs, levels)
-    rights = _sweep(g._ys, g._xs, levels, upper=True)
-    pts = []
-    for left, right, value in zip(lefts, rights, _sweep(f._xs, f._ys, levels)):
-        pts.append((left, value))
+    levels = _merged((f._xr, g._yr))
+    lefts = _sweep(g._yr, g._xr, levels)
+    rights = _sweep(g._yr, g._xr, levels, upper=True)
+    rows = []
+    for left, right, value in zip(lefts, rights, _sweep(f._xr, f._yr, levels)):
+        rows.append((left, value))
         if right != left:
-            pts.append((right, value))
-    return PLMono(tuple(pts))
+            rows.append((right, value))
+    return PLMono._from_pairs(rows)
 
 
 def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
@@ -396,9 +454,9 @@ def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
     which f moves gives two points with one abscissa: the constructor
     rejects them and InvariantViolation is raised.
     """
-    xs = _merged((f._xs, inv._ts))
+    xs = _merged((f._xr, inv._tr))
     try:
-        return PLMono(tuple(zip(_sweep(inv._ts, inv._vs, xs), _sweep(f._xs, f._ys, xs))))
+        return PLMono._from_pairs(zip(_sweep(inv._tr, inv._vr, xs), _sweep(f._xr, f._yr, xs)))
     except InputError as exc:
         raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
 
@@ -410,28 +468,31 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
     stay in the monoid; the constructor enforces the endpoint and
     monotonicity invariants.  The sum is taken in ints, by the scaling
     rule: the coefficients over the lcm cd of their denominators, the
-    values at each grid point over that point's own lcm d, and one
-    Fraction of the int sum over cd * d per point.
+    values at each grid point over that point's own lcm d, and the int
+    sum over cd * d reduced by one gcd per point.
     """
     if not terms:
         raise InputError("empty combination")
-    coeffs = [_frac(c) for c, _ in terms]
+    coeffs = [_frac(c).as_integer_ratio() for c, _ in terms]
     maps = [f for _, f in terms]
     for f in maps:
         if not isinstance(f, PLMono):
             raise InputError(f"not a monotone map: {f!r:.60}")
     xs, rows = _tabulate(maps)
-    return PLMono(tuple(zip(xs, _combined(coeffs, rows))))
+    return PLMono._from_pairs(zip(xs, _combined(coeffs, rows)))
 
 
-def _combined(coeffs: Sequence[Fraction], rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """sum(c * v) at each grid point, the v read down the rows (one row
-    of values per map, as _tabulate gives them), as combine describes."""
-    coeffs, cd = _ints([c.as_integer_ratio() for c in coeffs])
+def _combined(coeffs: Sequence[Ratio], rows: Sequence[Sequence[Ratio]]) -> list[Ratio]:
+    """sum(c * v) at each grid point as a reduced pair, the v read down
+    the rows (one row of values per map, as _tabulate gives them), as
+    combine describes; coefficients and values are reduced pairs."""
+    coeffs, cd = _ints(coeffs)
     out = []
     for vals in zip(*rows):
-        nums, d = _ints([v.as_integer_ratio() for v in vals])
-        out.append(Fraction(sum(map(mul, coeffs, nums)), cd * d))
+        nums, d = _ints(vals)
+        n, d = sum(map(mul, coeffs, nums)), cd * d
+        g = gcd(n, d)
+        out.append((n // g, d // g))
     return out
 
 
@@ -440,8 +501,7 @@ def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int]) -> Fractio
     int pairs compared by cross-multiplying, one Fraction at the end."""
     _, (fv, gv) = _tabulate((f, g))
     best, best_d = 0, 1
-    for a, b in zip(fv, gv):
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    for (an, ad), (bn, bd) in zip(fv, gv):
         diff, d = size(an * bd - bn * ad), ad * bd
         if diff * best_d > best * d:
             best, best_d = diff, d

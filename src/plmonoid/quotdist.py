@@ -124,8 +124,6 @@ class _FreeSpace:
             raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
         U, AU = _tabulate(a.components)
         V, BV = _tabulate(b.components)
-        U, V, *rows = [[v.as_integer_ratio() for v in row] for row in (U, V, *AU, *BV)]
-        AU, BV = rows[:len(a)], rows[len(a):]
         # Per side: the grid an edge moves along, the values moving with
         # it and the other tuple's values at the fixed node, as int pairs.
         self._cells, self._nodes, self._edges = [], [], []
@@ -293,11 +291,10 @@ def _interior_kinks(components, k: int):
     """
     out: dict[int, list[tuple[int, Ratio, Ratio]]] = {}
     for i, f in enumerate(components):
-        for x, y in f.breakpoints[1:-1]:
-            xn, xd = x.as_integer_ratio()
-            step, off = divmod(xn * k, xd)
+        for x, y in zip(f._xr[1:-1], f._yr[1:-1]):
+            step, off = divmod(x[0] * k, x[1])
             if off:
-                out.setdefault(step + 1, []).append((i, (xn, xd), y.as_integer_ratio()))
+                out.setdefault(step + 1, []).append((i, x, y))
     return out
 
 
@@ -309,8 +306,7 @@ def _runs(f: PLMono, x0: Ratio, k: int, count: int) -> list[tuple[int, Ratio, Ra
     is its first value plus a multiple of slope/k.  x0 and the values are
     int pairs, the values reduced; a run ends by int floor division.
     """
-    runs, m, (x0n, x0d) = [], 0, x0
-    xs, ys = [[v.as_integer_ratio() for v in vs] for vs in (f._xs, f._ys)]
+    runs, m, (x0n, x0d), xs, ys = [], 0, x0, f._xr, f._yr
     for (a0, b0), (p0, q0), (a1, b1), (p1, q1) in zip(xs, ys, xs[1:], ys[1:]):
         end = min(count, (a1 * x0d - x0n * b1) * k // (b1 * x0d) + 1)
         if end > m:
@@ -493,25 +489,28 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
         raise InputError("net resolution must be at least 1")
     first, second = point.components
 
-    levels = _merged((first._ys, second._ys))
-    ends = [_sweep(m._ys, m._xs, levels, upper) for m in (second, first) for upper in (False, True)]
+    levels = _merged((first._yr, second._yr))
+    ends = [_sweep(m._yr, m._xr, levels, upper) for m in (second, first) for upper in (False, True)]
     verts = []
     for t0, t1, x0, x1 in zip(*ends):
         verts.append((t0, x0))
         if (t1, x1) != (t0, x0):
             verts.append((t1, x1))
     # A third of a gap per ramp: the gap after t = 0 may hold two ramps.
+    # The vertices are int pairs; a ramp's end is worked out in Fractions.
     ramp = Fraction(1, 4 * net)
     pts = [verts[0]]
     for i, (t, x) in enumerate(verts[1:], 1):
         if t == pts[-1][0]:  # a vertical: tilt it into a ramp
-            if t == ZERO:
-                t = min(ramp, verts[i + 1][0] / 3)
+            if t == (0, 1):
+                t = min(ramp, Fraction(*verts[i + 1][0]) / 3).as_integer_ratio()
             else:
-                pts[-1] = (t - min(ramp, (t - verts[i - 2][0]) / 3), pts[-1][1])
+                at = Fraction(*t)
+                start = at - min(ramp, (at - Fraction(*verts[i - 2][0])) / 3)
+                pts[-1] = (start.as_integer_ratio(), pts[-1][1])
         pts.append((t, x))
     try:
-        w = PLMono(tuple(pts))
+        w = PLMono._from_pairs(pts)
     except InputError as exc:
         raise InvariantViolation(f"orbit reparameterization left the monoid: {exc}") from exc
     bound = min(sup_dist(compose(first, w), second), sup_dist(first, second)) * HALF

@@ -44,6 +44,7 @@ from .plcore import (
     _frac,
     _ints,
     _normalize,
+    _rows,
     _tabulate,
     combine,
     identity,
@@ -143,7 +144,7 @@ class CanonicalTuple(MonoTuple):
         w = check_weights(weights, len(self))
         xs, rows = _tabulate(self.components)
         nums, wd = _ints([x.as_integer_ratio() for x in w])
-        for point in zip(*([v.as_integer_ratio() for v in row] for row in (xs, *rows))):
+        for point in zip(xs, *rows):
             # sum(w_i * v_i) == x, over the lcm of this point's values
             (x, *vals), _ = _ints(point)
             if sum(map(mul, nums, vals)) != wd * x:
@@ -173,12 +174,12 @@ def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[Canonica
     t = _as_tuple(t)
     w = uniform_weights(len(t)) if weights is None else check_weights(weights, len(t))
     xs, rows = _tabulate(t.components)
-    levels = _combined(w, rows)
-    m = PLMono(tuple(zip(xs, levels)))
+    levels = _combined([x.as_integer_ratio() for x in w], rows)
+    m = PLMono._from_pairs(zip(xs, levels))
     if m == identity():
         return CanonicalTuple(t.components, w), m
     try:
-        comps = tuple(PLMono(tuple(zip(levels, row))) for row in rows)
+        comps = tuple(PLMono._from_pairs(zip(levels, row)) for row in rows)
     except InputError as exc:
         raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
     return CanonicalTuple(comps, w), m
@@ -201,17 +202,18 @@ class RoelckeCoord(_Value):
     _fields = ("breakpoints",)
 
     def __init__(self, breakpoints: tuple[Point, ...]):
-        pts, ratios = _normalize(breakpoints)
-        if pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ZERO):
+        xr, yr = _normalize(_rows(breakpoints))
+        if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (0, 1):
             raise InputError("coordinate must vanish at both endpoints")
         # |y1 - y0| <= x1 - x0 on each segment, denominators cleared
         if any(abs(y1n * y0d - y0n * y1d) * x0d * x1d > (x1n * x0d - x0n * x1d) * y0d * y1d
-               for ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) in zip(ratios, ratios[1:])):
+               for (x0n, x0d), (y0n, y0d), (x1n, x1d), (y1n, y1d) in zip(xr, yr, xr[1:], yr[1:])):
             raise InputError("coordinate must be 1-Lipschitz")
-        self.__dict__.update(breakpoints=pts, _xs=tuple(x for x, _ in pts), _ys=tuple(y for _, y in pts))
+        pts = tuple((Fraction(*x), Fraction(*y)) for x, y in zip(xr, yr))
+        self.__dict__.update(breakpoints=pts, _xr=xr, _yr=yr)
 
     def __call__(self, t) -> Fraction:
-        return _at(self._xs, self._ys, t)
+        return _at(self._xr, self._yr, t)
 
     def __repr__(self):
         pts = " ".join(f"({x},{y})" for x, y in self.breakpoints)

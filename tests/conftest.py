@@ -8,12 +8,35 @@ one line per acceptance criterion.
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 
 from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
-from plmonoid.plcore import ONE, ZERO, _lerp, _sweep
+from plmonoid.plcore import ONE, ZERO, _lerp, _sweep, _tabulate
 
 Interval = tuple[Fraction, Fraction]
+
+
+def fractions(pairs) -> list[Fraction]:
+    """(numerator, denominator) pairs as Fractions."""
+    return [Fraction(*p) for p in pairs]
+
+
+def ratios(values) -> list[tuple[int, int]]:
+    """Rationals as the reduced pairs the plcore kernels take."""
+    return [Fraction(v).as_integer_ratio() for v in values]
+
+
+def reduced(pairs) -> bool:
+    """Whether every value is a reduced (numerator, denominator) int
+    tuple with a positive denominator, as the kernels return them."""
+    return all(type(p) is tuple and len(p) == 2 and p[1] > 0 and gcd(*p) == 1 for p in pairs)
+
+
+def tabulated(maps) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """plcore._tabulate's merged grid and value rows, as Fractions."""
+    xs, rows = _tabulate(maps)
+    return fractions(xs), [fractions(row) for row in rows]
 
 
 def random_gapset(rng: random.Random, max_gaps: int = 3, touching: bool = False) -> GapSet | None:
@@ -138,7 +161,8 @@ def _difference_support(xs: list[Fraction], fv: list[Fraction], hv: list[Fractio
 def _preimage_of_closed(m: PLMono, lo: Fraction, hi: Fraction) -> Interval:
     """Exact preimage [l, r] of the closed band [lo, hi] under a
     monotone surjection; nonempty whenever 0 <= lo <= hi <= 1."""
-    return _sweep(m._ys, m._xs, (lo,))[0], _sweep(m._ys, m._xs, (hi,), upper=True)[0]
+    (lo, hi) = ratios((lo, hi))
+    return Fraction(*_sweep(m._yr, m._xr, (lo,))[0]), Fraction(*_sweep(m._yr, m._xr, (hi,), upper=True)[0])
 
 
 def _complement_pieces(g: GapSet) -> list[Interval]:

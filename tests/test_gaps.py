@@ -27,7 +27,6 @@ from plmonoid import (
     sup_dist,
 )
 from plmonoid.explorer import random_mono, random_point
-from plmonoid.plcore import _tabulate
 
 from conftest import (
     COPRIME_DENS,
@@ -37,6 +36,7 @@ from conftest import (
     coprime_map,
     gap_adapted_pair,
     random_gapset,
+    tabulated,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -250,7 +250,7 @@ def test_equiv_respects_isolated_point():
 
 def _reference_equiv(f, h, g):
     """equiv_test with its midpoint built by combine."""
-    xs, rows = _tabulate((f, h))
+    xs, rows = tabulated((f, h))
     support = _difference_support(xs, *rows)
     midpoint = combine([(F(1, 2), f), (F(1, 2), h)])
     for lo, hi in _complement_pieces(g):
@@ -292,6 +292,39 @@ def test_equiv_support_interval_through_a_crossing():
     assert equiv_test(h, f, touching) is True
     assert equiv_test(f, h, GapSet(((F(1, 4), 1),))) is True
     assert equiv_test(f, h, GapSet(((F(1, 4), F(1, 2)),))) is False
+
+
+@given(seeds, st.sampled_from(["point", "random", "moved", "coprime"]))
+@settings(max_examples=30, deadline=None)
+def test_equiv_gap_endpoint_at_a_crossing_value(seed, kind):
+    # The gaps are the midpoint's value intervals (f(a), f(b)) over the
+    # reference's support intervals (a, b) of f - h, so f and h are
+    # identified.  The pair is drawn until f - h changes sign inside a
+    # cell of the merged grid: there two support intervals touch, and so
+    # do two gaps, at exactly the crossing value.  A crossing dropped or
+    # moved off that value leaves a value interval across both gaps.
+    rng = random.Random(seed)
+    for _ in range(200):
+        if kind == "point":
+            f, h = random_point(rng, 2).components
+        elif kind == "random":
+            f, h = random_mono(rng), random_mono(rng)
+        elif kind == "moved":
+            f = random_mono(rng)
+            h = compose(f, random_mono(rng))
+        else:
+            f, h = (coprime_map(rng, rng.choice(COPRIME_DENS)) for _ in range(2))
+        xs, rows = tabulated((f, h))
+        support = _difference_support(xs, *rows)
+        crossings = [b for (_, b), (a, _) in zip(support, support[1:]) if a == b and b not in xs]
+        if crossings:
+            break
+    else:
+        pytest.fail("no pair with a crossing inside a cell in 200 draws")
+    g = GapSet(tuple((f(a), f(b)) for a, b in support))
+    assert {f(x) for x in crossings} <= {b for _, b in g.gaps} & {a for a, _ in g.gaps}
+    assert equiv_test(f, h, g) is True
+    assert equiv_test(h, f, g) is True
 
 
 # --- collapse map

@@ -29,10 +29,10 @@ from plmonoid import (
     uniform_witness,
 )
 from plmonoid.gaps import extreme_pair
-from plmonoid.plcore import _merged, _sweep, _tabulate
+from plmonoid.plcore import _merged, _sweep
 from plmonoid.explorer import random_homeo, random_mono
 
-from conftest import COPRIME_DENS, _preimage_of_closed, coprime_map
+from conftest import COPRIME_DENS, _preimage_of_closed, coprime_map, fractions, ratios, reduced, tabulated
 
 I14 = (F(1, 4), F(3, 4))
 GRID64 = [F(k, 64) for k in range(65)]
@@ -68,6 +68,32 @@ def test_decreasing_values_rejected():
 def test_conflicting_duplicate_rejected():
     with pytest.raises(InputError):
         PLMono(((0, 0), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (1, 1)))
+
+
+LONG_POINT = tuple(range(1000))
+MALFORMED = {
+    "points-not-pairs": [1, 2],
+    "triple": [(0, 0, 0), (1, 1)],
+    "single": [(0, 0), (1,)],
+    "none-point": [(0, 0), None, (1, 1)],
+    "not-iterable": 5,
+    "none": None,
+    "long-point": [(0, 0), LONG_POINT, (1, 1)],
+    "long-not-iterable": 10**200,
+}
+
+
+@pytest.mark.parametrize("cls", [PLMono, PLHomeo, LcMono, RoelckeCoord])
+@pytest.mark.parametrize("points", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_points_raise_input_error(cls, points):
+    # Not an (x, y) pair, or not an iterable of points: InputError, never
+    # a bare TypeError or ValueError, echoing at most 60 characters.
+    with pytest.raises(InputError) as info:
+        cls(points)
+    message = str(info.value)
+    assert len(message) <= 60 + len("points must be an iterable of (x, y) pairs, got ")
+    for value in (LONG_POINT, 10**200):
+        assert repr(value)[:61] not in message
 
 
 def test_homeo_needs_strict_increase():
@@ -536,7 +562,7 @@ def test_sort_skip_matches_fraction_reference(points):
 def _reference_combine(terms):
     """combine in Fraction arithmetic on the merged grid, as before the ints."""
     coeffs = [F(c) for c, _ in terms]
-    xs, rows = _tabulate([f for _, f in terms])
+    xs, rows = tabulated([f for _, f in terms])
     return PLMono(tuple((x, sum((c * v for c, v in zip(coeffs, vals)), F(0))) for x, *vals in zip(xs, *rows)))
 
 
@@ -611,16 +637,19 @@ def _kernel_pair(seed):
 @given(seeds, st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_sweep_and_merge_match_fraction_reference(seed, upper):
+    # The kernels take and return reduced int pairs; the reference
+    # computes on their Fractions.
     rng, f, g = _kernel_pair(seed)
-    for seqs in ((f._xs, g._xs), (f._ys, g._ys), (g._ys, f._xs, f._ys), (f._xs,)):
+    for seqs in ((f._xr, g._xr), (f._yr, g._yr), (g._yr, f._xr, f._yr), (f._xr,)):
         merged = _merged(seqs)
-        assert merged == _reference_merged(seqs)
-        assert all(type(v) is F for v in merged)
-    samples = _reference_merged((f._xs, f._ys, g._xs, g._ys, [F(rng.randrange(65), 64) for _ in range(8)]))
-    arg_lists = [samples, list(f._xs), list(g._ys), [0, *samples[1:-1], 1]]
+        assert fractions(merged) == _reference_merged([fractions(s) for s in seqs])
+        assert reduced(merged)
+    fx, fy, gx, gy = (fractions(s) for s in (f._xr, f._yr, g._xr, g._yr))
+    samples = _reference_merged((fx, fy, gx, gy, [F(rng.randrange(65), 64) for _ in range(8)]))
+    arg_lists = [samples, fx, gy, [0, *samples[1:-1], 1]]
     # Reflected maps (values against arguments) have vertical runs at plateaus.
-    for xs, ys in ((f._xs, f._ys), (g._xs, g._ys), (f._ys, f._xs), (g._ys, g._xs)):
+    for xs, ys in ((fx, fy), (gx, gy), (fy, fx), (gy, gx)):
         for args in arg_lists:
-            got = _sweep(xs, ys, args, upper)
-            assert got == _reference_sweep(xs, ys, args, upper)
-            assert all(type(v) is F for v in got)
+            got = _sweep(ratios(xs), ratios(ys), ratios(args), upper)
+            assert fractions(got) == _reference_sweep(xs, ys, args, upper)
+            assert reduced(got)

@@ -28,9 +28,9 @@ from plmonoid import (
 from plmonoid import quotdist
 from plmonoid.gaps import extreme_pair
 from plmonoid.explorer import random_homeo, random_mono, random_point, random_tuple
-from plmonoid.plcore import _ints, _sweep, _tabulate
+from plmonoid.plcore import _ints, _sweep
 
-from conftest import COPRIME_DENS, coprime_map, probe_tuple
+from conftest import COPRIME_DENS, coprime_map, fractions, probe_tuple, ratios, tabulated
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -99,8 +99,8 @@ def fraction_edges(a, b):
     """The reference's edge data, in Fractions: per (side, fixed node,
     cell) the grid ends, the largest gap to a flat component and the
     (centre, half-width at eps = 1) of each sloped one."""
-    U, AU = _tabulate(a.components)
-    V, BV = _tabulate(b.components)
+    U, AU = tabulated(a.components)
+    V, BV = tabulated(b.components)
     edges = {}
     for side, (grid, moving, other) in enumerate(((U, AU, BV), (V, BV, AU))):
         for fixed in range(len(other[0])):
@@ -194,8 +194,8 @@ def test_int_decision_matches_fraction_reference(seed, n, kind):
         "coprime": lambda: MonoTuple(tuple(coprime_map(rng, dens.pop(), 1) for _ in range(n))),
     }[kind]
     a, b = draw(), draw()
-    _, AU = _tabulate(a.components)
-    _, BV = _tabulate(b.components)
+    _, AU = tabulated(a.components)
+    _, BV = tabulated(b.components)
     gaps = {abs(x - y) for au, bv in zip(AU, BV) for x in au for y in bv}
     tiny = F(1, 2**40)
     qi = quot_dist(a, b, F(1, 1024))
@@ -208,6 +208,42 @@ def test_int_decision_matches_fraction_reference(seed, n, kind):
         assert space.decide(eps) == fraction_decision(a, b, eps, edges), eps
     for eps in (F(0), qi.lo, qi.hi):
         assert quot_decision(a, b, eps) == fraction_decision(a, b, eps, edges), eps
+
+
+
+def _pl(*points):
+    return PLMono(tuple((F(x), F(y)) for x, y in points))
+
+
+# Pairs whose quotient distance is a flat gap: on every monotone path
+# some edge is free only where a flat component's gap to the fixed node
+# is at most eps, so the free space closes at that gap exactly.
+FLAT_GAP_BINDS = {
+    "9/16": (
+        (_pl((0, 0), ("1/4", "1/8"), ("3/8", "7/16"), ("1/2", "7/16"), ("5/8", "15/16"), ("7/8", "15/16"), (1, 1)),
+         _pl((0, 0), ("1/4", 0), ("1/2", 1), (1, 1))),
+        (_pl((0, 0), ("1/3", "1/18"), ("2/3", 1), (1, 1)), _pl((0, 0), ("1/2", 0), ("3/4", "1/3"), (1, 1))),
+        F(9, 16),
+    ),
+    "61/210": (
+        (_pl((0, 0), ("1/3", "3/5"), ("2/3", "3/5"), (1, 1)), _pl((0, 0), ("1/3", "1/15"), ("2/3", "11/15"), (1, 1))),
+        (_pl((0, 0), ("1/6", "4/21"), ("1/3", "13/42"), ("1/2", "13/42"), ("2/3", "17/42"), ("5/6", "2/3"), (1, 1)),
+         _pl((0, 0), ("1/6", "1/7"), ("1/3", "5/14"), ("1/2", "29/42"), ("2/3", "13/14"), ("5/6", 1), (1, 1))),
+        F(61, 210),
+    ),
+}
+
+
+@pytest.mark.parametrize("a, b, value", FLAT_GAP_BINDS.values(), ids=FLAT_GAP_BINDS.keys())
+def test_decision_is_closed_where_a_flat_gap_binds(a, b, value):
+    a, b = MonoTuple(a), MonoTuple(b)
+    below = value - F(1, 2**40)
+    for x, y in ((a, b), (b, a)):
+        assert quot_decision(x, y, value) is True
+        assert quot_decision(x, y, below) is False
+    edges = fraction_edges(a, b)
+    assert fraction_decision(a, b, value, edges) is True
+    assert fraction_decision(a, b, below, edges) is False
 
 
 # --- bisection bracket
@@ -331,16 +367,16 @@ def pointwise_oracle_side(own, other, k):
     """Reference set-up: every grid value and crossing value by its own
     sweep, as runs of length one of (numerator, denominator) pairs."""
     def runs(values):
-        return [(1, v.as_integer_ratio(), (0, 1)) for v in values]
+        return [(1, v, (0, 1)) for v in values]
 
-    grid = [F(p, k) for p in range(k + 1)]
-    vals = [runs(_sweep(f._xs, f._ys, grid)) for f in own]
+    grid = ratios(F(p, k) for p in range(k + 1))
+    vals = [runs(_sweep(f._xr, f._yr, grid)) for f in own]
     kinks = {}
     for step, items in quotdist._interior_kinks(own.components, k).items():
         kinks[step] = []
         for i, x, y in items:
             crossings = [F(*x) + F(q - step, k) for q in range(1, k + 1)]
-            kinks[step].append((i, y, runs(_sweep(other[i]._xs, other[i]._ys, crossings))))
+            kinks[step].append((i, y, runs(_sweep(other[i]._xr, other[i]._yr, ratios(crossings)))))
     return vals, kinks
 
 
@@ -362,7 +398,7 @@ def test_runs_match_pointwise_sweep(seed, k, start, coprime):
     scale = rng.randrange(1, 5)
     runs = quotdist._runs(f, (x0.numerator * scale, x0.denominator * scale), k, count)
     values = [F(*first) + j * F(*inc) for length, first, inc in runs for j in range(length)]
-    assert values == _sweep(f._xs, f._ys, [x0 + F(m, k) for m in range(count)])
+    assert values == fractions(_sweep(f._xr, f._yr, ratios(x0 + F(m, k) for m in range(count))))
     assert all(r == F(*r).as_integer_ratio() for _, first, inc in runs for r in (first, inc))
 
 
@@ -648,8 +684,8 @@ def test_free_space_ints_stay_local():
     space = quotdist._FreeSpace(a, b)
     for eps in (F(0), F(1, 64), F(1, 8), F(1, 2)):
         space.decide(eps)
-    U, AU = _tabulate(a.components)
-    V, BV = _tabulate(b.components)
+    U, AU = tabulated(a.components)
+    V, BV = tabulated(b.components)
     visited = 0
     for side, (grid, moving, other) in enumerate(((U, AU, BV), (V, BV, AU))):
         cell_bits = [_bits([grid[c], grid[c + 1], *(v for mv in moving for v in mv[c:c + 2])])

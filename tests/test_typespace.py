@@ -34,11 +34,10 @@ from plmonoid import (
 )
 from plmonoid import plcore, typespace
 from plmonoid.gaps import extreme_pair
-from plmonoid.plcore import _tabulate
 from plmonoid.typespace import check_weights
 from plmonoid.explorer import random_homeo, random_mono, random_tuple
 
-from conftest import COPRIME_DENS, coprime_map, probe_tuple
+from conftest import COPRIME_DENS, coprime_map, probe_tuple, tabulated
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -456,7 +455,7 @@ def test_canonicalize_lcms_stay_local(monkeypatch):
 
     monkeypatch.setattr(plcore, "lcm", recording_lcm)
     c, _ = canonicalize(probe_tuple(random.Random(1)))
-    xs, rows = _tabulate(c.components)
+    xs, rows = tabulated(c.components)
     point_bits = max(sum(v.denominator.bit_length() for v in point) for point in zip(xs, *rows))
     assert taken
     assert max(d.bit_length() for d in taken) <= point_bits
