@@ -120,8 +120,10 @@ def _frac(value) -> Fraction:
 def _rows(points) -> list[tuple[Ratio, Ratio]]:
     """The caller's points as (x, y) rows of reduced int pairs;
     InputError for anything but an iterable of (x, y) pairs of rationals."""
+    # Only iter() is guarded, so an error raised inside the caller's own
+    # iterator of points propagates unchanged.
     try:
-        items = list(points)
+        items = iter(points)
     except TypeError as exc:
         raise InputError(f"points must be an iterable of (x, y) pairs, got {points!r:.60}") from exc
     out = []

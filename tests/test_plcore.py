@@ -96,6 +96,17 @@ def test_malformed_points_raise_input_error(cls, points):
         assert repr(value)[:61] not in message
 
 
+@pytest.mark.parametrize("cls", [PLMono, PLHomeo, LcMono, RoelckeCoord])
+def test_error_inside_callers_iterator_propagates(cls):
+    # A fault in the caller's own iterator is not reported as malformed input.
+    def points():
+        yield (0, 0)
+        raise TypeError("fault in the caller's generator")
+
+    with pytest.raises(TypeError, match="fault in the caller's generator"):
+        cls(points())
+
+
 def test_homeo_needs_strict_increase():
     lo, _ = lower_upper()
     with pytest.raises(InputError):
