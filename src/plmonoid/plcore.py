@@ -17,12 +17,13 @@ The kernels (sweep, grid merge, tabulation, linear combination) take
 and return reduced pairs, so equal values are equal pairs.  Every exact
 int kernel follows one scaling rule: a comparison scales only the
 values it touches, so no int carries the whole input's denominators.
-The constructors cross-multiply the pairs of the two or three
-neighbouring points a check involves, as the sweep kernel and grid
-merge do for the two values they compare.  The two exceptions compare
-every cost with every other and keep one common denominator: the grid
-oracle's dynamic program (quotdist.brute_oracle) and the epsilon-net DP
-(explorer).
+The constructors cross-multiply the pairs of the two neighbouring
+points a check involves, as the sweep kernel and grid merge do for the
+two values they compare, and test collinearity against the slope of
+the last kept segment, kept as a cross-multiplied pair.  The two
+exceptions compare every cost with every other and keep one common
+denominator: the grid oracle's dynamic program (quotdist.brute_oracle)
+and the epsilon-net DP (explorer).
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.  The one write after
@@ -34,6 +35,7 @@ pairs, the tuples are equal, and the map keeps one of them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import mul, pos
 from typing import Callable, Sequence
@@ -129,7 +131,8 @@ def _rows(points) -> list[tuple[Ratio, Ratio]]:
     out = []
     for p in items:
         try:
-            x, y = p
+            # A two-character string or bytes would unpack into a point.
+            x, y = () if isinstance(p, (str, bytes)) else p
         except (TypeError, ValueError) as exc:
             raise InputError(f"not an (x, y) pair: {p!r:.60}") from exc
         out.append((_frac(x).as_integer_ratio(), _frac(y).as_integer_ratio()))
@@ -152,23 +155,23 @@ def _lerp(x0, y0, x1, y1, t) -> Ratio:
     return p0 * q1 * run + (p1 * q0 - p0 * q1) * (tn * b0 - a0 * td) * b1, q0 * q1 * run
 
 
-def _sweep(xr, yr, args, upper: bool = False) -> list[Ratio]:
+def _sweep(xr, yr, args) -> list[Ratio]:
     """Values of the polyline through (xr[i], yr[i]) at ascending args.
 
     Coordinates, arguments and values are reduced (numerator,
     denominator) pairs.  One merge pass over the vertices.  ``xr`` is
     weakly increasing and spans every argument; where it repeats (a
-    vertical segment) the lowest value is taken, or the highest when
-    ``upper`` is set.  Swept over a reflected map (``yr`` against
-    ``xr``) this gives the left or right end of the preimage of each
-    level.
+    vertical segment) the lowest value is taken.  Swept over a reflected
+    map (``yr`` against ``xr``) this gives the left end of the preimage
+    of each level; _sweep_ends adds the right end.
 
     It steps while xn * td < tn * xd and hits a vertex on equal pairs,
     so no common denominator is built; an interpolated value is reduced
-    by one gcd.
+    by one gcd.  A constructor tests the order of its rows the same way,
+    in the one pass (_normalize) that also gives it its monotone check.
     """
     out = []
-    i, last = 0, len(xr) - 1
+    i = 0
     xn, xd = xr[0]
     for t in args:
         tn, td = t
@@ -176,9 +179,6 @@ def _sweep(xr, yr, args, upper: bool = False) -> list[Ratio]:
             i += 1
             xn, xd = xr[i]
         if xn == tn and xd == td:
-            if upper:
-                while i < last and xr[i + 1] == t:
-                    i += 1
             out.append(yr[i])
         else:
             y0, y1 = yr[i - 1], yr[i]
@@ -189,6 +189,15 @@ def _sweep(xr, yr, args, upper: bool = False) -> list[Ratio]:
                 g = gcd(n, d)
                 out.append((n // g, d // g))
     return out
+
+
+def _sweep_ends(xr, yr, args) -> tuple[list[Ratio], list[Ratio]]:
+    """The lowest and the highest value of the polyline at each ascending
+    arg: they differ only where ``xr`` repeats the arg (a vertical
+    segment), and the highest is then the last vertex's value there."""
+    lows = _sweep(xr, yr, args)
+    last = dict(zip(xr, yr))
+    return lows, [last.get(t, v) for t, v in zip(args, lows)]
 
 
 def _merged(seqs) -> list[Ratio]:
@@ -231,44 +240,67 @@ def _ascending(ratios, strict: bool = False) -> bool:
     return all(a * d <= c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
 
 
-def _normalize(rows) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...]]:
+def _normalize(rows) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...], int]:
     """Order points by (x, y), drop duplicates and collinear interior points.
 
     Takes (x, y) rows of reduced (numerator, denominator) pairs and
-    returns the kept points' x pairs and y pairs.  Rows are sorted only
-    when two neighbours are out of (x, y) order: input that ascends (x
-    rising, or x equal and y not falling) is what the sort would return,
-    and compose, compose_lc, combine, canonicalize and the samplers give
-    theirs that way.  Each test cross-multiplies the pairs of the two or
-    three points it compares.
+    returns the kept points' x pairs and y pairs and the least sign of a
+    kept segment's rise: -1 if the values fall somewhere, 0 if they have
+    a plateau, else 1.  A constructor reads its monotone check from that
+    sign, so it makes one pass over its points.
+
+    The pass tests order, drops duplicates and collinear points and
+    takes the rise, each from a row and the one before it.  It keeps
+    the last kept segment's slope as a cross-multiplied int pair, so a
+    collinear test is two products.  Rows out of (x, y) order are sorted
+    and the pass starts again; compose, compose_lc, combine, canonicalize
+    and the samplers give theirs in order, so they skip the sort.  A
+    conflict (one x, two y) is raised once the pass has met every row in
+    order, so its message names the first conflict in sorted order.
     """
     rows = list(rows)
-    for ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) in zip(rows, rows[1:]):
-        if not (x0n * x1d < x1n * x0d or x0n == x1n and x0d == x1d and y0n * y1d <= y1n * y0d):
-            rows.sort(key=lambda row: (Fraction(*row[0]), Fraction(*row[1])))
-            break
-    out: list[tuple[Ratio, Ratio]] = []
-    for row in rows:
-        x, y = row
-        if out and out[-1][0] == x:
-            if out[-1][1] != y:
-                y0, y1, x0 = (Fraction(*r) for r in (out[-1][1], y, x))
-                raise InputError(f"conflicting values {y0!s:.60} and {y1!s:.60} at x = {x0!s:.60}")
-            continue
-        while len(out) >= 2:
-            # Collinear when the slopes (y1 - y0) / (x1 - x0) and
-            # (y2 - y1) / (x2 - x1) agree; xi = xn/xd, yi = yn/yd.
-            ((x0n, x0d), (y0n, y0d)), ((x1n, x1d), (y1n, y1d)) = out[-2:]
-            (x2n, x2d), (y2n, y2d) = x, y
-            if ((y1n * y0d - y0n * y1d) * (x2n * x1d - x1n * x2d) * y2d * x0d
-                    != (y2n * y1d - y1n * y2d) * (x1n * x0d - x0n * x1d) * y0d * x2d):
-                break
-            out.pop()
-        out.append(row)
-    if len(out) < 2:
+    if len(rows) < 2:
         raise InputError("a breakpoint list needs at least two distinct points")
-    xr, yr = zip(*out)
-    return xr, yr
+    # Sorted rows are in order, so the second pass, if any, runs to the end.
+    for _ in range(2):
+        x1, y1 = rows[0]
+        (x1n, x1d), (y1n, y1d) = x1, y1
+        xs, ys = [x1], [y1]
+        # Slope dy/dx of the last kept segment as a pair (sn, sd), sd > 0;
+        # 1/0 before the first one, which no segment matches.
+        sn, sd = 1, 0
+        low = 1  # the least rise of a kept segment, over its own scale
+        conflict = None
+        for x2, y2 in islice(rows, 1, None):
+            (x2n, x2d), (y2n, y2d) = x2, y2
+            dx = x2n * x1d - x1n * x2d
+            dy = y2n * y1d - y1n * y2d
+            if dx <= 0:
+                if dx < 0 or dy < 0:  # out of (x, y) order
+                    break
+                if dy:  # a conflict, raised at the end
+                    conflict = conflict or ((y1n, y1d), y2, x2)
+                    y1n, y1d = y2n, y2d
+                continue
+            tn, td = dy * x1d * x2d, dx * y1d * y2d
+            if tn * sd == sn * td:  # collinear: the new point replaces the last
+                xs[-1] = x2
+                ys[-1] = y2
+            else:
+                xs.append(x2)
+                ys.append(y2)
+                sn, sd = tn, td
+                if dy < low:
+                    low = dy
+            x1n, x1d, y1n, y1d = x2n, x2d, y2n, y2d
+        else:
+            if conflict:
+                y0, y1, x0 = (Fraction(*r) for r in conflict)
+                raise InputError(f"conflicting values {y0!s:.60} and {y1!s:.60} at x = {x0!s:.60}")
+            if len(xs) < 2:
+                raise InputError("a breakpoint list needs at least two distinct points")
+            return tuple(xs), tuple(ys), (low > 0) - (low < 0)
+        rows.sort(key=lambda row: (Fraction(*row[0]), Fraction(*row[1])))
 
 
 class PLMono(_Value):
@@ -301,19 +333,19 @@ class PLMono(_Value):
         return self
 
     def __post_init__(self, rows):
-        xr, yr = _normalize(rows)
+        xr, yr, rise = _normalize(rows)
         if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (1, 1):
             raise InputError("must fix the endpoints: first (0,0), last (1,1)")
-        if not _ascending(yr):
+        if rise < 0:
             raise InputError("values must be weakly increasing")
-        self._check_values(yr)
+        self._check_values(rise)
         _set = object.__setattr__
         _set(self, "_xr", xr)
         _set(self, "_yr", yr)
         _set(self, "_bps", None)
 
-    def _check_values(self, ys: tuple[Ratio, ...]) -> None:
-        pass
+    def _check_values(self, rise: int) -> None:
+        """Further checks on the least rise sign of the kept segments."""
 
     @property
     def breakpoints(self) -> tuple[Point, ...]:
@@ -350,8 +382,8 @@ class PLHomeo(PLMono):
 
     __slots__ = ()
 
-    def _check_values(self, ys: tuple[Ratio, ...]) -> None:
-        if not _ascending(ys, strict=True):
+    def _check_values(self, rise: int) -> None:
+        if rise <= 0:
             raise InputError("a homeomorphism must be strictly increasing")
 
 
@@ -435,8 +467,7 @@ def compose(f: PLMono, g: PLMono) -> PLMono:
     g; f is constant there at its value on that level.
     """
     levels = _merged((f._xr, g._yr))
-    lefts = _sweep(g._yr, g._xr, levels)
-    rights = _sweep(g._yr, g._xr, levels, upper=True)
+    lefts, rights = _sweep_ends(g._yr, g._xr, levels)
     rows = []
     for left, right, value in zip(lefts, rights, _sweep(f._xr, f._yr, levels)):
         rows.append((left, value))

@@ -52,7 +52,7 @@ from .plcore import (
     _ints,
     _lerp,
     _merged,
-    _sweep,
+    _sweep_ends,
     _tabulate,
     compose,
     sup_dist,
@@ -490,9 +490,9 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
     first, second = point.components
 
     levels = _merged((first._yr, second._yr))
-    ends = [_sweep(m._yr, m._xr, levels, upper) for m in (second, first) for upper in (False, True)]
+    (t0s, t1s), (x0s, x1s) = (_sweep_ends(m._yr, m._xr, levels) for m in (second, first))
     verts = []
-    for t0, t1, x0, x1 in zip(*ends):
+    for t0, t1, x0, x1 in zip(t0s, t1s, x0s, x1s):
         verts.append((t0, x0))
         if (t1, x1) != (t0, x0):
             verts.append((t1, x1))

@@ -31,8 +31,6 @@ from fractions import Fraction
 from operator import mul
 
 from .plcore import (
-    ONE,
-    ZERO,
     InputError,
     InvariantViolation,
     PLHomeo,
@@ -79,9 +77,11 @@ def check_weights(weights, n: int) -> Weights:
     w = tuple(_frac(x) for x in weights)
     if len(w) != n:
         raise InputError(f"weight/length mismatch: {len(w)} weights for {n} components")
-    if any(x <= ZERO for x in w):
+    ratios = [x.as_integer_ratio() for x in w]
+    if any(p <= 0 for p, _ in ratios):
         raise InputError("weights must be strictly positive")
-    if sum(w) != ONE:
+    nums, d = _ints(ratios)  # the sum is 1 when the numerators over d sum to d
+    if sum(nums) != d:
         raise InputError("weights must sum to exactly 1")
     return w
 
@@ -202,7 +202,7 @@ class RoelckeCoord(_Value):
     _fields = ("breakpoints",)
 
     def __init__(self, breakpoints: tuple[Point, ...]):
-        xr, yr = _normalize(_rows(breakpoints))
+        xr, yr, _ = _normalize(_rows(breakpoints))
         if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (0, 1):
             raise InputError("coordinate must vanish at both endpoints")
         # |y1 - y0| <= x1 - x0 on each segment, denominators cleared

@@ -12,7 +12,7 @@ from math import gcd
 
 
 from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
-from plmonoid.plcore import ONE, ZERO, _lerp, _sweep, _tabulate
+from plmonoid.plcore import ONE, ZERO, _lerp, _sweep, _sweep_ends, _tabulate
 
 Interval = tuple[Fraction, Fraction]
 
@@ -162,7 +162,7 @@ def _preimage_of_closed(m: PLMono, lo: Fraction, hi: Fraction) -> Interval:
     """Exact preimage [l, r] of the closed band [lo, hi] under a
     monotone surjection; nonempty whenever 0 <= lo <= hi <= 1."""
     (lo, hi) = ratios((lo, hi))
-    return Fraction(*_sweep(m._yr, m._xr, (lo,))[0]), Fraction(*_sweep(m._yr, m._xr, (hi,), upper=True)[0])
+    return Fraction(*_sweep(m._yr, m._xr, (lo,))[0]), Fraction(*_sweep_ends(m._yr, m._xr, (hi,))[1][0])
 
 
 def _complement_pieces(g: GapSet) -> list[Interval]:

@@ -29,7 +29,7 @@ from plmonoid import (
     uniform_witness,
 )
 from plmonoid.gaps import extreme_pair
-from plmonoid.plcore import _merged, _sweep
+from plmonoid.plcore import _merged, _sweep_ends
 from plmonoid.explorer import random_homeo, random_mono
 
 from conftest import COPRIME_DENS, _preimage_of_closed, coprime_map, fractions, ratios, reduced, tabulated
@@ -68,6 +68,57 @@ def test_decreasing_values_rejected():
 def test_conflicting_duplicate_rejected():
     with pytest.raises(InputError):
         PLMono(((0, 0), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (1, 1)))
+
+
+# The constructors find every fault in one pass over the points; the
+# errors still win in this order: conflict, too few points, endpoints,
+# falling values, then a homeomorphism's plateau.
+CONFLICT_AND_FALL = [(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 3)), (1, 1)]
+ERROR_ORDER = [
+    pytest.param(CONFLICT_AND_FALL, "conflicting values 1/4 and 1/3 at x = 1/2", id="conflict-before-fall"),
+    pytest.param(CONFLICT_AND_FALL[::-1], "conflicting values 1/4 and 1/3 at x = 1/2", id="conflict-before-fall-reversed"),
+    pytest.param(
+        [(0, F(1, 8)), (F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)), (1, 1)],
+        "must fix the endpoints: first (0,0), last (1,1)",
+        id="endpoint-before-fall",
+    ),
+    pytest.param(
+        [(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 8)), (F(3, 4), F(1, 4)), (1, 1)],
+        "values must be weakly increasing",
+        id="fall-in-collinear-run",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls", [PLMono, PLHomeo])
+@pytest.mark.parametrize("points, message", ERROR_ORDER)
+def test_constructor_error_order(cls, points, message):
+    with pytest.raises(InputError) as info:
+        cls(points)
+    assert str(info.value) == message
+
+
+def test_homeo_plateau_is_the_last_error():
+    plateau = [(0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 2)), (1, 1)]
+    assert PLMono(plateau).breakpoints == tuple((F(x), F(y)) for x, y in plateau)
+    with pytest.raises(InputError) as info:
+        PLHomeo(plateau)
+    assert str(info.value) == "a homeomorphism must be strictly increasing"
+
+
+# A two-character str or bytes unpacks into two items but is not a point.
+STRING_POINTS = {
+    "str": ["00", "11"],
+    "bytes": [b"00", b"11"],
+    "str-among-pairs": [(0, 0), "11"],
+}
+
+
+@pytest.mark.parametrize("cls", [PLMono, PLHomeo, LcMono, RoelckeCoord])
+@pytest.mark.parametrize("points", STRING_POINTS.values(), ids=STRING_POINTS.keys())
+def test_string_points_rejected(cls, points):
+    with pytest.raises(InputError, match=r"^not an \(x, y\) pair: "):
+        cls(points)
 
 
 LONG_POINT = tuple(range(1000))
@@ -645,9 +696,9 @@ def _kernel_pair(seed):
     return rng, coprime_map(rng, d), coprime_map(rng, d + 1)
 
 
-@given(seeds, st.booleans())
+@given(seeds)
 @settings(max_examples=100, deadline=None)
-def test_sweep_and_merge_match_fraction_reference(seed, upper):
+def test_sweep_and_merge_match_fraction_reference(seed):
     # The kernels take and return reduced int pairs; the reference
     # computes on their Fractions.
     rng, f, g = _kernel_pair(seed)
@@ -661,6 +712,6 @@ def test_sweep_and_merge_match_fraction_reference(seed, upper):
     # Reflected maps (values against arguments) have vertical runs at plateaus.
     for xs, ys in ((fx, fy), (gx, gy), (fy, fx), (gy, gx)):
         for args in arg_lists:
-            got = _sweep(ratios(xs), ratios(ys), ratios(args), upper)
-            assert fractions(got) == _reference_sweep(xs, ys, args, upper)
-            assert reduced(got)
+            for upper, got in enumerate(_sweep_ends(ratios(xs), ratios(ys), ratios(args))):
+                assert fractions(got) == _reference_sweep(xs, ys, args, upper)
+                assert reduced(got)

@@ -35,12 +35,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (module under src/plmonoid/, exact old text, new text, pytest selector,
-# origin: the commit whose change first showed a test killing the mutant)
+# origin: the commit whose change first showed a test killing the mutant,
+# or "new" for a row added together with the code it mutates)
 MUTANTS = [
     (
         "plcore.py",
-        "            if upper:\n",
-        "            if False:\n",
+        "    return lows, [last.get(t, v) for t, v in zip(args, lows)]\n",
+        "    return lows, lows\n",
         "tests/test_plcore.py::test_end_plateaus_match_pointwise_evaluation",
         "fdfd053: the sweep's upper side ignored",
     ),
@@ -60,10 +61,45 @@ MUTANTS = [
     ),
     (
         "plcore.py",
-        "if not (x0n * x1d < x1n * x0d or x0n == x1n and x0d == x1d and y0n * y1d <= y1n * y0d):",
-        "if not (x0n * x1d <= x1n * x0d):",
+        "if dx < 0 or dy < 0:  # out of (x, y) order",
+        "if dx < 0:  # out of (x, y) order",
         "tests/test_plcore.py::test_sort_skip_matches_fraction_reference",
         "34cd399: _normalize's order check on x alone",
+    ),
+    (
+        "plcore.py",
+        "tn, td = dy * x1d * x2d, dx * y1d * y2d",
+        "tn, td = dy * x1d * y2d, dx * y1d * x2d",
+        "tests/test_plcore.py::test_constructors_match_fraction_reference",
+        "4404f8b: a swapped factor in _normalize's collinear test",
+    ),
+    (
+        "plcore.py",
+        "                if dy:  # a conflict, raised at the end\n",
+        "                if False:  # a conflict, raised at the end\n",
+        "tests/test_plcore.py::test_constructors_match_fraction_reference",
+        "4404f8b: _normalize's dedup on x only",
+    ),
+    (
+        "plcore.py",
+        "rows.sort(key=lambda row: (Fraction(*row[0]), Fraction(*row[1])))",
+        "rows.sort(key=lambda row: Fraction(*row[0]))",
+        "tests/test_plcore.py::test_sort_skip_matches_fraction_reference",
+        "4404f8b: _normalize sorting without y",
+    ),
+    (
+        "plcore.py",
+        "        if not _ascending(tr, strict=True):\n",
+        "        if not _ascending(tr):\n",
+        "tests/test_plcore.py::test_constructors_match_fraction_reference",
+        "4404f8b: LcMono's strict check on values made weak",
+    ),
+    (
+        "plcore.py",
+        "        if rise < 0:\n",
+        "        if False:\n",
+        "tests/test_plcore.py::test_constructors_match_fraction_reference",
+        "new: PLMono's check of the least rise sign dropped",
     ),
     (
         "plcore.py",
