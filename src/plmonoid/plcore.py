@@ -10,9 +10,10 @@ to rounding.
 
 Representations are canonical: breakpoint lists carry no redundant
 (collinear) points, so equality of functions is equality of
-representations.  A map stores each breakpoint coordinate once, as a
-reduced (numerator, denominator) int pair; ``breakpoints``, its points
-as Fractions, is built from those pairs on the first read and kept.
+representations.  A polyline value (map, LcMono or RoelckeCoord)
+stores each coordinate once, as a reduced (numerator, denominator) int
+pair, in the one base _Polyline; ``breakpoints``, its points as
+Fractions, is built from those pairs on the first read and kept.
 The kernels (sweep, grid merge, tabulation, linear combination) take
 and return reduced pairs, so equal values are equal pairs.  Every exact
 int kernel follows one scaling rule: a comparison scales only the
@@ -27,9 +28,9 @@ and the epsilon-net DP (explorer).
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.  The one write after
-construction, the first read of a map's ``breakpoints``, is a benign
+construction, the first read of a polyline's ``breakpoints``, is a benign
 race: threads that read it at once each build a tuple from the same
-pairs, the tuples are equal, and the map keeps one of them.
+pairs, the tuples are equal, and the value keeps one of them.
 """
 
 from __future__ import annotations
@@ -79,10 +80,11 @@ class _Value:
     """Base of the immutable value types.
 
     A subclass's ``__init__`` writes each field once, into the instance
-    ``__dict__`` or, for the maps, into their slots; assigning or
+    ``__dict__`` or, for the polylines, into their slots; assigning or
     deleting an attribute afterwards raises AttributeError.  Two
     instances of one class are equal when the fields named in
-    ``_fields`` are, hash by them, and print as ``Name(field=value, ...)``.
+    ``_fields`` are, hash by them, and print as ``Name(field=value, ...)``
+    (a polyline as ``Name[(x,y) ...]``).
     """
 
     __slots__ = ()
@@ -137,14 +139,6 @@ def _rows(points) -> list[tuple[Ratio, Ratio]]:
             raise InputError(f"not an (x, y) pair: {p!r:.60}") from exc
         out.append((_frac(x).as_integer_ratio(), _frac(y).as_integer_ratio()))
     return out
-
-
-def _at(xr, yr, t) -> Fraction:
-    """Exact value at t in [0, 1] of the polyline through (xr[i], yr[i])."""
-    t = _frac(t)
-    if t < ZERO or t > ONE:
-        raise InputError(f"argument {t} outside [0, 1]")
-    return Fraction(*_sweep(xr, yr, (t.as_integer_ratio(),))[0])
 
 
 def _lerp(x0, y0, x1, y1, t) -> Ratio:
@@ -303,53 +297,40 @@ def _normalize(rows) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...], int]:
         rows.sort(key=lambda row: (Fraction(*row[0]), Fraction(*row[1])))
 
 
-class PLMono(_Value):
-    """Continuous weakly increasing piecewise-linear surjection of [0, 1].
-
-    Breakpoints are held in the unique minimal form: x-coordinates
-    strictly increasing from (0, 0) to (1, 1), y-coordinates weakly
-    increasing, no three consecutive points collinear.  Plateaus are
-    segments of zero slope.  Instances are immutable and hashable; two
-    instances are equal exactly when they are the same function.
+class _Polyline(_Value):
+    """Base of the polyline values: maps, pseudo-inverses, coordinates.
 
     The slots hold the coordinates as reduced int pairs, ``_xr`` and
     ``_yr``, and ``_bps``, the Fraction points once ``breakpoints`` has
-    been read.
+    been read.  A subclass gives only its checks, in
+    ``__post_init__(rows)``, and stores the checked pairs by ``_store``.
     """
 
     __slots__ = ("_xr", "_yr", "_bps")
+    _fields = ("_xr", "_yr")
 
-    def __init__(self, breakpoints: tuple[Point, ...]):
+    def __init__(self, points: tuple[Point, ...]):
         # The body is a method of its own, looked up on the instance, so
         # that perfbench's tracer can wrap it by name.
-        self.__post_init__(_rows(breakpoints))
+        self.__post_init__(_rows(points))
 
     @classmethod
     def _from_pairs(cls, rows):
-        """The map through (x, y) rows of reduced int pairs, built by the
+        """The value through (x, y) rows of reduced int pairs, built by the
         constructor's own body and checks."""
         self = object.__new__(cls)
         self.__post_init__(rows)
         return self
 
-    def __post_init__(self, rows):
-        xr, yr, rise = _normalize(rows)
-        if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (1, 1):
-            raise InputError("must fix the endpoints: first (0,0), last (1,1)")
-        if rise < 0:
-            raise InputError("values must be weakly increasing")
-        self._check_values(rise)
+    def _store(self, xr, yr) -> None:
         _set = object.__setattr__
         _set(self, "_xr", xr)
         _set(self, "_yr", yr)
         _set(self, "_bps", None)
 
-    def _check_values(self, rise: int) -> None:
-        """Further checks on the least rise sign of the kept segments."""
-
     @property
     def breakpoints(self) -> tuple[Point, ...]:
-        """The breakpoints as (x, y) Fractions, built on the first read."""
+        """The points as (x, y) Fractions, built on the first read."""
         bps = self._bps
         if bps is None:
             bps = tuple((Fraction(*x), Fraction(*y)) for x, y in zip(self._xr, self._yr))
@@ -357,16 +338,11 @@ class PLMono(_Value):
         return bps
 
     def __call__(self, t) -> Fraction:
-        """Exact value at t by linear interpolation."""
-        return _at(self._xr, self._yr, t)
-
-    def __eq__(self, other):
-        if isinstance(other, PLMono):
-            return self._xr == other._xr and self._yr == other._yr
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._xr, self._yr))
+        """Exact value at t in [0, 1] by linear interpolation."""
+        t = _frac(t)
+        if t < ZERO or t > ONE:
+            raise InputError(f"argument {t} outside [0, 1]")
+        return Fraction(*_sweep(self._xr, self._yr, (t.as_integer_ratio(),))[0])
 
     def __reduce__(self):
         # Pickle and copy would restore the slots through __setattr__.
@@ -375,6 +351,41 @@ class PLMono(_Value):
     def __repr__(self):
         pts = " ".join(f"({x},{y})" for x, y in self.breakpoints)
         return f"{type(self).__name__}[{pts}]"
+
+
+class PLMono(_Polyline):
+    """Continuous weakly increasing piecewise-linear surjection of [0, 1].
+
+    Breakpoints are held in the unique minimal form: x-coordinates
+    strictly increasing from (0, 0) to (1, 1), y-coordinates weakly
+    increasing, no three consecutive points collinear.  Plateaus are
+    segments of zero slope.  Instances are immutable and hashable; two
+    instances are equal exactly when they are the same function.
+    """
+
+    __slots__ = ()
+
+    def __post_init__(self, rows):
+        xr, yr, rise = _normalize(rows)
+        if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (1, 1):
+            raise InputError("must fix the endpoints: first (0,0), last (1,1)")
+        if rise < 0:
+            raise InputError("values must be weakly increasing")
+        self._check_values(rise)
+        self._store(xr, yr)
+
+    def _check_values(self, rise: int) -> None:
+        """Further checks on the least rise sign of the kept segments."""
+
+    # In the class __dict__, where perfbench's tracer wraps it by name.
+    __call__ = _Polyline.__call__
+
+    def __eq__(self, other):
+        if isinstance(other, PLMono):
+            return self._xr == other._xr and self._yr == other._yr
+        return NotImplemented
+
+    __hash__ = _Polyline.__hash__
 
 
 class PLHomeo(PLMono):
@@ -407,7 +418,7 @@ def inverse(g: PLHomeo) -> PLHomeo:
     return PLHomeo._from_pairs(zip(g._yr, g._xr))
 
 
-class LcMono(_Value):
+class LcMono(_Polyline):
     """Left-continuous weakly increasing inverse of a monotone surjection.
 
     Stored as the reflected polyline of the function it inverts: the
@@ -418,10 +429,9 @@ class LcMono(_Value):
     sends a plateau's common value to the plateau's left endpoint.
     """
 
-    _fields = ("vertices",)
+    __slots__ = ()
 
-    def __init__(self, vertices: tuple[Point, ...]):
-        rows = _rows(vertices)
+    def __post_init__(self, rows):
         if len(rows) < 2 or rows[0] != ((0, 1), (0, 1)) or rows[-1] != ((1, 1), (1, 1)):
             raise InputError("vertices must run from (0,0) to (1,1)")
         vr, tr = zip(*rows)
@@ -429,11 +439,9 @@ class LcMono(_Value):
             raise InputError("arguments must be weakly increasing")
         if not _ascending(tr, strict=True):
             raise InputError("values must be strictly increasing")
-        verts = tuple((Fraction(*v), Fraction(*t)) for v, t in rows)
-        self.__dict__.update(vertices=verts, _vr=vr, _tr=tr)
+        self._store(vr, tr)
 
-    def __call__(self, v) -> Fraction:
-        return _at(self._vr, self._tr, v)
+    vertices = _Polyline.breakpoints
 
     def jumps(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """All jumps as (argument, lower value, upper value) triples."""
@@ -442,10 +450,6 @@ class LcMono(_Value):
             if v0 == v1:
                 out.append((v0, t0, t1))
         return out
-
-    def __repr__(self):
-        pts = " ".join(f"({v},{t})" for v, t in self.vertices)
-        return f"LcMono[{pts}]"
 
 
 def pseudo_inverse(f: PLMono) -> LcMono:
@@ -456,7 +460,9 @@ def pseudo_inverse(f: PLMono) -> LcMono:
     endpoint there.  For a strictly increasing f this is the ordinary
     inverse.
     """
-    return LcMono(tuple((y, x) for x, y in f.breakpoints))
+    if not isinstance(f, PLMono):
+        raise InputError("pseudo_inverse needs a monotone map")
+    return LcMono._from_pairs(tuple(zip(f._yr, f._xr)))
 
 
 def compose(f: PLMono, g: PLMono) -> PLMono:
@@ -487,9 +493,11 @@ def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
     which f moves gives two points with one abscissa: the constructor
     rejects them and InvariantViolation is raised.
     """
-    xs = _merged((f._xr, inv._tr))
+    if not isinstance(f, PLMono) or not isinstance(inv, LcMono):
+        raise InputError("compose_lc needs a monotone map and a pseudo-inverse")
+    xs = _merged((f._xr, inv._yr))
     try:
-        return PLMono._from_pairs(zip(_sweep(inv._tr, inv._vr, xs), _sweep(f._xr, f._yr, xs)))
+        return PLMono._from_pairs(zip(_sweep(inv._yr, inv._xr, xs), _sweep(f._xr, f._yr, xs)))
     except InputError as exc:
         raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
 

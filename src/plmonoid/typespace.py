@@ -35,14 +35,12 @@ from .plcore import (
     InvariantViolation,
     PLHomeo,
     PLMono,
-    Point,
+    _Polyline,
     _Value,
-    _at,
     _combined,
     _frac,
     _ints,
     _normalize,
-    _rows,
     _tabulate,
     combine,
     identity,
@@ -192,32 +190,24 @@ def lipschitz_constant(c: CanonicalTuple, i: int) -> Fraction:
     return max_slope(c.components[i])
 
 
-class RoelckeCoord(_Value):
+class RoelckeCoord(_Polyline):
     """1-Lipschitz piecewise-linear function vanishing at both endpoints.
 
     The coordinate of a canonical pair with equal weights: first
     component minus the identity.  Every segment slope lies in [-1, 1].
     """
 
-    _fields = ("breakpoints",)
+    __slots__ = ()
 
-    def __init__(self, breakpoints: tuple[Point, ...]):
-        xr, yr, _ = _normalize(_rows(breakpoints))
+    def __post_init__(self, rows):
+        xr, yr, _ = _normalize(rows)
         if xr[0] != (0, 1) or yr[0] != (0, 1) or xr[-1] != (1, 1) or yr[-1] != (0, 1):
             raise InputError("coordinate must vanish at both endpoints")
         # |y1 - y0| <= x1 - x0 on each segment, denominators cleared
         if any(abs(y1n * y0d - y0n * y1d) * x0d * x1d > (x1n * x0d - x0n * x1d) * y0d * y1d
                for (x0n, x0d), (y0n, y0d), (x1n, x1d), (y1n, y1d) in zip(xr, yr, xr[1:], yr[1:])):
             raise InputError("coordinate must be 1-Lipschitz")
-        pts = tuple((Fraction(*x), Fraction(*y)) for x, y in zip(xr, yr))
-        self.__dict__.update(breakpoints=pts, _xr=xr, _yr=yr)
-
-    def __call__(self, t) -> Fraction:
-        return _at(self._xr, self._yr, t)
-
-    def __repr__(self):
-        pts = " ".join(f"({x},{y})" for x, y in self.breakpoints)
-        return f"RoelckeCoord[{pts}]"
+        self._store(xr, yr)
 
 
 def roelcke_coord(c: CanonicalTuple) -> RoelckeCoord:

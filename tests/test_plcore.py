@@ -299,6 +299,26 @@ def test_compose_lc_discontinuity_detected():
         compose_lc(identity(), pseudo_inverse(lo))
 
 
+_H = PLMono(((0, 0), (F(1, 4), F(1, 2)), (F(1, 2), F(1, 2)), (1, 1)))
+_RC = RoelckeCoord(((0, 0), (F(1, 2), F(1, 4)), (1, 0)))
+WRONG_KIND = [
+    ("pseudo_inverse-of-LcMono", lambda: pseudo_inverse(pseudo_inverse(_H))),
+    ("pseudo_inverse-of-RoelckeCoord", lambda: pseudo_inverse(_RC)),
+    ("compose_lc-through-PLMono", lambda: compose_lc(_H, _H)),
+    ("compose_lc-through-RoelckeCoord", lambda: compose_lc(_H, _RC)),
+    ("compose_lc-of-LcMono", lambda: compose_lc(pseudo_inverse(_H), pseudo_inverse(_H))),
+    ("compose_lc-of-RoelckeCoord", lambda: compose_lc(_RC, pseudo_inverse(_H))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in WRONG_KIND], ids=[n for n, _ in WRONG_KIND])
+def test_pseudo_inverse_and_compose_lc_reject_the_wrong_kind_of_polyline(call):
+    # pseudo_inverse takes a map; compose_lc a map and an LcMono.  Every
+    # polyline stores the same int pairs, so only the type tells them apart.
+    with pytest.raises(InputError, match="needs a monotone map"):
+        call()
+
+
 # --- distances and order predicate
 
 

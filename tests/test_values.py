@@ -112,7 +112,7 @@ def _kernel_built():
 
 
 def test_maps_have_no_instance_dict():
-    for value in (F0, identity(), compose(F0, F0), inverse(identity())):
+    for value in (F0, identity(), compose(F0, F0), inverse(identity()), pseudo_inverse(F0), roelcke_coord(CT)):
         assert not hasattr(value, "__dict__")
 
 
@@ -131,7 +131,11 @@ def test_unread_kernel_built_maps_round_trip():
     rng = random.Random(4)
     f, g = random_mono(rng), random_mono(rng)
     ct, m = canonicalize(random_tuple(rng, 2))
-    for fresh in (compose(f, g), combine([(F(1, 2), f), (F(1, 2), g)]), m, *ct):
+    inv = pseudo_inverse(f)
+    assert f._bps is None  # pseudo_inverse reads the pairs, not breakpoints
+    # roelcke_coord reads its pair's breakpoints, so it gets a pair of its own.
+    coord = roelcke_coord(canonicalize(random_tuple(rng, 2))[0])
+    for fresh in (compose(f, g), combine([(F(1, 2), f), (F(1, 2), g)]), m, *ct, inv, coord):
         assert fresh._bps is None  # breakpoints never read
         for twin in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
             assert twin is not fresh and type(twin) is type(fresh)

@@ -129,6 +129,48 @@ MUTANTS = [
         "tests/test_gaps.py::test_equiv_gap_endpoint_at_a_crossing_value",
         "7eddd77: equiv_test's crossing at (f0 + f1)/2",
     ),
+    (
+        "explorer.py",
+        "if old is None or c < old[0]:",
+        "if old is None or c <= old[0]:",
+        "tests/test_explorer.py::test_nearest_net_point_matches_fraction_reference",
+        "13ec06e: the net DP's tie-break reversed",
+    ),
+    (
+        "quotdist.py",
+        "bisect_left(br, ar[p] - bound)",
+        "bisect_right(br, ar[p] - bound)",
+        "tests/test_quotdist.py::test_oracle_reflexive",
+        "8367df0: the oracle band's low end by bisect_right",
+    ),
+    (
+        "quotdist.py",
+        "bisect_right(br, ar[p] + bound)",
+        "bisect_left(br, ar[p] + bound)",
+        "tests/test_quotdist.py::test_oracle_reflexive",
+        "8367df0: the oracle band's high end by bisect_left",
+    ),
+    (
+        "__init__.py",
+        '_SUBMODULES = ("serialize", "explorer")',
+        '_SUBMODULES = ("explorer",)',
+        "tests/test_startup.py::test_cli_loads_only_what_the_subcommand_uses",
+        "e759b48: the package hook without serialize",
+    ),
+    (
+        "__init__.py",
+        '_SUBMODULES = ("serialize", "explorer")',
+        '_SUBMODULES = ("serialize",)',
+        "tests/test_startup.py::test_importing_serialize_or_explorer_loads_neither_layer",
+        "e759b48: the package hook without explorer",
+    ),
+    (
+        "plcore.py",
+        "        if isinstance(other, PLMono):\n",
+        "        if type(other) is type(self):\n",
+        "tests/test_values.py::test_kernel_built_homeo_equals_fraction_built_mono",
+        "new: a PLHomeo no longer equal to the PLMono of the same function",
+    ),
 ]
 
 
