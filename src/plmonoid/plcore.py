@@ -472,6 +472,8 @@ def compose(f: PLMono, g: PLMono) -> PLMono:
     level that is a breakpoint abscissa of f or a breakpoint value of
     g; f is constant there at its value on that level.
     """
+    if not isinstance(f, PLMono) or not isinstance(g, PLMono):
+        raise InputError("compose needs two monotone maps")
     levels = _merged((f._xr, g._yr))
     lefts, rights = _sweep_ends(g._yr, g._xr, levels)
     rows = []
@@ -537,9 +539,12 @@ def _combined(coeffs: Sequence[Ratio], rows: Sequence[Sequence[Ratio]]) -> list[
     return out
 
 
-def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int]) -> Fraction:
+def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int], name: str) -> Fraction:
     """Largest size(f - g) on the merged breakpoint grid, from 0 at x = 0:
-    int pairs compared by cross-multiplying, one Fraction at the end."""
+    int pairs compared by cross-multiplying, one Fraction at the end.
+    ``name`` is the caller's, for the error on an argument not a map."""
+    if not isinstance(f, PLMono) or not isinstance(g, PLMono):
+        raise InputError(f"{name} needs two monotone maps")
     _, (fv, gv) = _tabulate((f, g))
     best, best_d = 0, 1
     for (an, ad), (bn, bd) in zip(fv, gv):
@@ -555,7 +560,7 @@ def sup_dist(f: PLMono, g: PLMono) -> Fraction:
     The difference is piecewise linear, so the supremum is attained at
     a point of the merged breakpoint grid.
     """
-    return _max_difference(f, g, abs)
+    return _max_difference(f, g, abs, "sup_dist")
 
 
 def order_excess(f: PLMono, g: PLMono) -> Fraction:
@@ -564,11 +569,13 @@ def order_excess(f: PLMono, g: PLMono) -> Fraction:
     Zero exactly when g dominates f pointwise; otherwise it measures by
     how much it fails to.  Never negative, since both maps agree at 0.
     """
-    return _max_difference(f, g, pos)
+    return _max_difference(f, g, pos, "order_excess")
 
 
 def max_slope(f: PLMono) -> Fraction:
     """Largest segment slope; a Lipschitz constant for f and the best one."""
+    if not isinstance(f, PLMono):
+        raise InputError("max_slope needs a monotone map")
     bps = f.breakpoints
     return max((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
 

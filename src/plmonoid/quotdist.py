@@ -11,7 +11,12 @@ components uniform norm, and is computed here three independent ways:
   the values of one grid cell and one node only;
 * a bisection on eps driven by the decision procedure, bracketed above
   by the sup-distance of the canonical forms (the canonical map is
-  contractive);
+  contractive).  A closed-form floor from the same forms answers every
+  step below it without a free-space run: at each parameter some
+  component of one form lies above the other's and some below, and a
+  monotone path pays at least the smaller of the two gaps, whichever
+  way it moves.  For pairs the floor is the sup-distance, so it is
+  the distance exactly (quot_dist's docstring has the proof);
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
@@ -73,7 +78,10 @@ class QuotInterval(_Value):
     """Bracket [lo, hi] around a quotient distance.
 
     The decision procedure answered False at lo (or lo is 0) and True
-    at hi; ``decisions`` counts how many decision calls were spent.
+    at hi.  ``decisions`` counts the bisection's steps, with the check
+    at 0 and the one at the starting hi.  A step whose eps lies below
+    the floor (see quot_dist), the check at 0 included, is answered
+    False without a free-space run but still counted.
     """
 
     _fields = ("lo", "hi", "decisions")
@@ -251,24 +259,61 @@ def quot_decision(a, b, eps) -> bool:
     return _FreeSpace(_as_tuple(a), _as_tuple(b)).decide(eps)
 
 
+def _level_bounds(ca: CanonicalTuple, cb: CanonicalTuple) -> tuple[Fraction, Fraction]:
+    """(floor, hi): a lower and an upper bound on the quotient distance
+    of two uniform-weight canonical tuples.
+
+    At each point u of the merged grid of all 2n components, with
+    d = ca(u) - cb(u), P is the largest d_i and N the largest -d_i; both
+    are >= 0, as the d_i sum to 0.  floor is the largest min(P, N) and hi
+    the largest max(P, N), the max component sup-distance.  The values
+    at a point are ints over their lcm, and each bound is a running int
+    pair compared by cross-multiplying, made a Fraction at the end.
+    """
+    n = len(ca)
+    _, rows = _tabulate((*ca.components, *cb.components))
+    floor, floor_d, hi, hi_d = 0, 1, 0, 1
+    for point in zip(*rows):
+        vals, d = _ints(point)
+        diffs = list(map(sub, vals[:n], vals[n:]))
+        low, high = max(diffs), -min(diffs)  # P and N, then in order
+        if low > high:
+            low, high = high, low
+        if low * floor_d > floor * d:
+            floor, floor_d = low, d
+        if high * hi_d > hi * d:
+            hi, hi_d = high, d
+    return Fraction(floor, floor_d), Fraction(hi, hi_d)
+
+
 def quot_dist(a, b, tol) -> QuotInterval:
     """Bracket the quotient distance to within tol by bisection.
 
-    The upper end starts at the max component sup-distance of the two
-    canonical forms, which dominates the quotient distance because
+    The upper end starts at hi, the max component sup-distance of the
+    two canonical forms, which dominates the quotient distance because
     passing to canonical forms is contractive; the lower end starts at
     zero.  On return hi - lo <= tol, the decision procedure at hi
     answered True, and at lo it answered False unless lo is 0.
+
+    A step whose eps lies below the floor of _level_bounds is answered
+    False without a free-space run.  Proof sketch: the canonical forms
+    A, B of a and b both sum to n*u at u, and a monotone path matching
+    a with b maps to one matching A with B at the same cost.  The path
+    matches each u with some v.  If v >= u then B(v) >= B(u) in every
+    component, so no negative difference of A(u) - B(u) shrinks and the
+    cost is at least N(u); if v <= u it is at least P(u).  So every path
+    costs at least min(P, N) at every u, and the decision is False below
+    the floor.  For n = 2, d_2 = -d_1, so P = N = |d_1| and the floor is
+    hi: the bracket then needs one free-space run, the check at hi.
     """
     tol = _frac(tol)
     if tol <= ZERO:
         raise InputError("tolerance must be positive")
     space = _FreeSpace(_as_tuple(a), _as_tuple(b))
+    floor, hi = _level_bounds(_canonical(a), _canonical(b))
     decisions = 1
-    if space.decide(ZERO):
+    if not floor and space.decide(ZERO):
         return QuotInterval(ZERO, ZERO, decisions)
-    ca, cb = _canonical(a), _canonical(b)
-    hi = max(sup_dist(f, g) for f, g in zip(ca.components, cb.components))
     decisions += 1
     if not space.decide(hi):
         raise InvariantViolation("canonical sup-distance failed as an upper bound")
@@ -276,7 +321,7 @@ def quot_dist(a, b, tol) -> QuotInterval:
     while hi - lo > tol:
         mid = (lo + hi) * HALF
         decisions += 1
-        if space.decide(mid):
+        if mid >= floor and space.decide(mid):
             hi = mid
         else:
             lo = mid

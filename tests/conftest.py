@@ -2,7 +2,8 @@
 maps with large coprime denominators, the support, complement-piece
 and preimage helpers of a search-based equiv_test (the reference the
 closed form is checked against), plus a terminal summary that prints
-one line per acceptance criterion.
+one line per acceptance criterion, and the plain bisection that
+quot_dist must agree with field for field.
 """
 
 import random
@@ -11,8 +12,9 @@ from fractions import Fraction
 from math import gcd
 
 
-from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
-from plmonoid.plcore import ONE, ZERO, _lerp, _sweep, _sweep_ends, _tabulate
+from plmonoid import GapSet, MonoTuple, PLMono, canonicalize, isolated_points, merge_gaps, sup_dist
+from plmonoid.plcore import HALF, ONE, ZERO, InvariantViolation, _lerp, _sweep, _sweep_ends, _tabulate
+from plmonoid.quotdist import _FreeSpace
 
 Interval = tuple[Fraction, Fraction]
 
@@ -175,6 +177,29 @@ def _complement_pieces(g: GapSet) -> list[Interval]:
         cursor = b
     pieces.append((cursor, ONE))
     return pieces
+
+
+def bisection_reference(a, b, tol) -> tuple[Fraction, Fraction, int]:
+    """(lo, hi, decisions) of quot_dist by the plain bisection: a
+    free-space run at 0, at the canonical sup bound and at every
+    midpoint, with no lower bound to skip any of them."""
+    a, b = MonoTuple(tuple(a)), MonoTuple(tuple(b))
+    space = _FreeSpace(a, b)
+    if space.decide(ZERO):
+        return ZERO, ZERO, 1
+    ca, cb = canonicalize(a)[0], canonicalize(b)[0]
+    hi = max(sup_dist(f, g) for f, g in zip(ca, cb))
+    if not space.decide(hi):
+        raise InvariantViolation("canonical sup-distance failed as an upper bound")
+    lo, decisions = ZERO, 2
+    while hi - lo > tol:
+        mid = (lo + hi) * HALF
+        decisions += 1
+        if space.decide(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, decisions
 
 
 _CRITERION = re.compile(r"test_c(\d+)([a-z]?)_(\w+)")

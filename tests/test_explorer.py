@@ -527,6 +527,69 @@ def test_cli_dist_grid_oracle(tmp_path):
     assert ser.parse_frac(obj["lo"]) <= upper <= ser.parse_frac(obj["hi"]) + F(4, 64)
 
 
+def _tuple_json(*components):
+    return json.dumps({"components": [{"breakpoints": [list(p) for p in c]} for c in components]},
+                      separators=(",", ":"))
+
+
+# Seeded draws: an n = 2 random_point pair (seed 3), an n = 3 random_tuple
+# pair (seed 5) and an n = 5 random_point pair (seed 8).
+DIST_PIN_PAIRS = {
+    "n2": (
+        _tuple_json([("0", "0"), ("1/4", "9/20"), ("1/2", "4/5"), ("3/4", "4/5"), ("1", "1")],
+                    [("0", "0"), ("1/4", "1/20"), ("1/2", "1/5"), ("3/4", "7/10"), ("1", "1")]),
+        _tuple_json([("0", "0"), ("1/5", "6/25"), ("2/5", "14/25"), ("3/5", "14/25"), ("4/5", "21/25"), ("1", "1")],
+                    [("0", "0"), ("1/5", "4/25"), ("2/5", "6/25"), ("3/5", "16/25"), ("4/5", "19/25"), ("1", "1")]),
+    ),
+    "n3": (
+        _tuple_json([("0", "0"), ("1/7", "1/28"), ("2/7", "5/14"), ("3/7", "13/28"), ("4/7", "5/7"), ("5/7", "3/4"),
+                     ("6/7", "6/7"), ("1", "1")],
+                    [("0", "0"), ("1/4", "3/8"), ("1/2", "5/8"), ("3/4", "5/8"), ("1", "1")],
+                    [("0", "0"), ("1/5", "1/5"), ("2/5", "1"), ("1", "1")]),
+        _tuple_json([("0", "0"), ("1/5", "3/10"), ("2/5", "4/5"), ("3/5", "9/10"), ("4/5", "9/10"), ("1", "1")],
+                    [("0", "0"), ("1/4", "0"), ("1/2", "1/3"), ("3/4", "1/3"), ("1", "1")],
+                    [("0", "0"), ("1/3", "1/3"), ("2/3", "1"), ("1", "1")]),
+    ),
+    "n5": (
+        _tuple_json([("0", "0"), ("1/4", "49/88"), ("1/2", "57/88"), ("3/4", "61/88"), ("1", "1")],
+                    [("0", "0"), ("1/4", "1/8"), ("1/2", "25/44"), ("3/4", "15/22"), ("1", "1")],
+                    [("0", "0"), ("1/4", "1/44"), ("1/2", "3/8"), ("3/4", "1"), ("1", "1")],
+                    [("0", "0"), ("1/4", "1/2"), ("1/2", "47/88"), ("3/4", "47/88"), ("1", "1")],
+                    [("0", "0"), ("1/4", "1/22"), ("1/2", "3/8"), ("3/4", "37/44"), ("1", "1")]),
+        _tuple_json([("0", "0"), ("1/4", "37/72"), ("3/4", "43/72"), ("1", "1")],
+                    [("0", "0"), ("1/4", "0"), ("1/2", "43/72"), ("3/4", "8/9"), ("1", "1")],
+                    [("0", "0"), ("1/4", "1/9"), ("1/2", "11/72"), ("3/4", "11/12"), ("1", "1")],
+                    [("0", "0"), ("1/4", "35/72"), ("3/4", "35/72"), ("1", "1")],
+                    [("0", "0"), ("1/4", "5/36"), ("1/2", "17/24"), ("3/4", "31/36"), ("1", "1")]),
+    ),
+}
+
+# Recorded before the bisection skipped any free-space run.
+DIST_PINS = {
+    "n2-tol256": ("n2", ["--tol", "1/256"],
+                  '{"canonical_bound":"6/25","decisions":8,"hi":"6/25","lo":"189/800"}\n'),
+    "n2-grid16": ("n2", ["--grid", "16"],
+                  '{"canonical_bound":"6/25","decisions":6,"hi":"6/25","lo":"9/40","oracle_upper":"6/25"}\n'),
+    "n3-tol256": ("n3", ["--tol", "1/256"],
+                  '{"canonical_bound":"603/1400","decisions":9,"hi":"70551/179200","lo":"17487/44800"}\n'),
+    "n3-grid16": ("n3", ["--grid", "16"],
+                  '{"canonical_bound":"603/1400","decisions":7,"hi":"1809/4480","lo":"17487/44800",'
+                  '"oracle_upper":"49/120"}\n'),
+    "n5-tol256": ("n5", ["--tol", "1/256"],
+                  '{"canonical_bound":"1/3","decisions":9,"hi":"55/192","lo":"109/384"}\n'),
+    "n5-grid16": ("n5", ["--grid", "16"],
+                  '{"canonical_bound":"1/3","decisions":7,"hi":"7/24","lo":"9/32","oracle_upper":"1/3"}\n'),
+}
+
+
+@pytest.mark.parametrize("pair, flags, expected", DIST_PINS.values(), ids=DIST_PINS.keys())
+def test_cli_dist_stdout_bytes_are_pinned(tmp_path, pair, flags, expected):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, text in zip((a, b), DIST_PIN_PAIRS[pair]):
+        path.write_text(text)
+    assert run_cli(["dist", str(a), str(b), *flags]) == (0, expected)
+
+
 def test_cli_invariant_violation_exit_code(monkeypatch):
     from plmonoid import InvariantViolation
     from plmonoid import explorer

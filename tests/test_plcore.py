@@ -319,6 +319,27 @@ def test_pseudo_inverse_and_compose_lc_reject_the_wrong_kind_of_polyline(call):
         call()
 
 
+MAPS_ONLY = [
+    ("compose-after-LcMono", lambda: compose(_H, pseudo_inverse(_H))),
+    ("compose-of-LcMono", lambda: compose(pseudo_inverse(_H), _H)),
+    ("compose-after-RoelckeCoord", lambda: compose(_H, _RC)),
+    ("sup_dist-to-LcMono", lambda: sup_dist(_H, pseudo_inverse(_H))),
+    ("sup_dist-of-LcMono", lambda: sup_dist(pseudo_inverse(_H), _H)),
+    ("sup_dist-of-RoelckeCoord", lambda: sup_dist(_RC, _H)),
+    ("order_excess-to-LcMono", lambda: order_excess(_H, pseudo_inverse(_H))),
+    ("order_excess-of-RoelckeCoord", lambda: order_excess(_RC, _H)),
+    ("max_slope-of-LcMono", lambda: max_slope(pseudo_inverse(_H))),
+    ("max_slope-of-RoelckeCoord", lambda: max_slope(_RC)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in MAPS_ONLY], ids=[n for n, _ in MAPS_ONLY])
+def test_map_operations_reject_other_polylines(call):
+    # _H has a plateau, so its pseudo-inverse jumps: not a map of [0, 1].
+    with pytest.raises(InputError, match="needs (a|two) monotone maps?$"):
+        call()
+
+
 # --- distances and order predicate
 
 

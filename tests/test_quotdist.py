@@ -30,7 +30,7 @@ from plmonoid.gaps import extreme_pair
 from plmonoid.explorer import random_homeo, random_mono, random_point, random_tuple
 from plmonoid.plcore import _ints, _sweep
 
-from conftest import COPRIME_DENS, coprime_map, fractions, probe_tuple, ratios, tabulated
+from conftest import COPRIME_DENS, bisection_reference, coprime_map, fractions, probe_tuple, ratios, tabulated
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -271,6 +271,72 @@ def test_bracket_tolerance_validation():
     a, b = worked_pair()
     with pytest.raises(InputError):
         quot_dist(a, b, 0)
+
+
+def draw_pair(rng, kind):
+    """A pair of tuples of one length: random_point pairs and triples,
+    random_tuple pairs of length 1 to 5, pairs of coprime_map pairs over
+    four 100-digit denominators, or a random_tuple and a
+    reparameterization of it (distance 0)."""
+    if kind in ("point2", "point3"):
+        n = int(kind[-1])
+        return random_point(rng, n), random_point(rng, n)
+    if kind == "tuple":
+        n = rng.randrange(1, 6)
+        return random_tuple(rng, n), random_tuple(rng, n)
+    if kind == "coprime":
+        dens = rng.sample(COPRIME_DENS, 4)
+        return tuple(MonoTuple(tuple(coprime_map(rng, dens.pop(), 3) for _ in range(2))) for _ in range(2))
+    t = random_tuple(rng, rng.randrange(2, 4))
+    g = random_homeo(rng)
+    return t, MonoTuple(tuple(compose(f, g) for f in t))
+
+
+PAIR_KINDS = ["point2", "point3", "tuple", "coprime", "orbit"]
+tols = st.sampled_from([F(1, 64), F(1, 256), F(1, 4096)])
+
+
+@given(seeds, st.sampled_from(PAIR_KINDS), tols)
+@example(0, "orbit", F(1, 64))
+@example(1, "point3", F(1, 256))
+@settings(max_examples=40, deadline=None)
+def test_quot_dist_matches_plain_bisection(seed, kind, tol):
+    # Steps below the floor skip their free-space run; lo, hi and the
+    # count of bisection steps must not move.
+    a, b = draw_pair(random.Random(seed), kind)
+    qi = quot_dist(a, b, tol)
+    assert (qi.lo, qi.hi, qi.decisions) == bisection_reference(a, b, tol)
+
+
+@given(seeds, st.sampled_from(PAIR_KINDS))
+@example(1, "point3")
+@settings(max_examples=30, deadline=None)
+def test_decision_false_just_below_the_floor(seed, kind):
+    a, b = draw_pair(random.Random(seed), kind)
+    floor, hi = quotdist._level_bounds(*(canonicalize(MonoTuple(tuple(t)))[0] for t in (a, b)))
+    assert floor <= hi
+    assert quot_decision(a, b, hi) is True
+    if floor:
+        assert quot_decision(a, b, floor - F(1, 2**60)) is False
+
+
+@given(seeds, st.sampled_from(["point", "tuple", "coprime"]))
+@settings(max_examples=20, deadline=None)
+def test_pair_floor_is_the_canonical_sup_bound(seed, kind):
+    # For n = 2 the level differences are d and -d, so the floor is the
+    # sup bound and the bracket's hi is the exact distance.
+    rng = random.Random(seed)
+    if kind == "tuple":
+        a, b = random_tuple(rng, 2), random_tuple(rng, 2)
+    else:
+        a, b = draw_pair(rng, "point2" if kind == "point" else kind)
+    ca, cb = canonicalize(MonoTuple(tuple(a)))[0], canonicalize(MonoTuple(tuple(b)))[0]
+    floor, hi = quotdist._level_bounds(ca, cb)
+    assert floor == hi == max(sup_dist(f, g) for f, g in zip(ca, cb))
+    assert quot_decision(a, b, hi) is True
+    if hi:
+        assert quot_decision(a, b, hi - F(1, 2**60)) is False
+        assert quot_dist(a, b, F(1, 64)).hi == hi
 
 
 @given(seeds)

@@ -1,5 +1,6 @@
-"""Mutation gate: the one-line mutants of src/ that past changes showed a
-test catching, kept so that a later change cannot quietly lose the catch.
+"""Mutation gate: the one- and two-line mutants of src/ that past changes
+showed a test catching, kept so that a later change cannot quietly lose
+the catch.
 
 Each row of MUTANTS is (module, exact old text, new text, test selector,
 origin commit).  First every selector must pass on an unmutated copy of src/.
@@ -170,6 +171,34 @@ MUTANTS = [
         "        if type(other) is type(self):\n",
         "tests/test_values.py::test_kernel_built_homeo_equals_fraction_built_mono",
         "new: a PLHomeo no longer equal to the PLMono of the same function",
+    ),
+    (
+        "quotdist.py",
+        "end = min(count, (a1 * x0d - x0n * b1) * k // (b1 * x0d) + 1)",
+        "end = min(count, (a1 * x0d - x0n * b1) * k // (b1 * x0d))",
+        "tests/test_quotdist.py::test_runs_match_pointwise_sweep",
+        "6f0edbd: a run of _runs ending one point early",
+    ),
+    (
+        "quotdist.py",
+        "        return cm * o, lo, hi_m * o, gap * m, sloped\n",
+        "        return m * o, lo, hi_m * o, gap * m, sloped\n",
+        "tests/test_quotdist.py::test_int_decision_matches_fraction_reference",
+        "e5900ea: the free-space edge scale without its cell factor",
+    ),
+    (
+        "quotdist.py",
+        "        if low * floor_d > floor * d:\n            floor, floor_d = low, d\n",
+        "        if high * floor_d > floor * d:\n            floor, floor_d = high, d\n",
+        "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
+        "new: the level floor taken as max(P, N)",
+    ),
+    (
+        "quotdist.py",
+        "    if not floor and space.decide(ZERO):\n",
+        "    if floor and space.decide(ZERO):\n",
+        "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
+        "new: the zero check skipped when the floor is 0",
     ),
 ]
 
