@@ -469,7 +469,7 @@ def _cmd_canon(args) -> str:
 
 
 def _cmd_dist(args) -> str:
-    from .quotdist import brute_oracle, quot_dist
+    from .quotdist import _bracket, brute_oracle
 
     if args.grid > 4096:
         raise InputError(f"--grid {args.grid} exceeds 4096; the oracle's work grows as its square")
@@ -479,8 +479,7 @@ def _cmd_dist(args) -> str:
     tol = ser.parse_frac(args.tol)
     ca, _ = canonicalize(ta)
     cb, _ = canonicalize(tb)
-    qi = quot_dist(ca, cb, tol)
-    bound = max(sup_dist(f, g) for f, g in zip(ca.components, cb.components))
+    qi, bound = _bracket(ca, cb, tol)
     out = ser.interval_to_obj(qi)
     out["canonical_bound"] = ser.frac_str(bound)
     if args.grid:

@@ -84,7 +84,10 @@ class _Value:
     deleting an attribute afterwards raises AttributeError.  Two
     instances of one class are equal when the fields named in
     ``_fields`` are, hash by them, and print as ``Name(field=value, ...)``
-    (a polyline as ``Name[(x,y) ...]``).
+    (a polyline as ``Name[(x,y) ...]``).  Pickle and copy rebuild an
+    instance as ``Name(*fields)``, so ``__init__`` takes the fields in
+    ``_fields`` order and its checks run again (a polyline rebuilds
+    through ``_from_pairs`` and its own checks).
     """
 
     __slots__ = ()
@@ -106,6 +109,9 @@ class _Value:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

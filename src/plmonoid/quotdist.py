@@ -10,12 +10,13 @@ components uniform norm, and is computed here three independent ways:
   two merged breakpoint grids, entirely in exact ints, each scaled over
   the values of one grid cell and one node only;
 * a bisection on eps driven by the decision procedure, bracketed above
-  by the sup-distance of the canonical forms (the canonical map is
-  contractive).  A closed-form floor from the same forms answers every
-  step below it without a free-space run: at each parameter some
-  component of one form lies above the other's and some below, and a
-  monotone path pays at least the smaller of the two gaps, whichever
-  way it moves.  For pairs the floor is the sup-distance, so it is
+  by the sup-distance hi of the canonical forms (the canonical map is
+  contractive).  Every bracket is [hi * j / 2^k, hi * (j + 1) / 2^k], so
+  the loop runs on the ints (j, k).  A closed-form floor from the same
+  forms answers every step below it without a free-space run: at each
+  parameter some component of one form lies above the other's and some
+  below, and a monotone path pays at least the smaller of the two gaps,
+  whichever way it moves.  For pairs the floor is the sup-distance, so it is
   the distance exactly (quot_dist's docstring has the proof);
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
@@ -78,10 +79,12 @@ class QuotInterval(_Value):
     """Bracket [lo, hi] around a quotient distance.
 
     The decision procedure answered False at lo (or lo is 0) and True
-    at hi.  ``decisions`` counts the bisection's steps, with the check
-    at 0 and the one at the starting hi.  A step whose eps lies below
-    the floor (see quot_dist), the check at 0 included, is answered
-    False without a free-space run but still counted.
+    at hi.  After k bisection steps from a starting hi0, lo and hi are
+    hi0 * j / 2^k and hi0 * (j + 1) / 2^k for one int j.  ``decisions``
+    counts the bisection's steps, with the check at 0 and the one at the
+    starting hi.  A step whose eps lies below the floor (see quot_dist),
+    the check at 0 included, is answered False without a free-space run
+    but still counted.
     """
 
     _fields = ("lo", "hi", "decisions")
@@ -240,8 +243,13 @@ class _FreeSpace:
 
 
 def _canonical(t) -> CanonicalTuple:
-    """Canonical form of t; a canonical tuple with uniform weights is its own."""
-    if isinstance(t, CanonicalTuple) and t.weights == uniform_weights(len(t)):
+    """Canonical form of t; a canonical tuple with uniform weights is its own.
+
+    Weights are positive and sum to 1 (the constructor checks them, and
+    pickle and copy rebuild through it), so they are uniform exactly
+    when they are all equal.
+    """
+    if isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):
         return t
     return canonicalize(_as_tuple(t))[0]
 
@@ -286,6 +294,39 @@ def _level_bounds(ca: CanonicalTuple, cb: CanonicalTuple) -> tuple[Fraction, Fra
     return Fraction(floor, floor_d), Fraction(hi, hi_d)
 
 
+def _bracket(a, b, tol) -> tuple[QuotInterval, Fraction]:
+    """quot_dist's bracket, with the canonical sup bound it starts from."""
+    tol = _frac(tol)
+    if tol <= ZERO:
+        raise InputError("tolerance must be positive")
+    space = _FreeSpace(_as_tuple(a), _as_tuple(b))
+    floor, hi = _level_bounds(_canonical(a), _canonical(b))
+    decisions = 1
+    if not floor and space.decide(ZERO):
+        return QuotInterval(ZERO, ZERO, decisions), hi
+    decisions += 1
+    if not space.decide(hi):
+        raise InvariantViolation("canonical sup-distance failed as an upper bound")
+    # The bracket is [hi * j / 2^k, hi * (j + 1) / 2^k].  Its width
+    # hi / 2^k exceeds tol iff width > unit << k, and a midpoint
+    # hi * mid / 2^k is at least the floor iff mid_n * mid >= floor_n << k.
+    hn, hd = hi.numerator, hi.denominator
+    width, unit = hn * tol.denominator, tol.numerator * hd
+    mid_n, floor_n = hn * floor.denominator, floor.numerator * hd
+    j = k = 0
+    while width > unit << k:
+        k += 1
+        mid = 2 * j + 1
+        decisions += 1
+        if mid_n * mid >= floor_n << k and space.decide(Fraction(hn * mid, hd << k)):
+            j = mid - 1
+        else:
+            j = mid
+    if not k:
+        return QuotInterval(ZERO, hi, decisions), hi
+    return QuotInterval(Fraction(hn * j, hd << k), Fraction(hn * (j + 1), hd << k), decisions), hi
+
+
 def quot_dist(a, b, tol) -> QuotInterval:
     """Bracket the quotient distance to within tol by bisection.
 
@@ -294,6 +335,10 @@ def quot_dist(a, b, tol) -> QuotInterval:
     passing to canonical forms is contractive; the lower end starts at
     zero.  On return hi - lo <= tol, the decision procedure at hi
     answered True, and at lo it answered False unless lo is 0.
+
+    The bracket is kept as the ints (j, k) of hi * j / 2^k, so a Fraction
+    is built only for a free-space run and for the two ends returned;
+    with no step, hi is returned as it started.
 
     A step whose eps lies below the floor of _level_bounds is answered
     False without a free-space run.  Proof sketch: the canonical forms
@@ -306,26 +351,7 @@ def quot_dist(a, b, tol) -> QuotInterval:
     the floor.  For n = 2, d_2 = -d_1, so P = N = |d_1| and the floor is
     hi: the bracket then needs one free-space run, the check at hi.
     """
-    tol = _frac(tol)
-    if tol <= ZERO:
-        raise InputError("tolerance must be positive")
-    space = _FreeSpace(_as_tuple(a), _as_tuple(b))
-    floor, hi = _level_bounds(_canonical(a), _canonical(b))
-    decisions = 1
-    if not floor and space.decide(ZERO):
-        return QuotInterval(ZERO, ZERO, decisions)
-    decisions += 1
-    if not space.decide(hi):
-        raise InvariantViolation("canonical sup-distance failed as an upper bound")
-    lo = ZERO
-    while hi - lo > tol:
-        mid = (lo + hi) * HALF
-        decisions += 1
-        if mid >= floor and space.decide(mid):
-            hi = mid
-        else:
-            lo = mid
-    return QuotInterval(lo, hi, decisions)
+    return _bracket(a, b, tol)[0]
 
 
 def _interior_kinks(components, k: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -46,7 +47,13 @@ __all__ = [
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # only Pythons with the digit limit raise it here
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"a number in the result has more than {limit} digits, "
+                         "the int-to-str limit (sys.set_int_max_str_digits)") from exc
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -418,6 +418,37 @@ def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, command, da
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_BIG_1, _BIG_3 = 10**2200 + 1, 10**2200 + 3
+_STR_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _kink_map(d: int) -> dict:
+    return {"breakpoints": [["0", "0"], [f"1/{d}", "1/2"], ["1", "1"]]}
+
+
+# Each input int has 2,201 digits, under the 4,300-digit limit on
+# int-to-str conversion; the results need about twice as many.  Pythons
+# without the limit (before 3.11 and 3.10.7) print them.
+@pytest.mark.skipif(not 0 < _STR_DIGIT_LIMIT <= 4300, reason="needs the default int-to-str digit limit")
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("canon", {"components": [_kink_map(_BIG_1), _kink_map(_BIG_3)]}),
+        ("gaps", {"gaps": [[f"1/{_BIG_3}", f"1/{_BIG_1}"]]}),
+    ],
+    ids=["canon", "gaps"],
+)
+def test_cli_result_beyond_the_digit_limit_exits_2(tmp_path, capsys, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert len(path.read_bytes()) < 5000
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{_STR_DIGIT_LIMIT} digits" in err
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-file"])
 def test_cli_long_input_path_error_is_one_short_line(tmp_path, capsys, target):
     long_dir = tmp_path / ("d" * 200)

@@ -339,6 +339,66 @@ def test_pair_floor_is_the_canonical_sup_bound(seed, kind):
         assert quot_dist(a, b, F(1, 64)).hi == hi
 
 
+# 2^-200 and 3/10^50 run far more steps than the tolerances above, the
+# second with a width test that is never exact; 2 lies above every hi.
+@given(seeds, st.sampled_from(PAIR_KINDS), st.sampled_from([F(1, 2**200), F(3, 10**50), F(2)]))
+@example(1, "point3", F(1, 2**200))
+@example(0, "tuple", F(2))
+@settings(max_examples=25, deadline=None)
+def test_int_bracket_matches_plain_bisection_at_extreme_tolerances(seed, kind, tol):
+    a, b = draw_pair(random.Random(seed), kind)
+    qi = quot_dist(a, b, tol)
+    assert (qi.lo, qi.hi, qi.decisions) == bisection_reference(a, b, tol)
+    assert type(qi.lo) is type(qi.hi) is F
+
+
+def test_pair_at_a_tiny_tolerance_takes_one_step_per_halving():
+    # For a pair the floor is hi, so no midpoint runs a free-space
+    # decision: after the check at hi the bracket only halves, k times.
+    rng = random.Random(1)
+    a, b = random_point(rng, 2), random_point(rng, 2)
+    tol = F(1, 10**4000)
+    hi0 = quot_dist(a, b, F(2)).hi
+    assert hi0 > 0
+    # The least k with hi0 / 2^k <= tol: 2^k >= ceil(hi0 / tol).
+    k = (-(-hi0 // tol) - 1).bit_length()
+    qi = quot_dist(a, b, tol)
+    assert qi.decisions == 2 + k
+    assert qi.hi - qi.lo == hi0 / 2**k and qi.lo < qi.hi == hi0
+
+
+def test_midpoint_on_the_floor_runs_its_decision():
+    # a is the identity triple and b = identity + (d1, d2, d3), both
+    # canonical.  The differences are (3/16, -3/16, 0) at 1/4 and
+    # (1/4, -1/8, -1/8) at 3/4, so the floor is 3/16 and hi is 1/4.  The
+    # distance is the largest half-spread of b's components, also 3/16,
+    # so the second midpoint, 3/4 * hi, lands on the floor and must be
+    # decided True there.
+    a = CanonicalTuple((identity(),) * 3, uniform_weights(3))
+    b = CanonicalTuple(tuple(PLMono(((F(0), F(0)), (F(1, 4), y0), (F(3, 4), y1), (F(1), F(1))))
+                             for y0, y1 in ((F(7, 16), F(1)), (F(1, 16), F(5, 8)), (F(1, 4), F(5, 8)))),
+                       uniform_weights(3))
+    assert quotdist._level_bounds(a, b) == (F(3, 16), F(1, 4))
+    assert quot_decision(a, b, F(3, 16)) is True
+    assert quot_decision(a, b, F(3, 16) - F(1, 2**60)) is False
+    qi = quot_dist(a, b, F(1, 64))
+    assert (qi.lo, qi.hi, qi.decisions) == (F(11, 64), F(3, 16), 6) == bisection_reference(a, b, F(1, 64))
+
+
+@given(seeds, st.sampled_from([2, 3]))
+@settings(max_examples=10, deadline=None)
+def test_weighted_canonical_input_is_canonicalized_again(seed, n):
+    # Only a canonical tuple with equal weights is its own canonical form;
+    # with other weights quot_dist must start from its uniform one.
+    rng = random.Random(seed)
+    weights = (F(1, 2 * n),) * (n - 1) + (F(n + 1, 2 * n),)
+    ct, _ = canonicalize(random_tuple(rng, n), weights)
+    other = random_tuple(rng, n)
+    qi = quot_dist(ct, other, F(1, 256))
+    assert qi == quot_dist(ct.as_tuple(), other, F(1, 256))
+    assert (qi.lo, qi.hi, qi.decisions) == bisection_reference(ct, other, F(1, 256))
+
+
 @given(seeds)
 @settings(max_examples=8, deadline=None)
 def test_pseudometric_within_tolerance(seed):

@@ -13,6 +13,7 @@ import pytest
 
 from plmonoid import (
     GapSet,
+    InputError,
     MonoTuple,
     PLHomeo,
     PLMono,
@@ -75,6 +76,18 @@ def test_value_pickle_and_deepcopy_round_trip(value, text, fields):
         assert twin == value and hash(twin) == hash(value) and repr(twin) == text
     if callable(value):
         assert pickle.loads(pickle.dumps(value))(F(5, 8)) == value(F(5, 8))
+
+
+def test_pickle_and_deepcopy_rerun_the_constructor_checks():
+    # A canonical pair whose weights were swapped in behind the
+    # constructor's back: its weighted mean is no longer the identity.
+    forged = object.__new__(type(CT))
+    forged.__dict__.update(components=CT.components, weights=(F(1, 4), F(3, 4)))
+    data = pickle.dumps(forged)
+    with pytest.raises(InputError, match="weighted mean"):
+        pickle.loads(data)
+    with pytest.raises(InputError, match="weighted mean"):
+        copy.deepcopy(forged)
 
 
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)

@@ -200,6 +200,48 @@ MUTANTS = [
         "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
         "new: the zero check skipped when the floor is 0",
     ),
+    (
+        "quotdist.py",
+        "            j = mid - 1\n",
+        "            j = mid\n",
+        "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
+        "new: the int bracket's index off by one after an accepted midpoint",
+    ),
+    (
+        "quotdist.py",
+        "    while width > unit << k:\n",
+        "    while width > unit << (k + 1):\n",
+        "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
+        "new: the int bracket's width test one halving short",
+    ),
+    (
+        "quotdist.py",
+        "        if mid_n * mid >= floor_n << k and",
+        "        if mid_n * mid > floor_n << k and",
+        "tests/test_quotdist.py::test_midpoint_on_the_floor_runs_its_decision",
+        "new: a midpoint on the floor skipped as if below it",
+    ),
+    (
+        "quotdist.py",
+        "    if isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):\n",
+        "    if isinstance(t, CanonicalTuple):\n",
+        "tests/test_quotdist.py::test_weighted_canonical_input_is_canonicalized_again",
+        "new: any canonical tuple taken as its own uniform canonical form",
+    ),
+    (
+        "serialize.py",
+        "    except ValueError as exc:  # only Pythons with the digit limit raise it here\n",
+        "    except TypeError as exc:  # only Pythons with the digit limit raise it here\n",
+        "tests/test_explorer.py::test_cli_result_beyond_the_digit_limit_exits_2",
+        "new: a result beyond the int-to-str digit limit ending in a traceback",
+    ),
+    (
+        "plcore.py",
+        "    def __reduce__(self):\n        return type(self), self._key()\n",
+        "    def _reduce(self):\n        return type(self), self._key()\n",
+        "tests/test_values.py::test_pickle_and_deepcopy_rerun_the_constructor_checks",
+        "new: pickle and copy restoring a value's fields without its checks",
+    ),
 ]
 
 
