@@ -4,9 +4,9 @@ The monoid of continuous weakly increasing surjections of [0, 1],
 represented exactly by rational breakpoints: composition, pseudo-
 inverses, uniform distances and the order predicate; canonical tuple
 representatives and their coordinates; quotient distances between
-tuples up to monotone reparameterization, with an exact free-space
-decision procedure and an independent grid oracle; and the gap
-calculus of reparameterization-invariant pseudo-distances.
+tuples up to monotone reparameterization, exact in closed form and
+checked by an independent grid oracle; and the gap calculus of
+reparameterization-invariant pseudo-distances.
 
 plcore and typespace load with the package.  quotdist and gaps load
 together on the first access to one of their names, to ``__all__`` (as

@@ -3,21 +3,16 @@
 Two equal-length tuples are compared modulo simultaneous monotone
 reparameterization of each side.  The resulting distance is a Frechet
 distance between the two tuple-valued curves under the max-over-
-components uniform norm, and is computed here three independent ways:
+components uniform norm, and is computed here two independent ways:
 
-* an exact decision procedure ("is the distance at most eps?") that
-  propagates feasible intervals through the free-space diagram of the
-  two merged breakpoint grids, entirely in exact ints, each scaled over
-  the values of one grid cell and one node only;
-* a bisection on eps driven by the decision procedure, bracketed above
-  by the sup-distance hi of the canonical forms (the canonical map is
-  contractive).  Every bracket is [hi * j / 2^k, hi * (j + 1) / 2^k], so
-  the loop runs on the ints (j, k).  A closed-form floor from the same
-  forms answers every step below it without a free-space run: at each
-  parameter some component of one form lies above the other's and some
-  below, and a monotone path pays at least the smaller of the two gaps,
-  whichever way it moves.  For pairs the floor is the sup-distance, so it is
-  the distance exactly (quot_dist's docstring has the proof);
+* exactly, in closed form: the largest value, over the grid lines of
+  either side's merged breakpoint grid, at which the most positive and
+  the most negative component difference cross (_value's docstring has
+  the proof).  One two-pointer sweep per side finds each line's
+  crossing cell, in exact ints scaled over the values of the grid nodes
+  each comparison touches.  The decision ("is the distance at most
+  eps?") and the bracket [hi * j / 2^k, hi * (j + 1) / 2^k] under the
+  canonical forms' sup-distance hi are read from that value;
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
@@ -32,9 +27,7 @@ with each plateau of first that second crosses tilted into a ramp at
 most 1/(4*net) wide, so the bound is at most 1/(4*net) and exactly 0
 when first has no plateau.
 
-Decision instances are independent pure computations and may run
-concurrently; the interval propagation inside one decision is
-sequential by cell order, which is a data dependency only.
+Every computation here is pure and may run concurrently with any other.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import sub
 from typing import NamedTuple
 
@@ -78,13 +71,13 @@ __all__ = [
 class QuotInterval(_Value):
     """Bracket [lo, hi] around a quotient distance.
 
-    The decision procedure answered False at lo (or lo is 0) and True
-    at hi.  After k bisection steps from a starting hi0, lo and hi are
-    hi0 * j / 2^k and hi0 * (j + 1) / 2^k for one int j.  ``decisions``
-    counts the bisection's steps, with the check at 0 and the one at the
-    starting hi.  A step whose eps lies below the floor (see quot_dist),
-    the check at 0 included, is answered False without a free-space run
-    but still counted.
+    The decision procedure answers False at lo (or lo is 0) and True at
+    hi.  For a starting hi0 and the least k >= 0 with hi0 / 2^k <= tol,
+    lo and hi are hi0 * j / 2^k and hi0 * (j + 1) / 2^k for one int j.
+    Both ends are read from the exact distance, and ``decisions`` is
+    the step count of the plain bisection that gives the same bracket:
+    the check at 0 and, if the distance is not 0, the one at hi0 and k
+    halvings.
     """
 
     _fields = ("lo", "hi", "decisions")
@@ -95,151 +88,66 @@ class QuotInterval(_Value):
         self.__dict__.update(lo=lo, hi=hi, decisions=decisions)
 
 
-# A free span (lo, lo_scale, hi, hi_scale) is [lo/lo_scale, hi/hi_scale]:
-# its lower end may come from another edge of the cell, over that edge's
-# scale, so each end carries its own.
-Span = tuple[int, int, int, int] | None
+def _value(a: MonoTuple, b: MonoTuple) -> Fraction:
+    """The quotient distance of a and b, exactly.
 
+    With d_i(u, v) = a_i(u) - b_i(v), P = max_i d_i and N = max_i -d_i,
+    the distance is the largest min(P, N) over [0, 1]^2.  Proof sketch:
+    each |d_i(u, .)| <= eps holds on a nonempty closed interval of v, as
+    b_i is monotone and onto, so the v within eps of a(u) form an
+    interval S(u) whose ends never fall as u grows.  Following the lower
+    end of S(u) is a monotone path from (0, 0) to (1, 1) through the
+    free space when no S(u) is empty, and none exists otherwise; and
+    S(u) is empty iff P > eps and N > eps at some (u, v).
 
-def _raised(fr: Span, low: Span) -> Span:
-    """fr with its lower end raised to low's, or None if that empties it."""
-    lo, ls, hi, hs = fr
-    if low[0] * ls <= lo * low[1]:
-        return fr
-    lo, ls = low[0], low[1]
-    return (lo, ls, hi, hs) if lo * hs <= hi * ls else None
+    Inside a grid cell min(P, N) is the largest min(X_i, Y_j), X_i = d_i
+    and Y_j = -d_j affine, so it peaks on the cell's boundary.  On a grid
+    line u = U[p], P falls and N rises with v, so the line's peak is where
+    P - N = max(d) + min(d) changes sign, and that cell moves right as u
+    grows: one two-pointer walk per side finds it.  Along that cell X_i
+    falls from x0 to x1 and Y_j rises from y0 to y1, so min(X_i, Y_j)
+    peaks at x0, at y1, or where they cross, at
+    (x0 * y1 - x1 * y0) / ((x0 - y0) - (x1 - y1)).
+    The lines v = V[q] are the same pass with the sides swapped.
 
-
-class _FreeSpace:
-    """Free-space diagram of a tuple pair over merged breakpoint grids.
-
-    Cell (p, q) covers u in [U[p], U[p+1]], v in [V[q], V[q+1]]; inside
-    a cell every component of either tuple is affine, so the set where
-    all component distances are at most eps is convex and its trace on
-    a cell edge is a subinterval with rational endpoints.
-
-    Deciding only compares span ends inside one cell of one axis, so
-    every int is scaled locally.  Per side, each grid cell keeps its ends
-    and the moving components' values at them as ints over their lcm c,
-    with m the lcm of the components' nonzero rises; each node keeps the
-    other tuple's values there as ints over their lcm o.  The first time
-    a decision visits an edge, its grid ends, the gap to each flat
-    component and the centre and unit-eps half-width of each sloped one
-    are formed as ints over S = c * m * o and kept.  A decision at
-    eps = num/den scales by den, so a span end is an exact int over
-    S * den and deciding does no Fraction arithmetic.
+    Each grid node keeps its n values as ints over their lcm.  A line's
+    cell puts its own node and the cell's two nodes over S, the product
+    of the three lcms, and the candidates are compared by
+    cross-multiplying.
     """
-
-    def __init__(self, a: MonoTuple, b: MonoTuple):
-        if len(a) != len(b):
-            raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-        U, AU = _tabulate(a.components)
-        V, BV = _tabulate(b.components)
-        # Per side: the grid an edge moves along, the values moving with
-        # it and the other tuple's values at the fixed node, as int pairs.
-        self._cells, self._nodes, self._edges = [], [], []
-        for grid, moving, other in ((U, AU, BV), (V, BV, AU)):
-            cells = []
-            for cell in range(len(grid) - 1):
-                # The cell's ends, then each moving component's values there.
-                ends = [*grid[cell:cell + 2], *(v for mv in moving for v in mv[cell:cell + 2])]
-                (lo, hi, *vals), c = _ints(ends)
-                rises = [f1 - f0 for f0, f1 in zip(vals[::2], vals[1::2])]
-                m, dx = lcm(*filter(None, rises)), hi - lo
-                # Per component its start and, if it rises by dv, dx * m/dv
-                # and c * dx * m/dv (0 for a flat one), so that an edge
-                # only multiplies by its node's values and o.
-                comps = [(f0, dx * (m // dv), c * dx * (m // dv)) if dv else (f0, 0, 0)
-                         for f0, dv in zip(vals[::2], rises)]
-                cells.append((c, m, c * m, lo * m, hi * m, comps))
-            nodes = [_ints([ov[fixed] for ov in other]) for fixed in range(len(other[0]))]
-            self._cells.append(cells)
-            self._nodes.append(nodes)
-            self._edges.append([[None] * len(cells) for _ in nodes])
-
-    def _edge_ints(self, side: int, fixed: int, cell: int) -> tuple:
-        """(S, grid ends, largest gap to a flat component, ((centre,
-        half-width at eps = 1) of each sloped component)), all over S."""
-        c, m, cm, lo_m, hi_m, comps = self._cells[side][cell]
-        fixed_vals, o = self._nodes[side][fixed]
-        lo, gap, sloped = lo_m * o, 0, []
-        for (f0, dxk, width), g in zip(comps, fixed_vals):
-            off = g * c - f0 * o
-            if dxk:
-                sloped.append((lo + off * dxk, width * o))
-            elif abs(off) > gap:
-                gap = abs(off)
-        return cm * o, lo, hi_m * o, gap * m, sloped
-
-    def edge_free(self, side: int, fixed: int, cell: int, num: int, den: int) -> Span:
-        """Free subinterval of one cell edge at eps = num/den.
-
-        Side 0 is the horizontal edge v = V[fixed], u in cell ``cell`` of
-        U; side 1 is the vertical edge u = U[fixed], v in cell ``cell`` of
-        V.  Along the edge each moving component runs affinely between
-        its values at the cell's ends while its partner sits at the fixed
-        node; the edge is free where every |moving - fixed| <= eps.
-        """
-        row = self._edges[side][fixed]
-        edge = row[cell]
-        if edge is None:
-            edge = row[cell] = self._edge_ints(side, fixed, cell)
-        S, span_lo, span_hi, gap, sloped = edge
-        if gap * den > num * S:
-            return None
-        span_lo, span_hi = span_lo * den, span_hi * den
-        for centre, width in sloped:
-            c, w = centre * den, width * num
-            if c - w > span_lo:
-                span_lo = c - w
-            if c + w < span_hi:
-                span_hi = c + w
-            if span_lo > span_hi:
-                return None
-        scale = S * den
-        return span_lo, scale, span_hi, scale
-
-    def _axis(self, side: int, num: int, den: int) -> list[Span]:
-        """Free spans of the edges along one axis out of (0, 0); an edge
-        counts only while every edge before it is free end to end."""
-        spans: list[Span] = []
-        reached = True
-        row = self._edges[side][0]
-        for cell in range(len(row)):
-            fr = self.edge_free(side, 0, cell, num, den) if reached else None
-            if fr is not None and fr[0] == row[cell][1] * den:
-                reached = fr[2] == row[cell][2] * den
-            else:
-                fr, reached = None, False
-            spans.append(fr)
-        return spans
-
-    def decide(self, eps: Fraction) -> bool:
-        """Monotone path from (0,0) to (1,1) through the free space?"""
-        num, den = eps.numerator, eps.denominator
-        P, Q = len(self._cells[0]), len(self._cells[1])
-        vert: list[list[Span]] = [self._axis(1, num, den)]
-        vert += [[None] * Q for _ in range(P)]
-        horiz: list[list[Span]] = [[fr] + [None] * Q for fr in self._axis(0, num, den)]
-
-        for p in range(P):
-            for q in range(Q):
-                left, bottom = vert[p][q], horiz[p][q]
-                if left is None and bottom is None:
-                    continue
-                fr = self.edge_free(1, p + 1, q, num, den)
-                if fr is not None:
-                    vert[p + 1][q] = fr if bottom is not None else _raised(fr, left)
-                fr = self.edge_free(0, q + 1, p, num, den)
-                if fr is not None:
-                    horiz[p][q + 1] = fr if left is not None else _raised(fr, bottom)
-
-        # A span reaches (1, 1) when its upper end is 1: equal to its scale.
-        top_right_vert = vert[P][Q - 1]
-        top_right_horiz = horiz[P - 1][Q]
-        return (top_right_vert is not None and top_right_vert[2] == top_right_vert[3]) or (
-            top_right_horiz is not None and top_right_horiz[2] == top_right_horiz[3]
-        )
+    if len(a) != len(b):
+        raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
+    nodes = [[_ints(col) for col in zip(*_tabulate(t.components)[1])] for t in (a, b)]
+    best, best_d = 0, 1
+    for own, other in (nodes, nodes[::-1]):
+        q = 0
+        for vals, c in own:
+            # P - N is at most 0 at the far end, where every map is 1.
+            while True:
+                ov, oc = other[q + 1]
+                diffs = [x * oc - y * c for x, y in zip(vals, ov)]
+                if max(diffs) + min(diffs) <= 0:
+                    break
+                q += 1
+            (v0, c0), (v1, c1) = other[q:q + 2]
+            S = c * c0 * c1
+            d0 = [x * c0 * c1 - y * c * c1 for x, y in zip(vals, v0)]
+            d1 = [x * c0 * c1 - y * c * c0 for x, y in zip(vals, v1)]
+            top, top_d = 0, 1
+            for x0, x1 in zip(d0, d1):
+                # Y_j runs from -e0 to -e1.
+                for e0, e1 in zip(d0, d1):
+                    if x0 + e0 <= 0:
+                        num, den = x0, 1
+                    elif x1 + e1 >= 0:
+                        num, den = -e1, 1
+                    else:
+                        num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1
+                    if num * top_d > top * den:
+                        top, top_d = num, den
+            if top * best_d > best * top_d * S:
+                best, best_d = top, top_d * S
+    return Fraction(best, best_d)
 
 
 def _canonical(t) -> CanonicalTuple:
@@ -258,40 +166,13 @@ def quot_decision(a, b, eps) -> bool:
     """Exact decision: is the quotient distance of a and b at most eps?
 
     True iff a monotone path from (0, 0) to (1, 1) exists through the
-    set of parameter pairs at which every component pair is within eps.
-    Monotone in eps.
+    set of parameter pairs at which every component pair is within eps,
+    that is iff eps is at least _value(a, b).  Monotone in eps.
     """
     eps = _frac(eps)
     if eps < ZERO:
         raise InputError("eps must be nonnegative")
-    return _FreeSpace(_as_tuple(a), _as_tuple(b)).decide(eps)
-
-
-def _level_bounds(ca: CanonicalTuple, cb: CanonicalTuple) -> tuple[Fraction, Fraction]:
-    """(floor, hi): a lower and an upper bound on the quotient distance
-    of two uniform-weight canonical tuples.
-
-    At each point u of the merged grid of all 2n components, with
-    d = ca(u) - cb(u), P is the largest d_i and N the largest -d_i; both
-    are >= 0, as the d_i sum to 0.  floor is the largest min(P, N) and hi
-    the largest max(P, N), the max component sup-distance.  The values
-    at a point are ints over their lcm, and each bound is a running int
-    pair compared by cross-multiplying, made a Fraction at the end.
-    """
-    n = len(ca)
-    _, rows = _tabulate((*ca.components, *cb.components))
-    floor, floor_d, hi, hi_d = 0, 1, 0, 1
-    for point in zip(*rows):
-        vals, d = _ints(point)
-        diffs = list(map(sub, vals[:n], vals[n:]))
-        low, high = max(diffs), -min(diffs)  # P and N, then in order
-        if low > high:
-            low, high = high, low
-        if low * floor_d > floor * d:
-            floor, floor_d = low, d
-        if high * hi_d > hi * d:
-            hi, hi_d = high, d
-    return Fraction(floor, floor_d), Fraction(hi, hi_d)
+    return _value(_as_tuple(a), _as_tuple(b)) <= eps
 
 
 def _bracket(a, b, tol) -> tuple[QuotInterval, Fraction]:
@@ -299,57 +180,35 @@ def _bracket(a, b, tol) -> tuple[QuotInterval, Fraction]:
     tol = _frac(tol)
     if tol <= ZERO:
         raise InputError("tolerance must be positive")
-    space = _FreeSpace(_as_tuple(a), _as_tuple(b))
-    floor, hi = _level_bounds(_canonical(a), _canonical(b))
-    decisions = 1
-    if not floor and space.decide(ZERO):
-        return QuotInterval(ZERO, ZERO, decisions), hi
-    decisions += 1
-    if not space.decide(hi):
+    d = _value(_as_tuple(a), _as_tuple(b))
+    hi = max(map(sup_dist, _canonical(a), _canonical(b)))
+    if not d:
+        return QuotInterval(ZERO, ZERO, 1), hi
+    if d > hi:
         raise InvariantViolation("canonical sup-distance failed as an upper bound")
-    # The bracket is [hi * j / 2^k, hi * (j + 1) / 2^k].  Its width
-    # hi / 2^k exceeds tol iff width > unit << k, and a midpoint
-    # hi * mid / 2^k is at least the floor iff mid_n * mid >= floor_n << k.
+    # k is the least k >= 0 with hi / 2^k <= tol, i.e. width <= unit << k;
+    # the bit lengths leave one candidate below it.
     hn, hd = hi.numerator, hi.denominator
     width, unit = hn * tol.denominator, tol.numerator * hd
-    mid_n, floor_n = hn * floor.denominator, floor.numerator * hd
-    j = k = 0
-    while width > unit << k:
-        k += 1
-        mid = 2 * j + 1
-        decisions += 1
-        if mid_n * mid >= floor_n << k and space.decide(Fraction(hn * mid, hd << k)):
-            j = mid - 1
-        else:
-            j = mid
-    if not k:
-        return QuotInterval(ZERO, hi, decisions), hi
-    return QuotInterval(Fraction(hn * j, hd << k), Fraction(hn * (j + 1), hd << k), decisions), hi
+    k = max(0, width.bit_length() - unit.bit_length())
+    k += width > unit << k
+    # j + 1 is the least m with hi * m / 2^k >= d.
+    j = -(-(d.numerator * hd << k) // (d.denominator * hn)) - 1
+    return QuotInterval(Fraction(hn * j, hd << k), Fraction(hn * (j + 1), hd << k), k + 2), hi
 
 
 def quot_dist(a, b, tol) -> QuotInterval:
-    """Bracket the quotient distance to within tol by bisection.
+    """Bracket the quotient distance to within tol.
 
     The upper end starts at hi, the max component sup-distance of the
     two canonical forms, which dominates the quotient distance because
     passing to canonical forms is contractive; the lower end starts at
-    zero.  On return hi - lo <= tol, the decision procedure at hi
-    answered True, and at lo it answered False unless lo is 0.
-
-    The bracket is kept as the ints (j, k) of hi * j / 2^k, so a Fraction
-    is built only for a free-space run and for the two ends returned;
-    with no step, hi is returned as it started.
-
-    A step whose eps lies below the floor of _level_bounds is answered
-    False without a free-space run.  Proof sketch: the canonical forms
-    A, B of a and b both sum to n*u at u, and a monotone path matching
-    a with b maps to one matching A with B at the same cost.  The path
-    matches each u with some v.  If v >= u then B(v) >= B(u) in every
-    component, so no negative difference of A(u) - B(u) shrinks and the
-    cost is at least N(u); if v <= u it is at least P(u).  So every path
-    costs at least min(P, N) at every u, and the decision is False below
-    the floor.  For n = 2, d_2 = -d_1, so P = N = |d_1| and the floor is
-    hi: the bracket then needs one free-space run, the check at hi.
+    zero.  The bracket is the one bisection would reach, k halvings of
+    [0, hi] with k the least that makes it no wider than tol, read off
+    the exact distance d of _value: hi - lo <= tol, the decision
+    procedure answers True at hi and False at lo unless lo is 0.  A
+    distance above hi raises InvariantViolation, as a failed decision
+    at hi would.
     """
     return _bracket(a, b, tol)[0]
 

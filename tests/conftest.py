@@ -2,8 +2,7 @@
 maps with large coprime denominators, the support, complement-piece
 and preimage helpers of a search-based equiv_test (the reference the
 closed form is checked against), plus a terminal summary that prints
-one line per acceptance criterion, and the plain bisection that
-quot_dist must agree with field for field.
+one line per acceptance criterion.
 """
 
 import random
@@ -12,9 +11,8 @@ from fractions import Fraction
 from math import gcd
 
 
-from plmonoid import GapSet, MonoTuple, PLMono, canonicalize, isolated_points, merge_gaps, sup_dist
-from plmonoid.plcore import HALF, ONE, ZERO, InvariantViolation, _lerp, _sweep, _sweep_ends, _tabulate
-from plmonoid.quotdist import _FreeSpace
+from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
+from plmonoid.plcore import ONE, ZERO, _lerp, _sweep, _sweep_ends, _tabulate
 
 Interval = tuple[Fraction, Fraction]
 
@@ -92,12 +90,19 @@ def gap_adapted_pair(rng: random.Random, g: GapSet) -> tuple[PLMono, PLMono]:
     return PLMono(tuple(lo_pts)), PLMono(tuple(hi_pts))
 
 
-# k * T + 1 for k = 10..20 are pairwise coprime 100-digit ints when
-# lcm(1..10) = 2520 divides T: a prime dividing two of them divides their
-# difference, a multiple of T below 11 * T, so it divides T, and no
-# prime factor of T divides k * T + 1.
-_T = 2520 * (10**98 // 2520 + 1)
-COPRIME_DENS = [k * _T + 1 for k in range(10, 21)]
+def coprime_dens(digits: int) -> list[int]:
+    """Eleven pairwise coprime ints of the given number of digits.
+
+    k * T + 1 for k = 10..20 are pairwise coprime when lcm(1..10) = 2520
+    divides T: a prime dividing two of them divides their difference, a
+    multiple of T below 11 * T, so it divides T, and no prime factor of T
+    divides k * T + 1.
+    """
+    t = 2520 * (10 ** (digits - 2) // 2520 + 1)
+    return [k * t + 1 for k in range(10, 21)]
+
+
+COPRIME_DENS = coprime_dens(100)
 
 
 def coprime_map(rng: random.Random, d: int, n: int = 8) -> PLMono:
@@ -177,29 +182,6 @@ def _complement_pieces(g: GapSet) -> list[Interval]:
         cursor = b
     pieces.append((cursor, ONE))
     return pieces
-
-
-def bisection_reference(a, b, tol) -> tuple[Fraction, Fraction, int]:
-    """(lo, hi, decisions) of quot_dist by the plain bisection: a
-    free-space run at 0, at the canonical sup bound and at every
-    midpoint, with no lower bound to skip any of them."""
-    a, b = MonoTuple(tuple(a)), MonoTuple(tuple(b))
-    space = _FreeSpace(a, b)
-    if space.decide(ZERO):
-        return ZERO, ZERO, 1
-    ca, cb = canonicalize(a)[0], canonicalize(b)[0]
-    hi = max(sup_dist(f, g) for f, g in zip(ca, cb))
-    if not space.decide(hi):
-        raise InvariantViolation("canonical sup-distance failed as an upper bound")
-    lo, decisions = ZERO, 2
-    while hi - lo > tol:
-        mid = (lo + hi) * HALF
-        decisions += 1
-        if space.decide(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, decisions
 
 
 _CRITERION = re.compile(r"test_c(\d+)([a-z]?)_(\w+)")

@@ -1,6 +1,6 @@
 """Fuzzing the command line at its boundary: random JSON trees, wire
-objects (some with 100-digit coprime denominators) and byte blobs go
-through main() to every subcommand that reads a file.
+objects (some with 100- or 2,200-digit coprime denominators) and byte
+blobs go through main() to every subcommand that reads a file.
 
 Whatever the input, a run exits 0 (with no stderr) or 2 (with empty
 stdout and one short "error:" line); nothing raises out of main() and
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from plmonoid import serialize as ser
 from plmonoid.explorer import main
 
-from conftest import COPRIME_DENS, coprime_map
+from conftest import COPRIME_DENS, coprime_dens, coprime_map
 
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=8)
 INTERIOR = UNIT.filter(lambda x: 0 < x < 1)
@@ -46,6 +46,13 @@ MAP = st.one_of(
         lambda seed, d: ser.mono_to_obj(coprime_map(random.Random(seed), d, 3)),
         st.integers(0, 2**16),
         st.sampled_from(COPRIME_DENS),
+    ),
+    # 2,200-digit ones, whose results can pass the int-to-str digit limit
+    # (4,300), with at most two interior points
+    st.builds(
+        lambda seed, d: ser.mono_to_obj(coprime_map(random.Random(seed), d, 2)),
+        st.integers(0, 2**16),
+        st.sampled_from(coprime_dens(2200)),
     ),
 )
 TUPLE = st.fixed_dictionaries(

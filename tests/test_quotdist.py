@@ -1,5 +1,6 @@
-"""Quotient distance: the free-space decision procedure, the bisection
-bracket, the independent grid oracle and the identity-proximity bound."""
+"""Quotient distance: the exact value and the decision read from it,
+checked against a free-space decision in Fractions; the bracket; the
+independent grid oracle and the identity-proximity bound."""
 
 import random
 from fractions import Fraction as F
@@ -28,9 +29,9 @@ from plmonoid import (
 from plmonoid import quotdist
 from plmonoid.gaps import extreme_pair
 from plmonoid.explorer import random_homeo, random_mono, random_point, random_tuple
-from plmonoid.plcore import _ints, _sweep
+from plmonoid.plcore import InvariantViolation, _ints, _sweep, _tabulate
 
-from conftest import COPRIME_DENS, bisection_reference, coprime_map, fractions, probe_tuple, ratios, tabulated
+from conftest import COPRIME_DENS, coprime_map, fractions, probe_tuple, ratios, tabulated
 
 seeds = st.integers(0, 2**32 - 1)
 I14 = (F(1, 4), F(3, 4))
@@ -164,6 +165,29 @@ def fraction_decision(a, b, eps, edges=None):
     return any(fr is not None and fr[1] == 1 for fr in (vert[P][Q - 1], horiz[P - 1][Q]))
 
 
+def bisection_reference(a, b, tol) -> tuple[F, F, int]:
+    """(lo, hi, decisions) of quot_dist by the plain bisection: a
+    fraction_decision at 0, at the canonical sup bound and at every
+    midpoint, on edges built once."""
+    a, b = MonoTuple(tuple(a)), MonoTuple(tuple(b))
+    edges = fraction_edges(a, b)
+    if fraction_decision(a, b, F(0), edges):
+        return F(0), F(0), 1
+    ca, cb = canonicalize(a)[0], canonicalize(b)[0]
+    hi = max(sup_dist(f, g) for f, g in zip(ca, cb))
+    if not fraction_decision(a, b, hi, edges):
+        raise InvariantViolation("canonical sup-distance failed as an upper bound")
+    lo, decisions = F(0), 2
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        decisions += 1
+        if fraction_decision(a, b, mid, edges):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, decisions
+
+
 def span_meeting_eps(edges):
     """Each edge's critical eps: where the spans of two sloped components
     meet, (c2 - c1)/(w1 + w2), and where one meets a grid end, |c - end|/w."""
@@ -184,8 +208,9 @@ def test_int_decision_matches_fraction_reference(seed, n, kind):
     # touch, are where exact ties decide the answer: node gaps, and where
     # an edge's spans meet each other or its grid ends.  The coprime kind
     # gives every component of both tuples its own 100-digit denominator;
-    # in the two explicit examples a cell scale that dropped one value's
-    # denominator flips the answer at a span-meeting eps.
+    # the two explicit examples are where an int free-space decision whose
+    # cell scale dropped one value's denominator flipped the answer at a
+    # span-meeting eps.
     rng = random.Random(seed)
     dens = rng.sample(COPRIME_DENS, 2 * n)
     draw = {
@@ -201,12 +226,8 @@ def test_int_decision_matches_fraction_reference(seed, n, kind):
     qi = quot_dist(a, b, F(1, 1024))
     edges = fraction_edges(a, b)
     critical = gaps | span_meeting_eps(edges[0])
-    # One diagram decides every eps, as in quot_dist; the public entry
-    # point still decides the bracket's ends and 0.
-    space = quotdist._FreeSpace(a, b)
-    for eps in sorted(critical | {g - tiny for g in gaps if g >= tiny}):
-        assert space.decide(eps) == fraction_decision(a, b, eps, edges), eps
-    for eps in (F(0), qi.lo, qi.hi):
+    # The bracket's ends and 0 are checked too.
+    for eps in sorted(critical | {g - tiny for g in gaps if g >= tiny} | {F(0), qi.lo, qi.hi}):
         assert quot_decision(a, b, eps) == fraction_decision(a, b, eps, edges), eps
 
 
@@ -301,8 +322,8 @@ tols = st.sampled_from([F(1, 64), F(1, 256), F(1, 4096)])
 @example(1, "point3", F(1, 256))
 @settings(max_examples=40, deadline=None)
 def test_quot_dist_matches_plain_bisection(seed, kind, tol):
-    # Steps below the floor skip their free-space run; lo, hi and the
-    # count of bisection steps must not move.
+    # The bracket is read off the exact value; lo, hi and the count of
+    # bisection steps must be the plain bisection's.
     a, b = draw_pair(random.Random(seed), kind)
     qi = quot_dist(a, b, tol)
     assert (qi.lo, qi.hi, qi.decisions) == bisection_reference(a, b, tol)
@@ -310,29 +331,38 @@ def test_quot_dist_matches_plain_bisection(seed, kind, tol):
 
 @given(seeds, st.sampled_from(PAIR_KINDS))
 @example(1, "point3")
+@example(0, "orbit")
 @settings(max_examples=30, deadline=None)
 def test_decision_false_just_below_the_floor(seed, kind):
-    a, b = draw_pair(random.Random(seed), kind)
-    floor, hi = quotdist._level_bounds(*(canonicalize(MonoTuple(tuple(t)))[0] for t in (a, b)))
-    assert floor <= hi
-    assert quot_decision(a, b, hi) is True
-    if floor:
-        assert quot_decision(a, b, floor - F(1, 2**60)) is False
+    # The exact value is the least eps the decision accepts: True at it
+    # and False just below it, here and in the Fraction free-space
+    # reference alike.  It is at most the canonical sup bound.
+    a, b = (MonoTuple(tuple(t)) for t in draw_pair(random.Random(seed), kind))
+    d = quotdist._value(a, b)
+    ca, cb = canonicalize(a)[0], canonicalize(b)[0]
+    assert d <= max(sup_dist(f, g) for f, g in zip(ca, cb))
+    edges = fraction_edges(a, b)
+    assert quot_decision(a, b, d) is fraction_decision(a, b, d, edges) is True
+    if d:
+        below = max(F(0), d - F(1, 2**60))
+        assert quot_decision(a, b, below) is fraction_decision(a, b, below, edges) is False
 
 
 @given(seeds, st.sampled_from(["point", "tuple", "coprime"]))
 @settings(max_examples=20, deadline=None)
-def test_pair_floor_is_the_canonical_sup_bound(seed, kind):
-    # For n = 2 the level differences are d and -d, so the floor is the
-    # sup bound and the bracket's hi is the exact distance.
+def test_pair_value_is_the_canonical_sup_bound(seed, kind):
+    # For n = 2 the canonical forms sum to 2u, so their differences at u
+    # are d and -d, and a path that moves either way from (u, u) pays |d|:
+    # the distance is the sup bound, which is the bracket's hi.
     rng = random.Random(seed)
     if kind == "tuple":
         a, b = random_tuple(rng, 2), random_tuple(rng, 2)
     else:
         a, b = draw_pair(rng, "point2" if kind == "point" else kind)
-    ca, cb = canonicalize(MonoTuple(tuple(a)))[0], canonicalize(MonoTuple(tuple(b)))[0]
-    floor, hi = quotdist._level_bounds(ca, cb)
-    assert floor == hi == max(sup_dist(f, g) for f, g in zip(ca, cb))
+    a, b = MonoTuple(tuple(a)), MonoTuple(tuple(b))
+    ca, cb = canonicalize(a)[0], canonicalize(b)[0]
+    hi = max(sup_dist(f, g) for f, g in zip(ca, cb))
+    assert quotdist._value(a, b) == hi
     assert quot_decision(a, b, hi) is True
     if hi:
         assert quot_decision(a, b, hi - F(1, 2**60)) is False
@@ -352,11 +382,12 @@ def test_int_bracket_matches_plain_bisection_at_extreme_tolerances(seed, kind, t
     assert type(qi.lo) is type(qi.hi) is F
 
 
-def test_pair_at_a_tiny_tolerance_takes_one_step_per_halving():
-    # For a pair the floor is hi, so no midpoint runs a free-space
-    # decision: after the check at hi the bracket only halves, k times.
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_at_a_tiny_tolerance_takes_one_step_per_halving(n):
+    # After the checks at 0 and hi0 the bracket halves k times, and no
+    # halving costs more than int arithmetic on the exact value.
     rng = random.Random(1)
-    a, b = random_point(rng, 2), random_point(rng, 2)
+    a, b = random_point(rng, n), random_point(rng, n)
     tol = F(1, 10**4000)
     hi0 = quot_dist(a, b, F(2)).hi
     assert hi0 > 0
@@ -364,21 +395,28 @@ def test_pair_at_a_tiny_tolerance_takes_one_step_per_halving():
     k = (-(-hi0 // tol) - 1).bit_length()
     qi = quot_dist(a, b, tol)
     assert qi.decisions == 2 + k
-    assert qi.hi - qi.lo == hi0 / 2**k and qi.lo < qi.hi == hi0
+    assert qi.hi - qi.lo == hi0 / 2**k
+    if n == 2:
+        assert qi.lo < qi.hi == hi0
+    else:
+        assert quot_decision(a, b, qi.hi) is True and quot_decision(a, b, qi.lo) is False
+    # A width that meets tol exactly takes no further halving.
+    qi = quot_dist(a, b, hi0 / 8)
+    assert qi.decisions == 5 and qi.hi - qi.lo == hi0 / 8
 
 
-def test_midpoint_on_the_floor_runs_its_decision():
+def test_worked_triple_value_is_a_bracket_end():
     # a is the identity triple and b = identity + (d1, d2, d3), both
     # canonical.  The differences are (3/16, -3/16, 0) at 1/4 and
-    # (1/4, -1/8, -1/8) at 3/4, so the floor is 3/16 and hi is 1/4.  The
-    # distance is the largest half-spread of b's components, also 3/16,
-    # so the second midpoint, 3/4 * hi, lands on the floor and must be
-    # decided True there.
+    # (1/4, -1/8, -1/8) at 3/4, so hi is 1/4.  The distance is the
+    # largest half-spread of b's components, 3/16 = 3/4 * hi, so at
+    # tol 1/64 it is the upper end 12/64 itself: d * 2^k / hi is an exact
+    # int, which the bracket must not round up.
     a = CanonicalTuple((identity(),) * 3, uniform_weights(3))
     b = CanonicalTuple(tuple(PLMono(((F(0), F(0)), (F(1, 4), y0), (F(3, 4), y1), (F(1), F(1))))
                              for y0, y1 in ((F(7, 16), F(1)), (F(1, 16), F(5, 8)), (F(1, 4), F(5, 8)))),
                        uniform_weights(3))
-    assert quotdist._level_bounds(a, b) == (F(3, 16), F(1, 4))
+    assert quotdist._value(a, b) == F(3, 16)
     assert quot_decision(a, b, F(3, 16)) is True
     assert quot_decision(a, b, F(3, 16) - F(1, 2**60)) is False
     qi = quot_dist(a, b, F(1, 64))
@@ -786,44 +824,22 @@ def test_orbit_identity_bound_validation():
         orbit_identity_bound(triple, F(1, 8), 8)
 
 
-# --- sizes: every int is scaled over the values of one cell and one node
+# --- sizes: every int is scaled over the values of one grid node
 
 
-def _ints_in(table):
-    if isinstance(table, int):
-        yield table
-    else:
-        for item in table:
-            yield from _ints_in(item)
-
-
-def _bits(values):
-    return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
-
-
-def test_free_space_ints_stay_local():
+def test_free_space_ints_stay_local(monkeypatch):
     # Two probe tuples with coprime 100-digit denominators: the lcm of
-    # every denominator on their merged grids has 45,106 bits, and a
-    # common scale that also takes in the rises has far more.
+    # every denominator on their merged grids has 45,106 bits.  _value
+    # scales the n values of one grid node at a time, each node once, and
+    # a cell multiplies at most three such scales.
+    calls = []
+
+    def recording_ints(ratios):
+        calls.append(tuple(ratios))
+        return _ints(ratios)
+
+    monkeypatch.setattr(quotdist, "_ints", recording_ints)
     rng = random.Random(1)
     a, b = probe_tuple(rng), probe_tuple(rng)
-    space = quotdist._FreeSpace(a, b)
-    for eps in (F(0), F(1, 64), F(1, 8), F(1, 2)):
-        space.decide(eps)
-    U, AU = tabulated(a.components)
-    V, BV = tabulated(b.components)
-    visited = 0
-    for side, (grid, moving, other) in enumerate(((U, AU, BV), (V, BV, AU))):
-        cell_bits = [_bits([grid[c], grid[c + 1], *(v for mv in moving for v in mv[c:c + 2])])
-                     for c in range(len(grid) - 1)]
-        node_bits = [_bits([ov[f] for ov in other]) for f in range(len(other[0]))]
-        for table, held in zip(space._cells[side], cell_bits):
-            assert max(i.bit_length() for i in _ints_in(table)) <= 2 * held
-        for table, held in zip(space._nodes[side], node_bits):
-            assert max(i.bit_length() for i in _ints_in(table)) <= 2 * held
-        for row, held_node in zip(space._edges[side], node_bits):
-            for edge, held_cell in zip(row, cell_bits):
-                if edge is not None:
-                    visited += 1
-                    assert max(i.bit_length() for i in _ints_in(edge)) <= 2 * (held_cell + held_node)
-    assert visited
+    quotdist._value(a, b)
+    assert calls == [col for t in (a, b) for col in zip(*_tabulate(t.components)[1])]

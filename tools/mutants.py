@@ -47,20 +47,6 @@ MUTANTS = [
         "fdfd053: the sweep's upper side ignored",
     ),
     (
-        "quotdist.py",
-        "        if gap * den > num * S:\n",
-        "        if gap * den >= num * S:\n",
-        "tests/test_quotdist.py::test_decision_is_closed_where_a_flat_gap_binds",
-        "6f0edbd: >= for > in edge_free's flat test",
-    ),
-    (
-        "quotdist.py",
-        "            if span_lo > span_hi:\n",
-        "            if span_lo >= span_hi:\n",
-        "tests/test_quotdist.py::test_int_decision_matches_fraction_reference",
-        "6f0edbd: >= for > in edge_free's span-empty test",
-    ),
-    (
         "plcore.py",
         "if dx < 0 or dy < 0:  # out of (x, y) order",
         "if dx < 0:  # out of (x, y) order",
@@ -181,45 +167,66 @@ MUTANTS = [
     ),
     (
         "quotdist.py",
-        "        return cm * o, lo, hi_m * o, gap * m, sloped\n",
-        "        return m * o, lo, hi_m * o, gap * m, sloped\n",
-        "tests/test_quotdist.py::test_int_decision_matches_fraction_reference",
-        "e5900ea: the free-space edge scale without its cell factor",
-    ),
-    (
-        "quotdist.py",
-        "        if low * floor_d > floor * d:\n            floor, floor_d = low, d\n",
-        "        if high * floor_d > floor * d:\n            floor, floor_d = high, d\n",
+        "    if not d:\n",
+        "    if d < 0:\n",
         "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
-        "new: the level floor taken as max(P, N)",
+        "991bc58: the zero check skipped",
     ),
     (
         "quotdist.py",
-        "    if not floor and space.decide(ZERO):\n",
-        "    if floor and space.decide(ZERO):\n",
+        "    j = -(-(d.numerator * hd << k) // (d.denominator * hn)) - 1\n",
+        "    j = -(-(d.numerator * hd << k) // (d.denominator * hn))\n",
         "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
-        "new: the zero check skipped when the floor is 0",
+        "be58b57: the int bracket's index off by one",
     ),
     (
         "quotdist.py",
-        "            j = mid - 1\n",
-        "            j = mid\n",
+        "    k += width > unit << k\n",
+        "    k += width > unit << (k + 1)\n",
         "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
-        "new: the int bracket's index off by one after an accepted midpoint",
+        "be58b57: the int bracket's width test one halving short",
     ),
     (
         "quotdist.py",
-        "    while width > unit << k:\n",
-        "    while width > unit << (k + 1):\n",
-        "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
-        "new: the int bracket's width test one halving short",
+        "    k += width > unit << k\n",
+        "    k += width >= unit << k\n",
+        "tests/test_quotdist.py::test_pair_at_a_tiny_tolerance_takes_one_step_per_halving",
+        "new: a bracket as wide as tol halved once more",
     ),
     (
         "quotdist.py",
-        "        if mid_n * mid >= floor_n << k and",
-        "        if mid_n * mid > floor_n << k and",
-        "tests/test_quotdist.py::test_midpoint_on_the_floor_runs_its_decision",
-        "new: a midpoint on the floor skipped as if below it",
+        "    for own, other in (nodes, nodes[::-1]):\n",
+        "    for own, other in (nodes,):\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the exact value's sweep over one side's lines skipped",
+    ),
+    (
+        "quotdist.py",
+        "            (v0, c0), (v1, c1) = other[q:q + 2]\n",
+        "            (v0, c0), (v1, c1) = other[q + 1:q + 3]\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the crossing cell taken one to the right",
+    ),
+    (
+        "quotdist.py",
+        "                if max(diffs) + min(diffs) <= 0:\n",
+        "                if max(diffs) - min(diffs) <= 0:\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the walk's sign of P - N read as max - min",
+    ),
+    (
+        "quotdist.py",
+        "            S = c * c0 * c1\n",
+        "            S = c * c0\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the crossing cell's scale without its right node's lcm",
+    ),
+    (
+        "quotdist.py",
+        "                        num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1\n",
+        "                        num, den = x1 * e0 - x0 * e1, x1 + e1 - x0 - e0\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the in-cell crossing's denominator with its sign flipped",
     ),
     (
         "quotdist.py",
