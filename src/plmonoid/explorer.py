@@ -1,6 +1,9 @@
 """Command-line surface: canonicalization, distances, gap calculus,
 epsilon nets, seeded sampling and plot-data emission.
 
+Samplers and nets build each map as the grid map through (j/k, v_j/scale);
+counting, enumerating and the nearest net point walk one move kernel.
+
 Everything here is deterministic: identical invocations (same inputs,
 same seed) produce byte-identical output.  Numeric I/O uses exact
 "p/q" strings; SVG output quantizes to integer pixels only for display.
@@ -16,7 +19,8 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb
+from itertools import accumulate
+from math import comb, gcd
 from pathlib import Path
 
 from .plcore import (
@@ -39,6 +43,7 @@ from .typespace import (
     CanonicalTuple,
     MonoTuple,
     RoelckeCoord,
+    _as_tuple,
     canonicalize,
     uniform_weights,
 )
@@ -65,37 +70,25 @@ __all__ = [
 # Seeded sampling
 
 
-def _sample_indices(rng: random.Random, n: int, k: int) -> set[int]:
-    """k distinct indices from range(n), Floyd's algorithm."""
-    chosen: set[int] = set()
-    for i in range(n - k, n):
-        t = rng.randrange(i + 1)
-        chosen.add(i if t in chosen else t)
-    return chosen
-
-
 def _composition(rng: random.Random, total: int, slots: int) -> list[int]:
-    """Uniform composition of total into `slots` nonnegative parts."""
-    if slots == 1:
-        return [total]
-    cuts = sorted(_sample_indices(rng, total + slots - 1, slots - 1))
-    parts = []
-    prev = -1
-    for c in cuts:
-        parts.append(c - prev - 1)
-        prev = c
-    parts.append(total + slots - 2 - prev)
-    return parts
+    """Uniform composition of total into `slots` nonnegative parts: the
+    parts lie between slots - 1 distinct cuts among total + slots - 1
+    places, drawn by Floyd's algorithm."""
+    places = total + slots - 1
+    cuts: set[int] = set()
+    for i in range(total, places):
+        t = rng.randrange(i + 1)
+        cuts.add(i if t in cuts else t)
+    ends = [-1, *sorted(cuts), places]
+    return [b - a - 1 for a, b in zip(ends, ends[1:])]
 
 
-def _mono_from_increments(incs: list[int], total: int) -> PLMono:
-    steps = len(incs)
-    pts = [(ZERO, ZERO)]
-    acc = 0
-    for j, inc in enumerate(incs, start=1):
-        acc += inc
-        pts.append((Fraction(j, steps), Fraction(acc, total)))
-    return PLMono(tuple(pts))
+def _grid_map(values, scale: int) -> PLMono:
+    """The map through (j/k, v_j/scale), where values = v_0, ..., v_k,
+    built from the points' reduced int pairs."""
+    k = len(values) - 1
+    return PLMono._from_pairs([((j // (g := gcd(j, k)), k // g), (v // (h := gcd(v, scale)), scale // h))
+                               for j, v in enumerate(values)])
 
 
 def _increments(rng: random.Random, total: int, steps: int) -> list[int]:
@@ -120,7 +113,7 @@ def random_mono(rng: random.Random) -> PLMono:
     steps = rng.randrange(3, 9)
     units = rng.randrange(2, 7)
     total = steps * units
-    return _mono_from_increments(_increments(rng, total, steps), total)
+    return _grid_map([0, *accumulate(_increments(rng, total, steps))], total)
 
 
 def random_tuple(rng: random.Random, n: int) -> MonoTuple:
@@ -141,22 +134,10 @@ def random_homeo(rng: random.Random) -> PLHomeo:
     total = steps * units
     for _ in range(64):
         extra = _composition(rng, total - steps * base, steps)
-        incs = [base + e for e in extra]
-        h = as_homeo(_mono_from_increments(incs, total))
+        h = as_homeo(_grid_map([0, *accumulate(base + e for e in extra)], total))
         if h != identity():
             return h
     raise InvariantViolation("homeomorphism sampler drew the identity 64 times")
-
-
-def _point_params(rng: random.Random, n: int) -> tuple[int, int]:
-    if n <= 2:
-        steps = rng.randrange(3, 8)
-    elif n == 3:
-        steps = rng.randrange(3, 6)
-    else:
-        steps = rng.randrange(3, 5)
-    units = rng.randrange(3 * n, 6 * n)
-    return steps, units
 
 
 _MAX_TRIES = 5000
@@ -177,7 +158,8 @@ def random_point(rng: random.Random, n: int) -> CanonicalTuple:
     if n == 1:
         return CanonicalTuple((identity(),), (ONE,))
     for _ in range(_MAX_TRIES):
-        steps, units = _point_params(rng, n)
+        steps = rng.randrange(3, 8 if n == 2 else 6 if n == 3 else 5)
+        units = rng.randrange(3 * n, 6 * n)
         total = steps * units
         rows = [_increments(rng, total, steps) for _ in range(n - 1)]
         cap = n * units
@@ -185,47 +167,47 @@ def random_point(rng: random.Random, n: int) -> CanonicalTuple:
         if any(inc < 0 for inc in last):
             continue
         rows.append(last)
-        comps = tuple(_mono_from_increments(r, total) for r in rows)
+        comps = tuple(_grid_map([0, *accumulate(r)], total) for r in rows)
         return CanonicalTuple(comps, uniform_weights(n))
     raise InvariantViolation(f"rejection sampling failed after {_MAX_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
 # Epsilon nets
-
-@cache
-def _net_steps(n: int) -> tuple[tuple[int, ...], ...]:
-    """All per-step increment choices for the first n-1 components."""
-    out = []
-
-    def rec(prefix, budget):
-        if len(prefix) == n - 1:
-            out.append(tuple(prefix))
-            return
-        for i in range(budget + 1):
-            rec(prefix + [i], budget - i)
-
-    rec([], n)
-    return tuple(out)
+#
+# A net point at resolution m is a path of states, the first n-1
+# components' values in units of 1/m at nodes j/m, from (0, ..., 0) to
+# (m, ..., m); the mean constraint gives the last one's, n*j less their sum.
 
 
 def _net_moves(n: int, m: int, j: int, state: tuple[int, ...]):
-    """Valid net steps from node j - 1 to node j, in _net_steps order.
+    """The states at node j that may follow ``state`` at node j - 1, in
+    ascending lexicographic order, each value read off its index range.
 
-    ``state`` holds the first n-1 components' values (in units of 1/m)
-    at node j - 1; the last component's value follows from the mean
-    constraint.  Yields (next state, last component's value at node j)
-    for every step that keeps all components within m.  All stay
-    monotone: the last one too, as a step's increments sum to at most n.
+    Each of the first n-1 values rises from its current value and stays
+    within m; the rises sum to at most n, so the last component rises
+    too, and the last of the values is at least n*j - m less the others,
+    so the last component stays within m.  For n = 2 the moves are
+    range(max(s, 2j - m), min(s + 2, m) + 1).
     """
-    for incs in _net_steps(n):
-        nxt = tuple(v + i for v, i in zip(state, incs))
-        if any(v > m for v in nxt):
-            continue
-        last = n * j - sum(nxt)
-        if last > m:
-            continue
-        yield nxt, last
+    low = n * j - m
+    if not state:
+        return iter(((),) if low <= 0 else ())
+    return _moves_from(state, m, 0, (), n, low)
+
+
+def _moves_from(state, m, i, prefix, budget, low):
+    """The moves of _net_moves that extend ``prefix``, the values chosen
+    for the first i components; ``budget`` is the rise still free and
+    ``low`` the least sum the remaining values must reach."""
+    s = state[i]
+    top = min(m, s + budget) + 1
+    if i == len(state) - 1:
+        for v in range(max(s, low), top):
+            yield (*prefix, v)
+    else:
+        for v in range(s, top):
+            yield from _moves_from(state, m, i + 1, (*prefix, v), budget - v + s, low - v)
 
 
 def _dp_resolution(n: int, m: int) -> int:
@@ -245,7 +227,7 @@ def net_size(n: int, m: int) -> int:
     for j in range(1, m + 1):
         new: dict[tuple[int, ...], int] = {}
         for state, cnt in states.items():
-            for nxt, _ in _net_moves(n, m, j, state):
+            for nxt in _net_moves(n, m, j, state):
                 new[nxt] = new.get(nxt, 0) + cnt
         states = new
     return states.get((m,) * (n - 1), 0)
@@ -254,30 +236,34 @@ def net_size(n: int, m: int) -> int:
 def _net_point(n: int, m: int, path) -> CanonicalTuple:
     """The net point through the given states at nodes 0..m; the last
     component's values follow from the mean constraint."""
-    cols = [[*state, n * j - sum(state)] for j, state in enumerate(path)]
-    comps = (PLMono(tuple((Fraction(j, m), Fraction(col[i], m)) for j, col in enumerate(cols))) for i in range(n))
-    return CanonicalTuple(tuple(comps), uniform_weights(n))
+    cols = [(*state, n * j - sum(state)) for j, state in enumerate(path)]
+    return CanonicalTuple(tuple(_grid_map(vals, m) for vals in zip(*cols)), uniform_weights(n))
 
 
 def net_points(n: int, m: int):
     """Enumerate all net points at resolution m, lexicographically.
 
-    Sizes grow fast (central-trinomial fast for n = 2); enumerate only
-    for small m and use net_size otherwise.
+    Walks the layers depth first with an explicit stack of move
+    iterators, so any m fits in the recursion limit.  Sizes grow fast
+    (central-trinomial fast for n = 2); enumerate only for small m and
+    use net_size otherwise.
     """
     if n < 1 or m < 1:
         raise InputError("need n >= 1 and m >= 1")
     m = _dp_resolution(n, m)
-
-    def rec(path):
-        if len(path) > m:
-            if path[-1] == (m,) * (n - 1):
-                yield _net_point(n, m, path)
-            return
-        for nxt, _ in _net_moves(n, m, len(path), path[-1]):
-            yield from rec((*path, nxt))
-
-    yield from rec(((0,) * (n - 1),))
+    goal = (m,) * (n - 1)
+    path = [(0,) * (n - 1)]
+    stack = [_net_moves(n, m, 1, path[0])]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            path.pop()
+        elif len(path) < m:
+            path.append(nxt)
+            stack.append(_net_moves(n, m, len(path), nxt))
+        elif nxt == goal:
+            yield _net_point(n, m, [*path, nxt])
 
 
 class EpsNet(_Value):
@@ -296,14 +282,16 @@ def build_net(n: int, m: int) -> EpsNet:
 
 def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     """Net point minimizing the largest node deviation from the given
-    canonical tuple; the continuous distance to it is at most 2/m for
-    pairs (by the 1-Lipschitz coordinate argument)."""
+    canonical tuple (any sequence of maps is taken); the continuous
+    distance to it is at most 2/m for pairs (by the 1-Lipschitz
+    coordinate argument)."""
+    point = _as_tuple(point)
     n = len(point)
     if m < 1:
         raise InputError("need m >= 1")
     m = _dp_resolution(n, m)
     nodes = [Fraction(j, m).as_integer_ratio() for j in range(m + 1)]
-    node_vals = [_sweep(f._xr, f._yr, nodes) for f in point.components]
+    node_vals = [_sweep(f._xr, f._yr, nodes) for f in point]
     # brute_oracle's one-scale exception, as every cost meets every other:
     # ints over d = lcm(m, node denominators) > 0 keep the argmin and ties.
     (_, *flat), d = _ints([(0, m), *(v for col in zip(*node_vals) for v in col)])
@@ -318,7 +306,7 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     for j in range(1, m + 1):
         new: dict[tuple[int, ...], tuple[int, tuple]] = {}
         for state, (cost, _) in layers[j - 1].items():
-            for nxt, _ in _net_moves(n, m, j, state):
+            for nxt in _net_moves(n, m, j, state):
                 c = max(cost, dev(j, nxt))
                 old = new.get(nxt)
                 if old is None or c < old[0]:

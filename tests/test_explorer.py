@@ -9,14 +9,17 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
 from math import comb
+from operator import add
 from pathlib import Path
 
 import pytest
 
 from plmonoid import (
     CanonicalTuple,
+    InputError,
     MonoTuple,
     PLHomeo,
     PLMono,
@@ -29,7 +32,6 @@ from plmonoid import explorer
 from plmonoid import serialize as ser
 from plmonoid.explorer import (
     _net_moves,
-    _net_steps,
     main,
     nearest_net_point,
     net_points,
@@ -122,14 +124,41 @@ def test_net_size_counts_contingency_tables():
     assert net_size(3, 4) == net_size(4, 3) == 415
 
 
-def test_net_steps_are_lexicographic_and_counted():
-    # every increment choice of the first n-1 components with sum at most
-    # n, ascending; comb(2n-1, n-1) is the moves-per-state factor of the
-    # epsnet work limit
-    for n in range(2, 7):
-        steps = _net_steps(n)
-        assert list(steps) == [s for s in product(range(n + 1), repeat=n - 1) if sum(s) <= n]
-        assert len(steps) == comb(2 * n - 1, n - 1)
+@cache
+def net_rises(n):
+    """Every rise of the first n-1 values with sum at most n, ascending."""
+    return [rise for rise in product(range(n + 1), repeat=n - 1) if sum(rise) <= n]
+
+
+def defined_net_moves(n, m, j, state):
+    """The net moves by their definition: the rises in ascending
+    lexicographic order, kept when the first n-1 values and the last one,
+    n*j less their sum, stay within m."""
+    nexts = (tuple(map(add, state, rise)) for rise in net_rises(n))
+    return [nxt for nxt in nexts if max(nxt, default=0) <= m and n * j - sum(nxt) <= m]
+
+
+def test_net_moves_match_their_definition():
+    # _net_moves reads each value off an index range; it yields exactly the
+    # kept rises, in order, from every state in the box at every node.
+    # comb(2n-1, n-1) rises have sum at most n: that bounds the moves per
+    # state, the factor of the epsnet work limit, and the origin meets it
+    for n in range(1, 6):
+        for m in range(1, 7):
+            most = 0
+            for state in product(range(m + 1), repeat=n - 1):
+                # at node 0 the last value's bound never binds, so node j
+                # keeps those moves whose sum is at least n*j - m
+                within = [(nxt, sum(nxt)) for nxt in defined_net_moves(n, m, 0, state)]
+                for j in range(1, m + 1):
+                    moves = list(_net_moves(n, m, j, state))
+                    assert moves == [nxt for nxt, total in within if total >= n * j - m], (n, m, j, state)
+                    most = max(most, len(moves))
+            assert most <= comb(2 * n - 1, n - 1)
+        assert most == comb(2 * n - 1, n - 1)
+    origin = list(_net_moves(6, 6, 1, (0,) * 5))
+    assert origin == defined_net_moves(6, 6, 1, (0,) * 5)
+    assert len(origin) == comb(11, 5)
 
 
 def test_net_sizes_strictly_increase():
@@ -148,6 +177,18 @@ def test_net_points_match_size():
 
 def test_net_points_single_component():
     assert [p.components for p in net_points(1, 5)] == [(identity(),)]
+
+
+def test_first_net_point_at_a_deep_resolution():
+    # net_points walks its layers on an explicit stack, not one nested
+    # generator per layer, so m far beyond the recursion limit works; the
+    # lexicographically first path keeps the first component at 0 as long
+    # as the last one can still end at 1
+    first = next(net_points(2, 1200))
+    assert first.components == (
+        PLMono(((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))),
+        PLMono(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1)))),
+    )
 
 
 def test_nearest_net_point_covering_smoke():
@@ -169,6 +210,15 @@ def test_nearest_net_point_three_components():
     assert d <= F(2, 4)
 
 
+def test_nearest_net_point_takes_a_sequence_of_maps():
+    # a plain list of maps is taken as a tuple, as quot_dist takes it;
+    # anything in it that is not a map is an input error
+    p = random_point(random.Random(4), 2)
+    assert nearest_net_point(list(p.components), 4) == nearest_net_point(p, 4)
+    with pytest.raises(InputError, match="not a monotone map"):
+        nearest_net_point([p.components[0], "1/2"], 4)
+
+
 def fraction_net_states(point, m):
     """Reference net DP with Fraction deviations: the net path's states."""
     n = len(point)
@@ -182,7 +232,7 @@ def fraction_net_states(point, m):
     for j in range(1, m + 1):
         new = {}
         for state, (cost, _) in layers[-1].items():
-            for nxt, _ in _net_moves(n, m, j, state):
+            for nxt in defined_net_moves(n, m, j, state):
                 c = max(cost, dev(j, nxt))
                 if nxt not in new or c < new[nxt][0]:
                     new[nxt] = (c, state)
@@ -642,7 +692,7 @@ def test_nearest_net_point_single_component_is_identity():
 
 def test_single_component_net_runs_one_layer(monkeypatch):
     # at n = 1 the net is the identity alone at every m; a DP over m layers
-    # would cost O(m) here and nest m generators in net_points
+    # would cost O(m) here, and net_points would walk m layers of moves
     calls = []
     monkeypatch.setattr(explorer, "_net_moves", lambda *a: calls.append(a) or _net_moves(*a))
     point = random_point(random.Random(0), 1)

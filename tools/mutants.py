@@ -124,6 +124,27 @@ MUTANTS = [
         "13ec06e: the net DP's tie-break reversed",
     ),
     (
+        "explorer.py",
+        "        for v in range(max(s, low), top):\n",
+        "        for v in range(s, top):\n",
+        "tests/test_explorer.py::test_net_moves_match_their_definition",
+        "new: the net moves' lower bound on the last of the n-1 values dropped",
+    ),
+    (
+        "explorer.py",
+        "    return _moves_from(state, m, 0, (), n, low)\n",
+        "    return _moves_from(state, m, 0, (), n + 1, low)\n",
+        "tests/test_explorer.py::test_net_moves_match_their_definition",
+        "new: the net moves' rise budget one too large",
+    ),
+    (
+        "explorer.py",
+        "    ends = [-1, *sorted(cuts), places]\n",
+        "    ends = [-1, *sorted(cuts), places + 1]\n",
+        "tests/test_explorer.py::test_sampler_determinism",
+        "new: the composition sampler's final part one too large",
+    ),
+    (
         "quotdist.py",
         "bisect_left(br, ar[p] - bound)",
         "bisect_right(br, ar[p] - bound)",
@@ -136,6 +157,13 @@ MUTANTS = [
         "bisect_left(br, ar[p] + bound)",
         "tests/test_quotdist.py::test_oracle_reflexive",
         "8367df0: the oracle band's high end by bisect_left",
+    ),
+    (
+        "quotdist.py",
+        "        for y, row in diag[0].get(p, ()):\n",
+        "        for y, row in ():\n",
+        "tests/test_quotdist.py::test_oracle_matches_edge_extra_reference",
+        "8ac120e: the oracle's loop over one side's diagonal kinks dropped",
     ),
     (
         "__init__.py",
@@ -164,6 +192,13 @@ MUTANTS = [
         "end = min(count, (a1 * x0d - x0n * b1) * k // (b1 * x0d))",
         "tests/test_quotdist.py::test_runs_match_pointwise_sweep",
         "6f0edbd: a run of _runs ending one point early",
+    ),
+    (
+        "quotdist.py",
+        "for n, d in (first, inc) for g in (gcd(n, d),)]",
+        "for n, d in (first, inc) for g in (1,)]",
+        "tests/test_quotdist.py::test_runs_match_pointwise_sweep",
+        "13ec06e: _runs without its gcd step",
     ),
     (
         "quotdist.py",
