@@ -341,19 +341,6 @@ def _poly(points, lo=ZERO, hi=ONE) -> str:
     return " ".join(f"{_px(x)},{_py(y, lo, hi)}" for x, y in points)
 
 
-def _svg_doc(body: list[str]) -> str:
-    side = _SIZE + 2 * _MARGIN
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {side} {side}" '
-        f'width="{side}" height="{side}">'
-    )
-    frame = (
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_SIZE}" height="{_SIZE}" '
-        'fill="white" stroke="#444444" stroke-width="1"/>'
-    )
-    return "\n".join([head, frame, *body, "</svg>"]) + "\n"
-
-
 def _is_gapset(obj) -> bool:
     # gaps is loaded here, after the other kinds are ruled out, so that
     # plotting a map, tuple or coordinate does not import it
@@ -397,7 +384,16 @@ def render_svg(obj) -> str:
         body.append(diag)
     else:
         raise InputError(f"cannot plot a {type(obj).__name__}")
-    return _svg_doc(body)
+    side = _SIZE + 2 * _MARGIN
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {side} {side}" '
+        f'width="{side}" height="{side}">'
+    )
+    frame = (
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_SIZE}" height="{_SIZE}" '
+        'fill="white" stroke="#444444" stroke-width="1"/>'
+    )
+    return "\n".join([head, frame, *body, "</svg>"]) + "\n"
 
 
 def render_csv(obj) -> str:

@@ -304,39 +304,29 @@ def brute_oracle(a, b, k: int) -> Fraction:
         raise InputError("grid resolution must be at least 1")
     n = len(a)
     sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
-
-    def flat(runs) -> list[Ratio]:
-        return [v for _, first, inc in runs for v in (first, inc)]
-
-    vals = [*sides[0][0], *sides[1][0]]
+    # One scale for every value the DP meets, as it compares every node
+    # cost with every other.  Run groups: the 2n grid rows, then per kink
+    # its value y, a run of length one, ahead of its crossing runs.
     kinks = [
-        (s, step, y, runs) for s, (_, kk) in enumerate(sides) for step, items in kk.items() for _, y, runs in items
+        (s, step, [(1, y, (0, 1)), *runs])
+        for s, (_, kk) in enumerate(sides) for step, items in kk.items() for _, y, runs in items
     ]
-    # The one place where a scale spans more than one comparison: the DP
-    # compares every node cost with every other, so every value it meets
-    # shares one common denominator.
-    values = [v for runs in vals for v in flat(runs)]
-    for *_, y, runs in kinks:
-        values += [y, *flat(runs)]
-    ints, denom = _ints(values)
-    scaled = iter(ints)
-
-    def expand(runs) -> list[int]:
+    groups = [*sides[0][0], *sides[1][0], *(runs for *_, runs in kinks)]
+    ints, denom = _ints([v for runs in groups for _, first, inc in runs for v in (first, inc)])
+    scaled, rows = iter(ints), []
+    for runs in groups:
         row = []
         for length, _, _ in runs:
             first, inc = next(scaled), next(scaled)
             row.extend(accumulate(repeat(inc, length - 1), initial=first))
-        return row
-
-    rows = [expand(runs) for runs in vals]
-    ai, bi = rows[:n], rows[n:]
+        rows.append(row)
+    ai, bi = rows[:n], rows[n:2 * n]
     # diag[s][step] = [(kink value y, [y, partner values at its k crossings])]:
     # behind the leading y (a zero extra), index j is the crossing of the
     # diagonal step into column j (s = 0) or row j (s = 1).
     diag = ({}, {})
-    for s, step, _, runs in kinks:
-        y = next(scaled)
-        diag[s].setdefault(step, []).append((y, [y, *expand(runs)]))
+    for (s, step, _), row in zip(kinks, rows[2 * n:]):
+        diag[s].setdefault(step, []).append((row[0], row))
 
     # The diagonal path's cost: its nodes and its kink crossings.
     bound = max(abs(x - y) for ar, br in zip(ai, bi) for x, y in zip(ar, br))

@@ -19,8 +19,9 @@ points arrive in (x, y) order and are not sorted.
 
 Pairs in canonical form with equal weights can equivalently be encoded
 by a single 1-Lipschitz function vanishing at the endpoints (the
-difference between the first component and the identity); this is the
-coordinate system used by the epsilon-net enumeration in the CLI.
+difference between the first component and the identity).  That
+coordinate is what roelcke_coord gives, coord_to_pair inverts and the
+CLI's ``plot`` draws; the epsilon net enumerates component values.
 
 Pure functions over immutable values throughout.
 """
@@ -28,7 +29,6 @@ Pure functions over immutable values throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .plcore import (
     InputError,
@@ -126,9 +126,9 @@ class CanonicalTuple(MonoTuple):
     With uniform weights these are the canonical representatives of
     tuples modulo reparameterization; each component's slopes are
     bounded by the reciprocal of its weight (by n in the uniform case).
-    The mean is checked exactly on construction, in ints on the merged
-    breakpoint grid, where it is compared, not rebuilt; the slope bound
-    follows from it because the components are monotone.
+    The mean is checked exactly on construction, rebuilt by canonicalize's
+    kernel on the merged breakpoint grid and compared with the grid; the
+    slope bound follows from it because the components are monotone.
     """
 
     _fields = ("components", "weights")
@@ -141,12 +141,9 @@ class CanonicalTuple(MonoTuple):
         super().__init__(components)
         w = check_weights(weights, len(self))
         xs, rows = _tabulate(self.components)
-        nums, wd = _ints([x.as_integer_ratio() for x in w])
-        for point in zip(xs, *rows):
-            # sum(w_i * v_i) == x, over the lcm of this point's values
-            (x, *vals), _ = _ints(point)
-            if sum(map(mul, nums, vals)) != wd * x:
-                raise InputError("weighted mean of a canonical tuple must be the identity")
+        # reduced pairs are equal exactly when their values are
+        if _combined([x.as_integer_ratio() for x in w], rows) != xs:
+            raise InputError("weighted mean of a canonical tuple must be the identity")
         # The slope bound needs no pass of its own: on each grid segment
         # the slopes s_i are >= 0 (monotone components), the weights are
         # positive and the mean has slope sum(w_i * s_i) = 1, so every

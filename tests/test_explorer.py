@@ -1,6 +1,7 @@
 """Samplers, epsilon nets, rendering and the command-line interface."""
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -23,9 +24,11 @@ from plmonoid import (
     MonoTuple,
     PLHomeo,
     PLMono,
+    RoelckeCoord,
     compose,
     identity,
     mean,
+    merge_gaps,
     sup_dist,
 )
 from plmonoid import explorer
@@ -283,6 +286,52 @@ def test_csv_exact_strings():
     out = render_csv(lo)
     assert out.splitlines()[0] == "component,x,y"
     assert "0,1/2,1/4" in out.splitlines()
+
+
+PLOT_OBJECTS = {
+    "map": PLMono(((F(0), F(0)), (F(1, 3), F(1, 4)), (F(2, 3), F(2, 3)), (F(1), F(1)))),
+    "tuple": MonoTuple((
+        PLMono(((F(0), F(0)), (F(1, 5), F(3, 5)), (F(1), F(1)))),
+        PLMono(((F(0), F(0)), (F(1, 2), F(0)), (F(3, 4), F(7, 8)), (F(1), F(1)))),
+        identity(),
+    )),
+    "coord": RoelckeCoord(((F(0), F(0)), (F(1, 4), F(1, 4)), (F(5, 8), F(-1, 8)), (F(1), F(0)))),
+    # two gaps sharing the endpoint 1/4
+    "gapset": merge_gaps([(F(1, 8), F(1, 4)), (F(1, 4), F(3, 7)), (F(2, 3), F(5, 6))]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, svg_sha256, csv",
+    [
+        (
+            "map",
+            "c2396c75f1edb878bbfeb7f08a6f9ac1a82c022d440a614bd3b11b25764c90c9",
+            "component,x,y\n0,0,0\n0,1/3,1/4\n0,2/3,2/3\n0,1,1\n",
+        ),
+        (
+            "tuple",
+            "71e93324819d8f4068878af8713bf6d9fcac3fb9e60eb83febcb541683fa7c1c",
+            "component,x,y\n0,0,0\n0,1/5,3/5\n0,1,1\n1,0,0\n1,1/2,0\n1,3/4,7/8\n1,1,1\n2,0,0\n2,1,1\n",
+        ),
+        (
+            "coord",
+            "374650b55c550cf406e5758e76c7dbc15da6b72184934ceb422e3331383116cf",
+            "x,y\n0,0\n1/4,1/4\n5/8,-1/8\n1,0\n",
+        ),
+        (
+            "gapset",
+            "e65d20d396bc91a7a6e53dcd59e907dbc8eaaa4f9ba4243d96389eff2df6e79a",
+            "gap,lo,hi\n0,1/8,1/4\n1,1/4,3/7\n2,2/3,5/6\n",
+        ),
+    ],
+)
+def test_plot_bytes_are_pinned(kind, svg_sha256, csv):
+    # The golden schedule covers only some kinds per format; this pins all
+    # eight renderings, the SVG by digest and the CSV as text.
+    obj = PLOT_OBJECTS[kind]
+    assert hashlib.sha256(render_svg(obj).encode()).hexdigest() == svg_sha256
+    assert render_csv(obj) == csv
 
 
 # --- CLI

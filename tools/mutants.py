@@ -96,6 +96,20 @@ MUTANTS = [
         "34cd399: d * d for cd * d in _combined",
     ),
     (
+        "plcore.py",
+        "    d = lcm(*[q for _, q in ratios])\n",
+        "    d = max([q for _, q in ratios])\n",
+        "tests/test_plcore.py::test_combine_matches_fraction_reference",
+        "4404f8b: max for lcm in _ints",
+    ),
+    (
+        "typespace.py",
+        "        if _combined([x.as_integer_ratio() for x in w], rows) != xs:\n",
+        "        if _combined([x.as_integer_ratio() for x in w], rows)[::2] != xs[::2]:\n",
+        "tests/test_typespace.py::test_canonical_check_matches_rebuilt_mean",
+        "4404f8b: the canonical mean checked on every other grid point",
+    ),
+    (
         "typespace.py",
         "levels = _combined([x.as_integer_ratio() for x in w], rows)",
         "levels = _combined([(1, len(w))] * len(w), rows)",
@@ -164,6 +178,27 @@ MUTANTS = [
         "        for y, row in ():\n",
         "tests/test_quotdist.py::test_oracle_matches_edge_extra_reference",
         "8ac120e: the oracle's loop over one side's diagonal kinks dropped",
+    ),
+    (
+        "quotdist.py",
+        "repeat(inc, length - 1)",
+        "repeat(inc, length)",
+        "tests/test_quotdist.py::test_oracle_matches_edge_extra_reference",
+        "6f0edbd: the oracle's run expansion one value too long",
+    ),
+    (
+        "quotdist.py",
+        "        for q, items in diag[1].items():\n",
+        "        for q, items in ():\n",
+        "tests/test_quotdist.py::test_oracle_matches_edge_extra_reference",
+        "8ac120e: the oracle's loop over the other side's diagonal kinks dropped",
+    ),
+    (
+        "quotdist.py",
+        "    bound = max([bound] + [abs(y - r[step]) for side in diag for step, items in side.items() for y, r in items])\n",
+        "",
+        "tests/test_quotdist.py::test_oracle_band_matches_full_grid_dp",
+        "8367df0: the oracle's bound without the kink extras",
     ),
     (
         "__init__.py",
