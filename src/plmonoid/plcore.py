@@ -546,15 +546,37 @@ def _combined(coeffs: Sequence[Ratio], rows: Sequence[Sequence[Ratio]]) -> list[
 
 
 def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int], name: str) -> Fraction:
-    """Largest size(f - g) on the merged breakpoint grid, from 0 at x = 0:
-    int pairs compared by cross-multiplying, one Fraction at the end.
+    """Largest size(f - g) on the merged breakpoint grid, from 0 at x = 0.
+
+    One two-pointer merge over the interior vertices of both maps (both
+    fix 0 and 1, where f - g is 0, so the end vertices stop each side).
+    At each merged abscissa a map with a vertex there gives its value,
+    and the other map's value is read off its current segment: by _lerp,
+    unreduced, unless the segment is a plateau.  Differences are
+    compared by cross-multiplying, and one Fraction is built at the end.
     ``name`` is the caller's, for the error on an argument not a map."""
     if not isinstance(f, PLMono) or not isinstance(g, PLMono):
         raise InputError(f"{name} needs two monotone maps")
-    _, (fv, gv) = _tabulate((f, g))
+    fx, fy, gx, gy = f._xr, f._yr, g._xr, g._yr
+    i, j, fend, gend = 1, 1, len(fx) - 1, len(gx) - 1
     best, best_d = 0, 1
-    for (an, ad), (bn, bd) in zip(fv, gv):
-        diff, d = size(an * bd - bn * ad), ad * bd
+    while i < fend or j < gend:
+        (an, ad), (bn, bd) = fx[i], gx[j]
+        c = an * bd - bn * ad
+        u, v = fy[i], gy[j]
+        if c < 0:  # f's vertex comes first: g on its segment j - 1 .. j
+            if gy[j - 1] != v:
+                v = _lerp(gx[j - 1], gy[j - 1], gx[j], v, fx[i])
+            i += 1
+        elif c > 0:  # g's vertex comes first: f on its segment i - 1 .. i
+            if fy[i - 1] != u:
+                u = _lerp(fx[i - 1], fy[i - 1], fx[i], u, gx[j])
+            j += 1
+        else:
+            i += 1
+            j += 1
+        (un, ud), (vn, vd) = u, v
+        diff, d = size(un * vd - vn * ud), ud * vd
         if diff * best_d > best * d:
             best, best_d = diff, d
     return Fraction(best, best_d)

@@ -36,7 +36,6 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
-from operator import sub
 from typing import NamedTuple
 
 from .plcore import (
@@ -287,8 +286,10 @@ def brute_oracle(a, b, k: int) -> Fraction:
     The DP runs only on nodes no dearer than the diagonal path (p, p),
     whose cost ``bound`` is max_i sup_dist(a_i, b_i).  An optimal path
     costs at most ``bound``, so every node on it does too; as each b_i is
-    non-decreasing, those nodes of row p form one band of q, found by
-    bisection, that holds q = p.  Every other node reads as dearer than
+    non-decreasing, those nodes of row p form one band of q that holds
+    q = p.  It is found by narrowing bisects: each component's two
+    bisects search only the bracket that the components before it left,
+    which still holds q = p.  Every other node reads as dearer than
     ``bound``, which leaves the value at (k, k) unchanged.
 
     Every value a path can meet lies on an arithmetic run of one
@@ -334,23 +335,26 @@ def brute_oracle(a, b, k: int) -> Fraction:
     out = bound + 1
     # Rows hold q = -1..k at index q + 1: column -1 is never reached.
     prev = [out] * (k + 2)
+    comps = list(zip(ai, bi))
+    (ar0, br0), *rest = comps
     for p in range(k + 1):
-        # Row p's band [lo, hi): the q with every |a_i(p/k) - b_i(q/k)| <= bound.
-        lo = max(bisect_left(br, ar[p] - bound) for ar, br in zip(ai, bi))
-        hi = min(bisect_right(br, ar[p] + bound) for ar, br in zip(ai, bi))
-        c = [0] * (hi - lo)
-        for ar, br in zip(ai, bi):
+        # Row p's band [lo, hi): the q with every |a_i(p/k) - b_i(q/k)| <= bound,
+        # each component's bisects inside the bracket the ones before it left.
+        lo, hi = 0, k + 1
+        for ar, br in comps:
             x = ar[p]
-            for j, y in enumerate(br[lo:hi]):
-                d = x - y
-                if d < 0:
-                    d = -d
-                if d > c[j]:
-                    c[j] = d
+            lo = bisect_left(br, x - bound, lo, hi)
+            hi = bisect_right(br, x + bound, lo, hi)
+        # c[q - lo]: the node cost max_i |a_i(p/k) - b_i(q/k)|.
+        x = ar0[p]
+        c = [x - y if x > y else y - x for y in br0[lo:hi]]
+        for ar, br in rest:
+            x = ar[p]
+            c = [e if e > (d := x - y if x > y else y - x) else d for e, y in zip(c, br[lo:hi])]
         # via_d[q - lo]: cost of reaching (p, q) by the diagonal step.
         via_d = prev[lo:hi]
         for y, row in diag[0].get(p, ()):
-            via_d = list(map(max, via_d, map(abs, map(sub, repeat(y), row[lo:hi]))))
+            via_d = [v if v > (e := y - r if y > r else r - y) else e for v, r in zip(via_d, row[lo:hi])]
         for q, items in diag[1].items():
             if lo <= q < hi:
                 for y, col in items:

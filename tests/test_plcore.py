@@ -756,3 +756,48 @@ def test_sweep_and_merge_match_fraction_reference(seed):
             for upper, got in enumerate(_sweep_ends(ratios(xs), ratios(ys), ratios(args))):
                 assert fractions(got) == _reference_sweep(xs, ys, args, upper)
                 assert reduced(got)
+
+
+def _reference_max_difference(f, g):
+    """sup |f - g| and sup (f - g) over the union of both maps'
+    breakpoints, each map evaluated through PLMono.__call__."""
+    xs = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+    diffs = [f(x) - g(x) for x in xs]
+    return max(map(abs, diffs)), max(diffs)
+
+
+def _difference_pair(seed):
+    """Two maps of one of five kinds: random maps (with plateaus), a
+    homeomorphism against a map, maps over two of COPRIME_DENS, maps on
+    shared breakpoints (g through f's abscissae, its values on the 1/8
+    grid, so plateaus are common), and the identity, which has no
+    interior vertex, against a map."""
+    rng = random.Random(seed)
+    kind = seed % 5
+    if kind == 0:
+        return random_mono(rng), random_mono(rng)
+    if kind == 1:
+        return random_homeo(rng), random_mono(rng)
+    if kind == 2:
+        d, e = rng.sample(COPRIME_DENS, 2)
+        return coprime_map(rng, d), coprime_map(rng, e)
+    f = random_mono(rng)
+    if kind == 3:
+        inner = f.breakpoints[1:-1]
+        ys = sorted(F(rng.randrange(9), 8) for _ in inner)
+        return f, PLMono(((0, 0), *((x, y) for (x, _), y in zip(inner, ys)), (1, 1)))
+    return identity(), f
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_max_difference_matches_fraction_reference(seed):
+    # The two-map merge pass against the union of both breakpoint sets,
+    # evaluated point by point; both directions and both orders.
+    f, g = _difference_pair(seed)
+    for u, v in ((f, g), (g, f)):
+        sup, excess = _reference_max_difference(u, v)
+        got = sup_dist(u, v), order_excess(u, v)
+        assert got == (sup, excess)
+        assert all(type(x) is F for x in got)
+    assert sup_dist(f, f) == order_excess(g, g) == 0

@@ -90,6 +90,20 @@ MUTANTS = [
     ),
     (
         "plcore.py",
+        "    while i < fend or j < gend:\n",
+        "    while i < fend and j < gend:\n",
+        "tests/test_plcore.py::test_max_difference_matches_fraction_reference",
+        "new: the two-map merge stopping when one map's interior vertices run out",
+    ),
+    (
+        "plcore.py",
+        "        if c < 0:  # f's vertex comes first: g on its segment j - 1 .. j\n",
+        "        if c > 0:  # f's vertex comes first: g on its segment j - 1 .. j\n",
+        "tests/test_plcore.py::test_max_difference_matches_fraction_reference",
+        "new: the two-map merge reading the later vertex first",
+    ),
+    (
+        "plcore.py",
         "n, d = sum(map(mul, coeffs, nums)), cd * d",
         "n, d = sum(map(mul, coeffs, nums)), d * d",
         "tests/test_plcore.py::test_combine_matches_fraction_reference",
@@ -160,15 +174,15 @@ MUTANTS = [
     ),
     (
         "quotdist.py",
-        "bisect_left(br, ar[p] - bound)",
-        "bisect_right(br, ar[p] - bound)",
+        "bisect_left(br, x - bound, lo, hi)",
+        "bisect_right(br, x - bound, lo, hi)",
         "tests/test_quotdist.py::test_oracle_reflexive",
         "8367df0: the oracle band's low end by bisect_right",
     ),
     (
         "quotdist.py",
-        "bisect_right(br, ar[p] + bound)",
-        "bisect_left(br, ar[p] + bound)",
+        "bisect_right(br, x + bound, lo, hi)",
+        "bisect_left(br, x + bound, lo, hi)",
         "tests/test_quotdist.py::test_oracle_reflexive",
         "8367df0: the oracle band's high end by bisect_left",
     ),
