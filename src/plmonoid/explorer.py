@@ -461,9 +461,7 @@ def _cmd_dist(args) -> str:
     ta, _ = ser.tuple_from_obj(ser.loads(_read_text(args.a)))
     tb, _ = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
     tol = ser.parse_frac(args.tol)
-    ca, _ = canonicalize(ta)
-    cb, _ = canonicalize(tb)
-    qi, bound = _bracket(ca, cb, tol)
+    qi, bound = _bracket(ta, tb, tol)
     out = ser.interval_to_obj(qi)
     out["canonical_bound"] = ser.frac_str(bound)
     if args.grid:

@@ -64,16 +64,16 @@ def _check_interval(iv) -> Interval:
 class GapSet(_Value):
     """Finite set of disjoint open rational subintervals of (0, 1).
 
-    Intervals are sorted and pairwise disjoint.  Two intervals may share
-    an endpoint; such shared endpoints are reported by isolated_points
-    and disqualify the set from arising as the gap set of a
-    pseudo-distance.
+    Intervals are pairwise disjoint and kept sorted, in whatever order
+    they are given.  Two intervals may share an endpoint; such shared
+    endpoints are reported by isolated_points and disqualify the set
+    from arising as the gap set of a pseudo-distance.
     """
 
     _fields = ("gaps",)
 
     def __init__(self, gaps: tuple[Interval, ...]):
-        ivs = tuple(_check_interval(iv) for iv in gaps)
+        ivs = tuple(sorted(_check_interval(iv) for iv in gaps))
         for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
             if a1 < b0:
                 raise InputError(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")

@@ -21,7 +21,9 @@ values it touches, so no int carries the whole input's denominators.
 The constructors cross-multiply the pairs of the two neighbouring
 points a check involves, as the sweep kernel and grid merge do for the
 two values they compare, and test collinearity against the slope of
-the last kept segment, kept as a cross-multiplied pair.  The two
+the last kept segment, kept as a cross-multiplied pair.  A map built
+from rows the library made goes through _built, the one place that
+reports a constructor's rejection as InvariantViolation.  The two
 exceptions compare every cost with every other and keep one common
 denominator: the grid oracle's dynamic program (quotdist.brute_oracle)
 and the epsilon-net DP (explorer).
@@ -232,14 +234,6 @@ def _ints(ratios) -> tuple[list[int], int]:
     return [n * (d // q) for n, q in ratios], d
 
 
-def _ascending(ratios, strict: bool = False) -> bool:
-    """Whether (numerator, denominator) pairs ascend, weakly or strictly;
-    each neighbour pair is compared by cross-multiplying."""
-    if strict:
-        return all(a * d < c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
-    return all(a * d <= c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
-
-
 def _normalize(rows) -> tuple[tuple[Ratio, ...], tuple[Ratio, ...], int]:
     """Order points by (x, y), drop duplicates and collinear interior points.
 
@@ -417,6 +411,15 @@ def as_homeo(f: PLMono) -> PLHomeo:
     return PLHomeo._from_pairs(zip(f._xr, f._yr))
 
 
+def _built(rows, what: str) -> PLMono:
+    """The PLMono through (x, y) rows of reduced pairs the library made; a
+    rejection is a bug: InvariantViolation("<what> left the monoid: ...")."""
+    try:
+        return PLMono._from_pairs(rows)
+    except InputError as exc:
+        raise InvariantViolation(f"{what} left the monoid: {exc}") from exc
+
+
 def inverse(g: PLHomeo) -> PLHomeo:
     """Exact inverse homeomorphism (reflect the breakpoints)."""
     if not isinstance(g, PLHomeo):
@@ -441,9 +444,9 @@ class LcMono(_Polyline):
         if len(rows) < 2 or rows[0] != ((0, 1), (0, 1)) or rows[-1] != ((1, 1), (1, 1)):
             raise InputError("vertices must run from (0,0) to (1,1)")
         vr, tr = zip(*rows)
-        if not _ascending(vr):
+        if any(a * d > c * b for (a, b), (c, d) in zip(vr, vr[1:])):
             raise InputError("arguments must be weakly increasing")
-        if not _ascending(tr, strict=True):
+        if any(a * d >= c * b for (a, b), (c, d) in zip(tr, tr[1:])):
             raise InputError("values must be strictly increasing")
         self._store(vr, tr)
 
@@ -504,10 +507,7 @@ def compose_lc(f: PLMono, inv: LcMono) -> PLMono:
     if not isinstance(f, PLMono) or not isinstance(inv, LcMono):
         raise InputError("compose_lc needs a monotone map and a pseudo-inverse")
     xs = _merged((f._xr, inv._yr))
-    try:
-        return PLMono._from_pairs(zip(_sweep(inv._yr, inv._xr, xs), _sweep(f._xr, f._yr, xs)))
-    except InputError as exc:
-        raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
+    return _built(zip(_sweep(inv._yr, inv._xr, xs), _sweep(f._xr, f._yr, xs)), "spliced composition")
 
 
 def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
@@ -620,23 +620,13 @@ def uniform_witness(g: PLHomeo) -> PLMono:
         raise InputError("the witness construction needs a homeomorphism")
     if g == _IDENTITY:
         raise InputError("identity has no witness")
-
-    def first_argmax(h: PLHomeo):
-        best_t, best_d = None, ZERO
-        for x, y in h.breakpoints:
-            if y - x > best_d:
-                best_t, best_d = x, y - x
-        return best_t
-
-    direction = g
-    t = first_argmax(direction)
-    if t is None:
-        direction = inverse(g)
-        t = first_argmax(direction)
-    if t is None:
+    inv = inverse(g)
+    h, back = (g, inv) if any(y > x for x, y in g.breakpoints) else (inv, g)
+    # max keeps the first of equal keys
+    t, top = max(h.breakpoints, key=lambda p: p[1] - p[0])
+    if top <= t:
         raise InvariantViolation("non-identity homeomorphism with zero displacement")
-    top = direction(t)
     witness = PLMono(((ZERO, ZERO), (t, ZERO), (top, ONE), (ONE, ONE)))
-    if sup_dist(compose(witness, inverse(direction)), witness) != ONE:
+    if sup_dist(compose(witness, back), witness) != ONE:
         raise InvariantViolation("witness construction failed to realize distance one")
     return witness

@@ -12,7 +12,8 @@ components uniform norm, and is computed here two independent ways:
   crossing cell, in exact ints scaled over the values of the grid nodes
   each comparison touches.  The decision ("is the distance at most
   eps?") and the bracket [hi * j / 2^k, hi * (j + 1) / 2^k] under the
-  canonical forms' sup-distance hi are read from that value;
+  canonical forms' sup-distance hi are read from that value; the forms
+  come from canonicalize, which returns a uniform canonical tuple as is;
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
@@ -46,6 +47,7 @@ from .plcore import (
     PLMono,
     Ratio,
     _Value,
+    _built,
     _frac,
     _ints,
     _lerp,
@@ -149,18 +151,6 @@ def _value(a: MonoTuple, b: MonoTuple) -> Fraction:
     return Fraction(best, best_d)
 
 
-def _canonical(t) -> CanonicalTuple:
-    """Canonical form of t; a canonical tuple with uniform weights is its own.
-
-    Weights are positive and sum to 1 (the constructor checks them, and
-    pickle and copy rebuild through it), so they are uniform exactly
-    when they are all equal.
-    """
-    if isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):
-        return t
-    return canonicalize(_as_tuple(t))[0]
-
-
 def quot_decision(a, b, eps) -> bool:
     """Exact decision: is the quotient distance of a and b at most eps?
 
@@ -180,7 +170,7 @@ def _bracket(a, b, tol) -> tuple[QuotInterval, Fraction]:
     if tol <= ZERO:
         raise InputError("tolerance must be positive")
     d = _value(_as_tuple(a), _as_tuple(b))
-    hi = max(map(sup_dist, _canonical(a), _canonical(b)))
+    hi = max(map(sup_dist, canonicalize(a)[0], canonicalize(b)[0]))
     if not d:
         return QuotInterval(ZERO, ZERO, 1), hi
     if d > hi:
@@ -433,9 +423,6 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
                 start = at - min(ramp, (at - Fraction(*verts[i - 2][0])) / 3)
                 pts[-1] = (start.as_integer_ratio(), pts[-1][1])
         pts.append((t, x))
-    try:
-        w = PLMono._from_pairs(pts)
-    except InputError as exc:
-        raise InvariantViolation(f"orbit reparameterization left the monoid: {exc}") from exc
+    w = _built(pts, "orbit reparameterization")
     bound = min(sup_dist(compose(first, w), second), sup_dist(first, second)) * HALF
     return IdentityProximity(bound, bound < eps)

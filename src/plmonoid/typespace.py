@@ -32,11 +32,11 @@ from fractions import Fraction
 
 from .plcore import (
     InputError,
-    InvariantViolation,
     PLHomeo,
     PLMono,
     _Polyline,
     _Value,
+    _built,
     _combined,
     _frac,
     _ints,
@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 Weights = tuple[Fraction, ...]
+
+# The mean of a canonical tuple, of the class that mean() returns.
+_IDENTITY_MEAN = PLMono(((0, 0), (1, 1)))
 
 
 def uniform_weights(n: int) -> Weights:
@@ -164,20 +167,20 @@ def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[Canonica
     built from one tabulation of t as the module docstring says.  A
     repeated m(x) must repeat t[i](x); a point that breaks this raises
     InvariantViolation.  Composing back gives compose(c[i], m) == t[i]
-    bit-exactly.
+    bit-exactly.  This is the one place that takes a tuple as its own
+    canonical form: asked for no weights, a CanonicalTuple with equal
+    weights is returned as it is, with the identity mean, untabulated.
     """
     t = _as_tuple(t)
+    if weights is None and isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):
+        return t, _IDENTITY_MEAN
     w = uniform_weights(len(t)) if weights is None else check_weights(weights, len(t))
     xs, rows = _tabulate(t.components)
     levels = _combined([x.as_integer_ratio() for x in w], rows)
     m = PLMono._from_pairs(zip(xs, levels))
     if m == identity():
         return CanonicalTuple(t.components, w), m
-    try:
-        comps = tuple(PLMono._from_pairs(zip(levels, row)) for row in rows)
-    except InputError as exc:
-        raise InvariantViolation(f"spliced composition left the monoid: {exc}") from exc
-    return CanonicalTuple(comps, w), m
+    return CanonicalTuple(tuple(_built(zip(levels, row), "spliced composition") for row in rows), w), m
 
 
 def lipschitz_constant(c: CanonicalTuple, i: int) -> Fraction:

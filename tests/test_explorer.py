@@ -469,6 +469,14 @@ def test_cli_plot_outputs(tmp_path):
     assert code == 0 and out.read_text() == svg
 
 
+def test_cli_plot_takes_gaps_in_any_order():
+    outs = [run_cli(["plot", "-", "--format", fmt], stdin=text)
+            for fmt in ("svg", "csv")
+            for text in ('{"gaps": [["1/2","3/4"],["1/4","1/3"]]}', '{"gaps": [["1/4","1/3"],["1/2","3/4"]]}')]
+    assert [code for code, _ in outs] == [0] * 4
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+
+
 def test_cli_plot_unknown_kind():
     code, _ = run_cli(["plot", "-"], stdin='{"mystery":1}')
     assert code == 2

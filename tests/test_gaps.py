@@ -111,8 +111,20 @@ def test_isolated_examples():
 
 
 def test_gapset_validation():
-    with pytest.raises(InputError):
-        GapSet(((F(1, 4), F(3, 4)), (F(1, 2), F(7, 8))))
+    # an overlap is rejected in either order, nested or repeated
+    for ivs in (((F(1, 4), F(3, 4)), (F(1, 2), F(7, 8))),
+                ((F(1, 2), F(7, 8)), (F(1, 4), F(3, 4))),
+                ((F(1, 3), F(1, 2)), (F(1, 4), F(3, 4))),
+                ((F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)))):
+        with pytest.raises(InputError, match="gaps overlap"):
+            GapSet(ivs)
+
+
+def test_gapset_sorts_disjoint_gaps_given_out_of_order():
+    ivs = ((F(1, 4), F(1, 3)), (F(1, 2), F(3, 4)), (F(3, 4), F(7, 8)))
+    for order in ((2, 0, 1), (1, 0, 2), (2, 1, 0)):
+        g = GapSet(tuple(ivs[i] for i in order))
+        assert g == GapSet(ivs) and g.gaps == ivs
 
 
 # --- extreme pairs

@@ -295,7 +295,7 @@ def test_pseudo_inverse_jumps_are_plateaus(seed):
 
 def test_compose_lc_discontinuity_detected():
     lo, _ = lower_upper()
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="^spliced composition left the monoid: conflicting values"):
         compose_lc(identity(), pseudo_inverse(lo))
 
 
@@ -420,6 +420,14 @@ def test_witness_below_identity_uses_inverse():
     g = PLHomeo(((0, 0), (F(1, 2), F(1, 4)), (1, 1)))
     w = uniform_witness(g)
     assert sup_dist(compose(w, g), w) == 1
+
+
+def test_witness_takes_the_first_breakpoint_of_greatest_displacement():
+    # displacement 1/4 at x = 1/8 and again at x = 5/8
+    g = PLHomeo(((0, 0), (F(1, 8), F(3, 8)), (F(1, 2), F(5, 8)), (F(5, 8), F(7, 8)), (1, 1)))
+    assert uniform_witness(g) == PLMono(((0, 0), (F(1, 8), 0), (F(3, 8), 1), (1, 1)))
+    # inverse(g) is below the identity, so g itself is lifted again
+    assert uniform_witness(inverse(g)) == uniform_witness(g)
 
 
 def test_witness_identity_rejected():

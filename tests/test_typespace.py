@@ -96,6 +96,21 @@ def test_canonicalize_already_canonical():
     assert ct.components == (lo, hi)
 
 
+def test_canonicalize_returns_a_uniform_canonical_tuple_itself():
+    ct = embed_homeo(random_homeo(random.Random(5)))
+    c, m = canonicalize(ct)
+    assert c is ct and m == identity() and type(m) is PLMono
+    assert canonicalize(ct, (F(1, 2), F(1, 2))) == (ct, m)
+
+
+def test_canonicalize_recomputes_a_canonical_tuple_under_other_weights():
+    ct = embed_homeo(random_homeo(random.Random(5)))
+    weights = (F(1, 3), F(2, 3))
+    c, m = canonicalize(ct, weights)
+    assert m == mean(ct, weights) != identity()
+    assert c == canonicalize(ct.as_tuple(), weights)[0] and c.weights == weights
+
+
 def test_canonicalize_single_component():
     f = random_mono(random.Random(2))
     ct, m = canonicalize(MonoTuple((f,)))

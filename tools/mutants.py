@@ -76,8 +76,8 @@ MUTANTS = [
     ),
     (
         "plcore.py",
-        "        if not _ascending(tr, strict=True):\n",
-        "        if not _ascending(tr):\n",
+        "        if any(a * d >= c * b for (a, b), (c, d) in zip(tr, tr[1:])):\n",
+        "        if any(a * d > c * b for (a, b), (c, d) in zip(tr, tr[1:])):\n",
         "tests/test_plcore.py::test_constructors_match_fraction_reference",
         "4404f8b: LcMono's strict check on values made weak",
     ),
@@ -101,6 +101,13 @@ MUTANTS = [
         "        if c > 0:  # f's vertex comes first: g on its segment j - 1 .. j\n",
         "tests/test_plcore.py::test_max_difference_matches_fraction_reference",
         "new: the two-map merge reading the later vertex first",
+    ),
+    (
+        "plcore.py",
+        "    t, top = max(h.breakpoints, key=lambda p: p[1] - p[0])\n",
+        "    t, top = max(reversed(h.breakpoints), key=lambda p: p[1] - p[0])\n",
+        "tests/test_plcore.py::test_witness_takes_the_first_breakpoint_of_greatest_displacement",
+        "new: the witness taken at the last breakpoint of greatest displacement",
     ),
     (
         "plcore.py",
@@ -129,6 +136,27 @@ MUTANTS = [
         "levels = _combined([(1, len(w))] * len(w), rows)",
         "tests/test_typespace.py::test_canonicalize_matches_two_step_reference",
         "d795ac8: uniform weights in canonicalize",
+    ),
+    (
+        "typespace.py",
+        "    if weights is None and isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):\n",
+        "    if weights is None and isinstance(t, CanonicalTuple):\n",
+        "tests/test_quotdist.py::test_weighted_canonical_input_is_canonicalized_again",
+        "new: any canonical tuple taken as its own uniform canonical form",
+    ),
+    (
+        "typespace.py",
+        "    if weights is None and isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):\n",
+        "    if isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):\n",
+        "tests/test_typespace.py::test_canonicalize_recomputes_a_canonical_tuple_under_other_weights",
+        "new: the canonical shortcut taken whatever weights are asked for",
+    ),
+    (
+        "gaps.py",
+        "        ivs = tuple(sorted(_check_interval(iv) for iv in gaps))\n",
+        "        ivs = tuple(_check_interval(iv) for iv in gaps)\n",
+        "tests/test_gaps.py::test_gapset_sorts_disjoint_gaps_given_out_of_order",
+        "new: GapSet checking its gaps for overlap in the order given",
     ),
     (
         "gaps.py",
@@ -311,13 +339,6 @@ MUTANTS = [
         "                        num, den = x1 * e0 - x0 * e1, x1 + e1 - x0 - e0\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the in-cell crossing's denominator with its sign flipped",
-    ),
-    (
-        "quotdist.py",
-        "    if isinstance(t, CanonicalTuple) and t.weights.count(t.weights[0]) == len(t):\n",
-        "    if isinstance(t, CanonicalTuple):\n",
-        "tests/test_quotdist.py::test_weighted_canonical_input_is_canonicalized_again",
-        "new: any canonical tuple taken as its own uniform canonical form",
     ),
     (
         "serialize.py",
