@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import mul, pos
+from operator import pos
 from typing import Callable, Sequence
 
 __all__ = [
@@ -516,9 +516,11 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
     The coefficients must be positive and sum to one for the result to
     stay in the monoid; the constructor enforces the endpoint and
     monotonicity invariants.  The sum is taken in ints, by the scaling
-    rule: the coefficients over the lcm cd of their denominators, the
-    values at each grid point over that point's own lcm d, and the int
-    sum over cd * d reduced by one gcd per point.
+    rule: the coefficients over the lcm cd of their denominators, and at
+    each grid point the terms added one at a time over the running lcm d
+    of that point's value denominators, so a term widens d only by the
+    factor its own denominator lacks; the int sum over cd * d is reduced
+    by one gcd per point.
     """
     if not terms:
         raise InputError("empty combination")
@@ -538,8 +540,13 @@ def _combined(coeffs: Sequence[Ratio], rows: Sequence[Sequence[Ratio]]) -> list[
     coeffs, cd = _ints(coeffs)
     out = []
     for vals in zip(*rows):
-        nums, d = _ints(vals)
-        n, d = sum(map(mul, coeffs, nums)), cd * d
+        # the sum so far is n / d, d the running lcm of the value denominators
+        n, d = 0, 1
+        for c, (vn, vd) in zip(coeffs, vals):
+            g = gcd(d, vd)
+            e = vd // g
+            n, d = n * e + c * vn * (d // g), d * e
+        d = cd * d
         g = gcd(n, d)
         out.append((n // g, d // g))
     return out

@@ -29,11 +29,13 @@ Pure functions over immutable values throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .plcore import (
     InputError,
     PLHomeo,
     PLMono,
+    Ratio,
     _Polyline,
     _Value,
     _built,
@@ -210,17 +212,30 @@ class RoelckeCoord(_Polyline):
         self._store(xr, yr)
 
 
+def _sheared(xr, yr, a: int, b: int) -> list[tuple[Ratio, Ratio]]:
+    """Rows (x, a * x + b * y) of a polyline's reduced pairs, for signs a
+    and b: cross-multiplied and reduced by one gcd per point."""
+    rows = []
+    for x, (yn, yd) in zip(xr, yr):
+        xn, xd = x
+        n, d = a * xn * yd + b * yn * xd, xd * yd
+        g = gcd(n, d)
+        rows.append((x, (n // g, d // g)))
+    return rows
+
+
 def roelcke_coord(c: CanonicalTuple) -> RoelckeCoord:
     """Coordinate of a canonical pair: first component minus the identity."""
     if len(c) != 2 or c.weights != uniform_weights(2):
         raise InputError("coordinates are defined for pairs with equal weights")
-    return RoelckeCoord(tuple((x, y - x) for x, y in c.components[0].breakpoints))
+    first = c.components[0]
+    return RoelckeCoord._from_pairs(_sheared(first._xr, first._yr, -1, 1))
 
 
 def coord_to_pair(rc: RoelckeCoord) -> CanonicalTuple:
     """Inverse of roelcke_coord: (identity + f, identity - f)."""
-    first = PLMono(tuple((x, x + y) for x, y in rc.breakpoints))
-    second = PLMono(tuple((x, x - y) for x, y in rc.breakpoints))
+    first = PLMono._from_pairs(_sheared(rc._xr, rc._yr, 1, 1))
+    second = PLMono._from_pairs(_sheared(rc._xr, rc._yr, 1, -1))
     return CanonicalTuple((first, second), uniform_weights(2))
 
 

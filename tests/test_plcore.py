@@ -677,14 +677,16 @@ def _reference_combine(terms):
     return PLMono(tuple((x, sum((c * v for c, v in zip(coeffs, vals)), F(0))) for x, *vals in zip(xs, *rows)))
 
 
-@given(seeds, st.lists(st.booleans(), min_size=1, max_size=5), st.sampled_from(["uniform", "random", "off-sum"]))
+@given(seeds, st.lists(st.sampled_from(["random", "coprime", "shared"]), min_size=1, max_size=5),
+       st.sampled_from(["uniform", "random", "off-sum"]))
 @settings(max_examples=60, deadline=None)
-def test_combine_matches_fraction_reference(seed, coprime, weights):
-    """Components are random_mono maps, or coprime_map maps each over its
-    own 100-digit denominator; off-sum coefficients miss 1 and fail the
-    endpoint check in both."""
+def test_combine_matches_fraction_reference(seed, kinds, weights):
+    """Components are random_mono maps, coprime_map maps each over its
+    own 100-digit denominator, or coprime_map maps that share one; off-sum
+    coefficients miss 1 and fail the endpoint check in both."""
     rng = random.Random(seed)
-    maps = [coprime_map(rng, d) if c else random_mono(rng) for c, d in zip(coprime, COPRIME_DENS)]
+    maps = [random_mono(rng) if k == "random" else coprime_map(rng, COPRIME_DENS[-1] if k == "shared" else d)
+            for k, d in zip(kinds, COPRIME_DENS)]
     ks = [rng.randint(2, 20) for _ in maps]
     if weights == "uniform":
         coeffs = [F(1, len(maps))] * len(maps)

@@ -417,6 +417,49 @@ def test_coord_requires_pairs():
         roelcke_coord(ct)
 
 
+def _reference_coord(c):
+    """roelcke_coord through Fractions, as before the int pairs."""
+    return RoelckeCoord(tuple((x, y - x) for x, y in c.components[0].breakpoints))
+
+
+def _reference_pair(rc):
+    """coord_to_pair through Fractions, as before the int pairs."""
+    first = PLMono(tuple((x, x + y) for x, y in rc.breakpoints))
+    second = PLMono(tuple((x, x - y) for x, y in rc.breakpoints))
+    return CanonicalTuple((first, second), uniform_weights(2))
+
+
+def _coord_pair(rng, kind):
+    """A canonical pair of random_tuple maps, or of coprime_map maps over
+    two of COPRIME_DENS (100 digits)."""
+    if kind == "random":
+        t = random_tuple(rng, 2)
+    else:
+        t = MonoTuple(tuple(coprime_map(rng, d) for d in rng.sample(COPRIME_DENS, 2)))
+    return canonicalize(t)[0]
+
+
+@given(seeds, st.sampled_from(["random", "coprime"]))
+@settings(max_examples=30, deadline=None)
+def test_roelcke_coord_matches_fraction_reference(seed, kind):
+    ct = _coord_pair(random.Random(seed), kind)
+    rc = roelcke_coord(ct)
+    assert all(f._bps is None for f in ct)  # no Fraction built
+    ref = _reference_coord(ct)
+    assert rc == ref  # equal reduced pairs
+    assert coord_to_pair(rc) == _reference_pair(ref) == ct
+
+
+@given(seeds, st.sampled_from(["random", "coprime"]))
+@settings(max_examples=30, deadline=None)
+def test_coord_to_pair_matches_fraction_reference(seed, kind):
+    ct = _coord_pair(random.Random(seed), kind)
+    rc = _reference_coord(ct)
+    pair = coord_to_pair(rc)
+    assert pair == _reference_pair(rc) == ct  # equal reduced pairs
+    assert roelcke_coord(pair) == rc
+
+
 def test_coord_validation():
     with pytest.raises(InputError):
         RoelckeCoord(((0, 0), (F(1, 2), F(3, 4)), (1, 0)))  # slope > 1
@@ -461,14 +504,17 @@ def test_embed_rejects_non_homeo():
 def test_canonicalize_lcms_stay_local(monkeypatch):
     # A probe tuple with coprime 100-digit denominators: an lcm over all
     # its points holds over 20,000 bits, one grid point's about 2,000.
+    # combine's running lcm is built by gcd, so both are recorded.
     taken = []
 
-    def recording_lcm(*args):
-        d = math.lcm(*args)
-        taken.append(d)
-        return d
+    def recording(kernel):
+        def call(*args):
+            taken.extend(args)
+            return kernel(*args)
+        return call
 
-    monkeypatch.setattr(plcore, "lcm", recording_lcm)
+    monkeypatch.setattr(plcore, "lcm", recording(math.lcm))
+    monkeypatch.setattr(plcore, "gcd", recording(math.gcd))
     c, _ = canonicalize(probe_tuple(random.Random(1)))
     xs, rows = tabulated(c.components)
     point_bits = max(sum(v.denominator.bit_length() for v in point) for point in zip(xs, *rows))

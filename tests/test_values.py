@@ -146,8 +146,7 @@ def test_unread_kernel_built_maps_round_trip():
     ct, m = canonicalize(random_tuple(rng, 2))
     inv = pseudo_inverse(f)
     assert f._bps is None  # pseudo_inverse reads the pairs, not breakpoints
-    # roelcke_coord reads its pair's breakpoints, so it gets a pair of its own.
-    coord = roelcke_coord(canonicalize(random_tuple(rng, 2))[0])
+    coord = roelcke_coord(ct)  # reads the pairs of ct, not its breakpoints
     for fresh in (compose(f, g), combine([(F(1, 2), f), (F(1, 2), g)]), m, *ct, inv, coord):
         assert fresh._bps is None  # breakpoints never read
         for twin in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):

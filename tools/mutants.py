@@ -111,8 +111,8 @@ MUTANTS = [
     ),
     (
         "plcore.py",
-        "n, d = sum(map(mul, coeffs, nums)), cd * d",
-        "n, d = sum(map(mul, coeffs, nums)), d * d",
+        "        d = cd * d\n",
+        "        d = d * d\n",
         "tests/test_plcore.py::test_combine_matches_fraction_reference",
         "34cd399: d * d for cd * d in _combined",
     ),
@@ -120,8 +120,29 @@ MUTANTS = [
         "plcore.py",
         "    d = lcm(*[q for _, q in ratios])\n",
         "    d = max([q for _, q in ratios])\n",
-        "tests/test_plcore.py::test_combine_matches_fraction_reference",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "4404f8b: max for lcm in _ints",
+    ),
+    (
+        "plcore.py",
+        "n, d = n * e + c * vn * (d // g), d * e",
+        "n, d = n * e + c * vn * d, d * e",
+        "tests/test_plcore.py::test_combine_matches_fraction_reference",
+        "new: a term of the running-lcm sum scaled by the whole lcm",
+    ),
+    (
+        "typespace.py",
+        "    return RoelckeCoord._from_pairs(_sheared(first._xr, first._yr, -1, 1))\n",
+        "    return RoelckeCoord._from_pairs(_sheared(first._xr, first._yr, 1, -1))\n",
+        "tests/test_typespace.py::test_roelcke_coord_matches_fraction_reference",
+        "new: roelcke_coord's numerator as x - y",
+    ),
+    (
+        "typespace.py",
+        "    second = PLMono._from_pairs(_sheared(rc._xr, rc._yr, 1, -1))\n",
+        "    second = PLMono._from_pairs(_sheared(rc._xr, rc._yr, 1, 1))\n",
+        "tests/test_typespace.py::test_coord_to_pair_matches_fraction_reference",
+        "new: coord_to_pair's x - y row built as x + y",
     ),
     (
         "typespace.py",
