@@ -165,14 +165,15 @@ def test_permutation_equivariance():
 
 
 def test_nonuniform_weights():
-    rng = random.Random(3)
-    t = random_tuple(rng, 2)
-    w = (F(1, 3), F(2, 3))
-    ct, m = canonicalize(t, w)
-    assert mean(ct.as_tuple(), w) == identity()
-    for i in range(2):
-        assert compose(ct[i], m) == t[i]
-        assert max_slope(ct[i]) <= 1 / w[i]
+    # the second vector's lcm, 30, exceeds its largest denominator, 15
+    for w in ((F(1, 3), F(2, 3)), (F(1, 6), F(1, 10), F(11, 15))):
+        rng = random.Random(3)
+        t = random_tuple(rng, len(w))
+        ct, m = canonicalize(t, w)
+        assert mean(ct.as_tuple(), w) == identity()
+        for i in range(len(w)):
+            assert compose(ct[i], m) == t[i]
+            assert max_slope(ct[i]) <= 1 / w[i]
 
 
 def test_canonicalize_through_boundary_plateaus():
@@ -504,13 +505,15 @@ def test_embed_rejects_non_homeo():
 def test_canonicalize_lcms_stay_local(monkeypatch):
     # A probe tuple with coprime 100-digit denominators: an lcm over all
     # its points holds over 20,000 bits, one grid point's about 2,000.
-    # combine's running lcm is built by gcd, so both are recorded.
+    # combine's running lcm is built by gcd, so both kernels' arguments
+    # and results are recorded.
     taken = []
 
     def recording(kernel):
         def call(*args):
-            taken.extend(args)
-            return kernel(*args)
+            r = kernel(*args)
+            taken.extend((*args, r))
+            return r
         return call
 
     monkeypatch.setattr(plcore, "lcm", recording(math.lcm))

@@ -120,7 +120,7 @@ MUTANTS = [
         "plcore.py",
         "    d = lcm(*[q for _, q in ratios])\n",
         "    d = max([q for _, q in ratios])\n",
-        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "tests/test_typespace.py::test_nonuniform_weights",
         "4404f8b: max for lcm in _ints",
     ),
     (
