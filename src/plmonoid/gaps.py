@@ -55,7 +55,12 @@ MonoPseudoDist = Callable[[PLMono, PLMono], Fraction]
 
 
 def _check_interval(iv) -> Interval:
-    a, b = _frac(iv[0]), _frac(iv[1])
+    try:
+        # A two-character string or bytes would unpack into an interval.
+        a, b = () if isinstance(iv, (str, bytes)) else iv
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"not an (a, b) interval: {iv!r:.60}") from exc
+    a, b = _frac(a), _frac(b)
     if not (ZERO <= a < b <= ONE):
         raise InputError(f"not a nonempty open subinterval of [0, 1]: ({a!s:.60}, {b!s:.60})")
     return a, b

@@ -13,7 +13,7 @@ Representations are canonical: breakpoint lists carry no redundant
 representations.  A polyline value (map, LcMono or RoelckeCoord)
 stores each coordinate once, as a reduced (numerator, denominator) int
 pair, in the one base _Polyline; ``breakpoints``, its points as
-Fractions, is built from those pairs on the first read and kept.
+Fractions, is built from those pairs on every read.
 The kernels (sweep, grid merge, tabulation, linear combination) take
 and return reduced pairs, so equal values are equal pairs.  Every exact
 int kernel follows one scaling rule: a comparison scales only the
@@ -29,10 +29,7 @@ denominator: the grid oracle's dynamic program (quotdist.brute_oracle)
 and the epsilon-net DP (explorer).
 
 All values are immutable and all operations are pure functions; the
-module is safe for unrestricted concurrent use.  The one write after
-construction, the first read of a polyline's ``breakpoints``, is a benign
-race: threads that read it at once each build a tuple from the same
-pairs, the tuples are equal, and the value keeps one of them.
+module is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -301,12 +298,12 @@ class _Polyline(_Value):
     """Base of the polyline values: maps, pseudo-inverses, coordinates.
 
     The slots hold the coordinates as reduced int pairs, ``_xr`` and
-    ``_yr``, and ``_bps``, the Fraction points once ``breakpoints`` has
-    been read.  A subclass gives only its checks, in
+    ``_yr``; ``breakpoints`` builds the Fraction points from them on
+    every read.  A subclass gives only its checks, in
     ``__post_init__(rows)``, and stores the checked pairs by ``_store``.
     """
 
-    __slots__ = ("_xr", "_yr", "_bps")
+    __slots__ = ("_xr", "_yr")
     _fields = ("_xr", "_yr")
 
     def __init__(self, points: tuple[Point, ...]):
@@ -326,16 +323,11 @@ class _Polyline(_Value):
         _set = object.__setattr__
         _set(self, "_xr", xr)
         _set(self, "_yr", yr)
-        _set(self, "_bps", None)
 
     @property
     def breakpoints(self) -> tuple[Point, ...]:
-        """The points as (x, y) Fractions, built on the first read."""
-        bps = self._bps
-        if bps is None:
-            bps = tuple((Fraction(*x), Fraction(*y)) for x, y in zip(self._xr, self._yr))
-            object.__setattr__(self, "_bps", bps)
-        return bps
+        """The points as (x, y) Fractions, built from the pairs on every read."""
+        return tuple((Fraction(*x), Fraction(*y)) for x, y in zip(self._xr, self._yr))
 
     def __call__(self, t) -> Fraction:
         """Exact value at t in [0, 1] by linear interpolation."""
@@ -454,8 +446,9 @@ class LcMono(_Polyline):
 
     def jumps(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """All jumps as (argument, lower value, upper value) triples."""
+        vs = self.vertices
         out = []
-        for (v0, t0), (v1, t1) in zip(self.vertices, self.vertices[1:]):
+        for (v0, t0), (v1, t1) in zip(vs, vs[1:]):
             if v0 == v1:
                 out.append((v0, t0, t1))
         return out
@@ -628,7 +621,7 @@ def uniform_witness(g: PLHomeo) -> PLMono:
     if g == _IDENTITY:
         raise InputError("identity has no witness")
     inv = inverse(g)
-    h, back = (g, inv) if any(y > x for x, y in g.breakpoints) else (inv, g)
+    h, back = (g, inv) if any(yn * xd > xn * yd for (xn, xd), (yn, yd) in zip(g._xr, g._yr)) else (inv, g)
     # max keeps the first of equal keys
     t, top = max(h.breakpoints, key=lambda p: p[1] - p[0])
     if top <= t:

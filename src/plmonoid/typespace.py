@@ -226,7 +226,7 @@ def _sheared(xr, yr, a: int, b: int) -> list[tuple[Ratio, Ratio]]:
 
 def roelcke_coord(c: CanonicalTuple) -> RoelckeCoord:
     """Coordinate of a canonical pair: first component minus the identity."""
-    if len(c) != 2 or c.weights != uniform_weights(2):
+    if not isinstance(c, CanonicalTuple) or len(c) != 2 or c.weights != uniform_weights(2):
         raise InputError("coordinates are defined for pairs with equal weights")
     first = c.components[0]
     return RoelckeCoord._from_pairs(_sheared(first._xr, first._yr, -1, 1))

@@ -1,18 +1,21 @@
 """Shared helpers: seeded samplers for gap sets, gap-adapted pairs and
 maps with large coprime denominators, the support, complement-piece
 and preimage helpers of a search-based equiv_test (the reference the
-closed form is checked against), plus a terminal summary that prints
-one line per acceptance criterion.
+closed form is checked against), a probe that fails on any read of a
+polyline's Fraction view, plus a terminal summary that prints one line
+per acceptance criterion.
 """
 
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 
-from plmonoid import GapSet, MonoTuple, PLMono, isolated_points, merge_gaps
-from plmonoid.plcore import ONE, ZERO, _lerp, _sweep, _sweep_ends, _tabulate
+from plmonoid import GapSet, LcMono, MonoTuple, PLMono, isolated_points, merge_gaps
+from plmonoid.plcore import ONE, ZERO, _lerp, _Polyline, _sweep, _sweep_ends, _tabulate
 
 Interval = tuple[Fraction, Fraction]
 
@@ -31,6 +34,21 @@ def reduced(pairs) -> bool:
     """Whether every value is a reduced (numerator, denominator) int
     tuple with a positive denominator, as the kernels return them."""
     return all(type(p) is tuple and len(p) == 2 and p[1] > 0 and gcd(*p) == 1 for p in pairs)
+
+
+@contextmanager
+def no_fraction_view():
+    """Within the block, any read of a polyline's Fraction view
+    (``breakpoints``, or ``vertices`` on an LcMono) fails the test.
+    ``vertices`` is bound to the original property object, so both
+    are patched."""
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}'s Fraction view read")
+
+    probe = property(refuse)
+    with patch.object(_Polyline, "breakpoints", probe), patch.object(LcMono, "vertices", probe):
+        yield
 
 
 def tabulated(maps) -> tuple[list[Fraction], list[list[Fraction]]]:

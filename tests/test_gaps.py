@@ -74,6 +74,12 @@ def test_merge_rejects_bad_intervals():
         merge_gaps([(F(3, 4), F(1, 4))])
     with pytest.raises(InputError):
         merge_gaps([(F(-1, 4), F(1, 4))])
+    # exactly one (a, b) pair per interval, as for a map's points
+    for iv in [(F(1, 4), F(1, 2), F(3, 4)), (F(1, 2),), F(1, 2), "01"]:
+        with pytest.raises(InputError, match="interval"):
+            merge_gaps([iv])
+    with pytest.raises(InputError, match="interval"):
+        GapSet([(F(1, 4), F(1, 2), "junk")])
 
 
 @given(seeds)

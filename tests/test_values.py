@@ -29,6 +29,8 @@ from plmonoid import (
 )
 from plmonoid.explorer import build_net, random_homeo, random_mono, random_tuple
 
+from conftest import no_fraction_view
+
 F0 = PLMono(((0, 0), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 4)), (1, 1)))
 CT, _ = canonicalize(MonoTuple((identity(), F0)))
 CT_REPR = (
@@ -62,6 +64,8 @@ VALUES = [
     ),
 ]
 IDS = [type(v).__name__ for v, _, _ in VALUES]
+# the polylines' Fraction views, built on each read: equal, not identical
+VIEWS = {"breakpoints", "vertices"}
 
 
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
@@ -98,10 +102,11 @@ def test_value_fields_cannot_be_assigned_or_deleted(value, text, fields):
             setattr(value, name, before)
         with pytest.raises(AttributeError):
             delattr(value, name)
-        assert getattr(value, name) is before
+        after = getattr(value, name)
+        assert after == before if name in VIEWS else after is before
 
 
-# --- the maps' representation: reduced int pairs in slots, breakpoints on first read
+# --- the maps' representation: reduced int pairs in slots, breakpoints built on each read
 
 
 def _kernel_built():
@@ -133,28 +138,29 @@ KERNEL_BUILT = _kernel_built()
 
 
 @pytest.mark.parametrize("name, built, reference", KERNEL_BUILT, ids=[n for n, _, _ in KERNEL_BUILT])
-def test_kernel_built_breakpoints_match_and_are_kept(name, built, reference):
+def test_kernel_built_breakpoints_match(name, built, reference):
     first = built.breakpoints
     assert first == reference.breakpoints
     assert all(type(v) is F for point in first for v in point)
-    assert built.breakpoints is first
+    assert built.breakpoints == first
 
 
 def test_unread_kernel_built_maps_round_trip():
     rng = random.Random(4)
-    f, g = random_mono(rng), random_mono(rng)
-    ct, m = canonicalize(random_tuple(rng, 2))
-    inv = pseudo_inverse(f)
-    assert f._bps is None  # pseudo_inverse reads the pairs, not breakpoints
-    coord = roelcke_coord(ct)  # reads the pairs of ct, not its breakpoints
-    for fresh in (compose(f, g), combine([(F(1, 2), f), (F(1, 2), g)]), m, *ct, inv, coord):
-        assert fresh._bps is None  # breakpoints never read
-        for twin in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
-            assert twin is not fresh and type(twin) is type(fresh)
-            assert twin == fresh and hash(twin) == hash(fresh)
-            assert twin(F(1, 3)) == fresh(F(1, 3))
-        assert fresh._bps is None
-        assert twin.breakpoints == fresh.breakpoints
+    twins = []
+    # samplers, kernels, pickle and copy read the pairs, not breakpoints
+    with no_fraction_view():
+        f, g = random_mono(rng), random_mono(rng)
+        ct, m = canonicalize(random_tuple(rng, 2))
+        inv = pseudo_inverse(f)
+        coord = roelcke_coord(ct)
+        for fresh in (compose(f, g), combine([(F(1, 2), f), (F(1, 2), g)]), m, *ct, inv, coord):
+            for twin in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+                assert twin is not fresh and type(twin) is type(fresh)
+                assert twin == fresh and hash(twin) == hash(fresh)
+                assert twin(F(1, 3)) == fresh(F(1, 3))
+            twins.append((twin, fresh))
+    assert all(twin.breakpoints == fresh.breakpoints for twin, fresh in twins)
 
 
 def test_kernel_built_homeo_equals_fraction_built_mono():
@@ -168,9 +174,9 @@ def test_kernel_built_homeo_equals_fraction_built_mono():
 
 
 def test_racing_first_reads_of_breakpoints_agree():
-    # The first read of breakpoints stores a tuple built from the pairs;
-    # threads racing on it (more than the cores, with a short switch
-    # interval) must all see equal tuples, and the map then keeps one.
+    # Each read of breakpoints builds a tuple from the pairs; threads
+    # racing on it (more than the cores, with a short switch interval)
+    # must all see equal tuples.
     rng = random.Random(6)
     pairs = [(random_mono(rng), random_mono(rng)) for _ in range(40)]
     maps = [compose(f, g) for f, g in pairs]
@@ -196,4 +202,3 @@ def test_racing_first_reads_of_breakpoints_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(len(out) == 20 and all(reads == expected for reads in out) for out in seen)
-    assert all(m.breakpoints is m.breakpoints for m in fresh)

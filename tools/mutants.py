@@ -111,6 +111,13 @@ MUTANTS = [
     ),
     (
         "plcore.py",
+        "any(yn * xd > xn * yd for (xn, xd), (yn, yd) in zip(g._xr, g._yr))",
+        "any(yn * xd >= xn * yd for (xn, xd), (yn, yd) in zip(g._xr, g._yr))",
+        "tests/test_plcore.py::test_witness_below_identity_uses_inverse",
+        "new: the witness's direction test counting a fixed point as above the identity",
+    ),
+    (
+        "plcore.py",
         "        d = cd * d\n",
         "        d = d * d\n",
         "tests/test_plcore.py::test_combine_matches_fraction_reference",
@@ -136,6 +143,13 @@ MUTANTS = [
         "    return RoelckeCoord._from_pairs(_sheared(first._xr, first._yr, 1, -1))\n",
         "tests/test_typespace.py::test_roelcke_coord_matches_fraction_reference",
         "new: roelcke_coord's numerator as x - y",
+    ),
+    (
+        "typespace.py",
+        "    if not isinstance(c, CanonicalTuple) or len(c) != 2 or c.weights != uniform_weights(2):\n",
+        "    if len(c) != 2 or c.weights != uniform_weights(2):\n",
+        "tests/test_typespace.py::test_coord_requires_pairs",
+        "new: roelcke_coord reading the weights of a tuple that has none",
     ),
     (
         "typespace.py",
@@ -178,6 +192,20 @@ MUTANTS = [
         "        ivs = tuple(_check_interval(iv) for iv in gaps)\n",
         "tests/test_gaps.py::test_gapset_sorts_disjoint_gaps_given_out_of_order",
         "new: GapSet checking its gaps for overlap in the order given",
+    ),
+    (
+        "gaps.py",
+        "        a, b = () if isinstance(iv, (str, bytes)) else iv\n",
+        "        a, b = () if isinstance(iv, (str, bytes)) else iv[:2]\n",
+        "tests/test_gaps.py::test_merge_rejects_bad_intervals",
+        "new: an interval's items past the second silently dropped",
+    ),
+    (
+        "gaps.py",
+        "        a, b = () if isinstance(iv, (str, bytes)) else iv\n",
+        "        a, b = iv\n",
+        "tests/test_gaps.py::test_merge_rejects_bad_intervals",
+        "new: a two-character string unpacked into an interval",
     ),
     (
         "gaps.py",
