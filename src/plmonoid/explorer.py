@@ -457,6 +457,8 @@ def _cmd_dist(args) -> str:
 
     if args.grid > 4096:
         raise InputError(f"--grid {args.grid} exceeds 4096; the oracle's work grows as its square")
+    if args.grid < 0:
+        raise InputError(f"--grid {args.grid} is negative; 0 skips the oracle")
     # the quotient distance always compares with uniform weights
     ta, _ = ser.tuple_from_obj(ser.loads(_read_text(args.a)))
     tb, _ = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
@@ -499,8 +501,8 @@ def _cmd_epsnet(args) -> str:
 
 
 def _cmd_sample(args) -> str:
-    if not 0 <= args.count <= 1000 or args.n > 16:
-        raise InputError(f"sample --count {args.count} --n {args.n}: need count 0..1000, n <= 16")
+    if not 0 <= args.count <= 1000 or not 1 <= args.n <= 16:
+        raise InputError(f"sample --count {args.count} --n {args.n}: need count 0..1000, n 1..16")
     rng = random.Random(args.seed)
     return ser.dumps([ser.canonical_to_obj(random_point(rng, args.n)) for _ in range(args.count)])
 

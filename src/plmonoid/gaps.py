@@ -165,6 +165,8 @@ def equiv_test(f: PLMono, h: PLMono, g: GapSet) -> bool:
     returns to 0 at a grid point, and where it changes sign inside a
     cell, which closes one interval and opens the next.
     """
+    if not isinstance(f, PLMono) or not isinstance(h, PLMono) or not isinstance(g, GapSet):
+        raise InputError("equiv_test needs two monotone maps and a GapSet")
     _, (fv, hv) = _tabulate((f, h))
     ends: list[Fraction] = []
     for (a, b), (c, d), (p, q), (r, s) in zip(fv, fv[1:], hv, hv[1:]):

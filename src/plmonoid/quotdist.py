@@ -202,21 +202,6 @@ def quot_dist(a, b, tol) -> QuotInterval:
     return _bracket(a, b, tol)[0]
 
 
-def _interior_kinks(components, k: int):
-    """Breakpoints strictly inside grid steps, keyed by the step index.
-
-    Returns {step: [(component, position, value), ...]} for positions in
-    ((step-1)/k, step/k), each coordinate a (numerator, denominator) pair.
-    """
-    out: dict[int, list[tuple[int, Ratio, Ratio]]] = {}
-    for i, f in enumerate(components):
-        for x, y in zip(f._xr[1:-1], f._yr[1:-1]):
-            step, off = divmod(x[0] * k, x[1])
-            if off:
-                out.setdefault(step + 1, []).append((i, x, y))
-    return out
-
-
 def _runs(f: PLMono, x0: Ratio, k: int, count: int) -> list[tuple[int, Ratio, Ratio]]:
     """f at x0 + m/k for m in range(count), as arithmetic runs.
 
@@ -239,16 +224,20 @@ def _runs(f: PLMono, x0: Ratio, k: int, count: int) -> list[tuple[int, Ratio, Ra
 def _oracle_side(own: MonoTuple, other: MonoTuple, k: int):
     """One side's set-up for brute_oracle.
 
-    Returns the runs of each component's values on the 1/k grid, and per
-    grid step the step's interior kinks as (component, kink value, runs),
-    where the runs hold the partner component of the other side at the
-    crossing point of the kink on each of the k diagonal edges of that
-    step: x + (q - step)/k for q = 1..k.
+    Returns the runs of each component's values on the 1/k grid, and a
+    flat list of (step, runs) for the breakpoints x strictly inside a
+    grid step ((step-1)/k, step/k), in (component, position) order.  The
+    runs are the kink value y, as a run of length one, then the partner
+    component of the other side at x + (q - step)/k for q = 1..k, where
+    the kink crosses each of the k diagonal edges of that step.
     """
-    vals = [_runs(f, (0, 1), k, k + 1) for f in own]
-    kinks: dict[int, list] = {}
-    for step, items in _interior_kinks(own.components, k).items():
-        kinks[step] = [(i, y, _runs(other[i], (xn * k + (1 - step) * xd, xd * k), k, k)) for i, (xn, xd), y in items]
+    vals, kinks = [], []
+    for f, g in zip(own, other):
+        vals.append(_runs(f, (0, 1), k, k + 1))
+        for (xn, xd), y in zip(f._xr[1:-1], f._yr[1:-1]):
+            step, off = divmod(xn * k, xd)
+            if off:
+                kinks.append((step + 1, [(1, y, (0, 1)), *_runs(g, (xn * k - step * xd, xd * k), k, k)]))
     return vals, kinks
 
 
@@ -296,12 +285,9 @@ def brute_oracle(a, b, k: int) -> Fraction:
     n = len(a)
     sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
     # One scale for every value the DP meets, as it compares every node
-    # cost with every other.  Run groups: the 2n grid rows, then per kink
-    # its value y, a run of length one, ahead of its crossing runs.
-    kinks = [
-        (s, step, [(1, y, (0, 1)), *runs])
-        for s, (_, kk) in enumerate(sides) for step, items in kk.items() for _, y, runs in items
-    ]
+    # cost with every other.  Run groups: the 2n grid rows, then each
+    # side's kinks, a kink's value y ahead of its crossing runs.
+    kinks = [(s, step, runs) for s, (_, kk) in enumerate(sides) for step, runs in kk]
     groups = [*sides[0][0], *sides[1][0], *(runs for *_, runs in kinks)]
     ints, denom = _ints([v for runs in groups for _, first, inc in runs for v in (first, inc)])
     scaled, rows = iter(ints), []

@@ -234,6 +234,8 @@ def roelcke_coord(c: CanonicalTuple) -> RoelckeCoord:
 
 def coord_to_pair(rc: RoelckeCoord) -> CanonicalTuple:
     """Inverse of roelcke_coord: (identity + f, identity - f)."""
+    if not isinstance(rc, RoelckeCoord):
+        raise InputError("coord_to_pair needs a RoelckeCoord")
     first = PLMono._from_pairs(_sheared(rc._xr, rc._yr, 1, 1))
     second = PLMono._from_pairs(_sheared(rc._xr, rc._yr, 1, -1))
     return CanonicalTuple((first, second), uniform_weights(2))

@@ -31,7 +31,7 @@ from plmonoid import (
     merge_gaps,
     sup_dist,
 )
-from plmonoid import explorer
+from plmonoid import explorer, quotdist
 from plmonoid import serialize as ser
 from plmonoid.explorer import (
     _net_moves,
@@ -607,6 +607,7 @@ def test_cli_dist_deep_json_exits_2_with_one_error_line(tmp_path, capsys, deep_f
         ["dist", "{pair}", "{pair}", "--grid", "4097"],
         ["sample", "--count", "1001"],
         ["sample", "--n", "17"],
+        ["sample", "--n", "0", "--count", "0"],
         ["epsnet", "--n", "7", "--net", "1"],
         ["epsnet", "--n", "1000000000"],
         ["epsnet", "--n", "3", "--net", "64"],
@@ -614,7 +615,7 @@ def test_cli_dist_deep_json_exits_2_with_one_error_line(tmp_path, capsys, deep_f
         ["epsnet", "--check", "-1"],
     ],
     ids=[
-        "negative-count", "grid-above-4096", "count-above-1000", "sample-n-above-16",
+        "negative-count", "grid-above-4096", "count-above-1000", "sample-n-above-16", "sample-n-zero",
         "epsnet-n-above-6", "epsnet-huge-n", "epsnet-net-over-work-limit",
         "epsnet-checks-over-work-limit", "epsnet-negative-check",
     ],
@@ -626,6 +627,20 @@ def test_cli_work_limits_exit_2_with_one_error_line(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_negative_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("work started on a negative --grid")
+
+    pair = tmp_path / "pair.json"
+    pair.write_text(ser.dumps(ser.tuple_to_obj(MonoTuple((identity(), identity())))))
+    monkeypatch.setattr(quotdist, "_bracket", fail)
+    monkeypatch.setattr(explorer, "_read_text", fail)
+    code = main(["dist", str(pair), str(pair), "--grid", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: --grid -1") and err.count("\n") == 1
 
 
 def test_cli_gaps_command():

@@ -207,6 +207,9 @@ def test_equiv_worked_cases():
     assert equiv_test(lo, lo, g) is True
     wide_lo, wide_hi = extreme_pair((F(1, 8), F(7, 8)))
     assert equiv_test(wide_lo, wide_hi, g) is False
+    for args in ((identity(), identity(), [I14]), (5, 5, GapSet(())), (lo, [hi], g)):
+        with pytest.raises(InputError, match="equiv_test needs"):
+            equiv_test(*args)
 
 
 def test_equiv_identity_with_extreme():

@@ -527,6 +527,11 @@ def test_oracle_sandwich_small(seed):
     assert qi.lo <= val <= qi.hi + n * slope / k
 
 
+def run_values(runs):
+    """Every value of a list of (length, first, increment) runs, as Fractions."""
+    return [F(*first) + j * F(*inc) for length, first, inc in runs for j in range(length)]
+
+
 def pointwise_oracle_side(own, other, k):
     """Reference set-up: every grid value and crossing value by its own
     sweep, as runs of length one of (numerator, denominator) pairs."""
@@ -535,12 +540,13 @@ def pointwise_oracle_side(own, other, k):
 
     grid = ratios(F(p, k) for p in range(k + 1))
     vals = [runs(_sweep(f._xr, f._yr, grid)) for f in own]
-    kinks = {}
-    for step, items in quotdist._interior_kinks(own.components, k).items():
-        kinks[step] = []
-        for i, x, y in items:
-            crossings = [F(*x) + F(q - step, k) for q in range(1, k + 1)]
-            kinks[step].append((i, y, runs(_sweep(other[i]._xr, other[i]._yr, ratios(crossings)))))
+    kinks = []
+    for f, g in zip(own, other):
+        for x, y in f.breakpoints[1:-1]:
+            if (x * k).denominator != 1:
+                step = int(x * k) + 1
+                crossings = [x + F(q - step, k) for q in range(1, k + 1)]
+                kinks.append((step, runs([y.as_integer_ratio(), *_sweep(g._xr, g._yr, ratios(crossings))])))
     return vals, kinks
 
 
@@ -561,8 +567,7 @@ def test_runs_match_pointwise_sweep(seed, k, start, coprime):
             x0 = rng.choice(inside)
     scale = rng.randrange(1, 5)
     runs = quotdist._runs(f, (x0.numerator * scale, x0.denominator * scale), k, count)
-    values = [F(*first) + j * F(*inc) for length, first, inc in runs for j in range(length)]
-    assert values == fractions(_sweep(f._xr, f._yr, ratios(x0 + F(m, k) for m in range(count))))
+    assert run_values(runs) == fractions(_sweep(f._xr, f._yr, ratios(x0 + F(m, k) for m in range(count))))
     assert all(r == F(*r).as_integer_ratio() for _, first, inc in runs for r in (first, inc))
 
 
@@ -611,6 +616,23 @@ def test_oracle_runs_match_pointwise_setup(k, monkeypatch):
     values = [brute_oracle(a, b, k), brute_oracle(b, a, k), brute_oracle(a, a, k)]
     monkeypatch.setattr(quotdist, "_oracle_side", pointwise_oracle_side)
     assert values == [brute_oracle(a, b, k), brute_oracle(b, a, k), brute_oracle(a, a, k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16, 64])
+def test_oracle_side_kinks_match_pointwise_groups(k):
+    # One group per interior kink, in (component, position) order: its
+    # step, its value and the partner's values at its k crossings.
+    rng = random.Random(k)
+    dens = rng.sample(COPRIME_DENS, 4)
+    pairs = [(make(rng, n), make(rng, n)) for n in (1, 2, 3) for make in (random_tuple, random_point)]
+    pairs.append(tuple(MonoTuple(tuple(coprime_map(rng, dens.pop(), 3) for _ in range(2))) for _ in range(2)))
+    seen = 0
+    for a, b in pairs:
+        for own, other in ((a, b), (b, a)):
+            got = [(step, run_values(runs)) for step, runs in quotdist._oracle_side(own, other, k)[1]]
+            assert got == [(step, run_values(runs)) for step, runs in pointwise_oracle_side(own, other, k)[1]]
+            seen += len(got)
+    assert seen
 
 
 def edge_extra_oracle(a, b, k):
@@ -669,13 +691,13 @@ def test_oracle_matches_edge_extra_reference(n, k):
 def full_grid_oracle(a, b, k):
     """Reference: the oracle's min-max DP over every node of the grid, a
     row at a time, on the oracle's own set-up expanded to Fractions."""
-    def values(runs):
-        return [F(*first) + j * F(*inc) for length, first, inc in runs for j in range(length)]
-
     (va, ka), (vb, kb) = quotdist._oracle_side(a, b, k), quotdist._oracle_side(b, a, k)
-    ai, bi = [values(r) for r in va], [values(r) for r in vb]
-    row_kinks, col_kinks = ({step: [(F(*y), values(r)) for _, y, r in items] for step, items in kk.items()}
-                            for kk in (ka, kb))
+    ai, bi = [run_values(r) for r in va], [run_values(r) for r in vb]
+    row_kinks, col_kinks = {}, {}
+    for kk, by_step in ((ka, row_kinks), (kb, col_kinks)):
+        for step, runs in kk:
+            y, *crossings = run_values(runs)
+            by_step.setdefault(step, []).append((y, crossings))
 
     def node(p, q):
         return max(abs(x[p] - y[q]) for x, y in zip(ai, bi))

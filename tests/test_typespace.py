@@ -420,6 +420,9 @@ def test_coord_requires_pairs():
     for pair in (MonoTuple((identity(), f)), [identity(), identity()]):  # not canonical tuples
         with pytest.raises(InputError, match="pairs with equal weights"):
             roelcke_coord(pair)
+    for coord in ([1, 2], None, identity()):  # not coordinates
+        with pytest.raises(InputError, match="needs a RoelckeCoord"):
+            coord_to_pair(coord)
 
 
 def _reference_coord(c):

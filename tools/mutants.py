@@ -160,6 +160,13 @@ MUTANTS = [
     ),
     (
         "typespace.py",
+        "    if not isinstance(rc, RoelckeCoord):\n",
+        "    if not isinstance(rc, _Polyline):\n",
+        "tests/test_typespace.py::test_coord_requires_pairs",
+        "new: coord_to_pair shearing a map that is not a coordinate",
+    ),
+    (
+        "typespace.py",
         "        if _combined([x.as_integer_ratio() for x in w], rows) != xs:\n",
         "        if _combined([x.as_integer_ratio() for x in w], rows)[::2] != xs[::2]:\n",
         "tests/test_typespace.py::test_canonical_check_matches_rebuilt_mean",
@@ -222,6 +229,13 @@ MUTANTS = [
         "7eddd77: equiv_test's crossing at (f0 + f1)/2",
     ),
     (
+        "gaps.py",
+        "    if not isinstance(f, PLMono) or not isinstance(h, PLMono) or not isinstance(g, GapSet):\n",
+        "    if not isinstance(f, PLMono) or not isinstance(h, PLMono):\n",
+        "tests/test_gaps.py::test_equiv_worked_cases",
+        "new: equiv_test taking a gap argument that is not a GapSet",
+    ),
+    (
         "explorer.py",
         "if old is None or c < old[0]:",
         "if old is None or c <= old[0]:",
@@ -248,6 +262,20 @@ MUTANTS = [
         "    ends = [-1, *sorted(cuts), places + 1]\n",
         "tests/test_explorer.py::test_sampler_determinism",
         "new: the composition sampler's final part one too large",
+    ),
+    (
+        "explorer.py",
+        "    if not 0 <= args.count <= 1000 or not 1 <= args.n <= 16:\n",
+        "    if not 0 <= args.count <= 1000 or args.n > 16:\n",
+        "tests/test_explorer.py::test_cli_work_limits_exit_2_with_one_error_line",
+        "new: sample accepting --n below 1",
+    ),
+    (
+        "explorer.py",
+        "    if args.grid < 0:\n",
+        "    if args.grid < -1:\n",
+        "tests/test_explorer.py::test_cli_negative_grid_exits_2_before_any_work",
+        "new: dist --grid -1 reading its inputs before it is refused",
     ),
     (
         "quotdist.py",
@@ -290,6 +318,13 @@ MUTANTS = [
         "",
         "tests/test_quotdist.py::test_oracle_band_matches_full_grid_dp",
         "8367df0: the oracle's bound without the kink extras",
+    ),
+    (
+        "quotdist.py",
+        "kinks.append((step + 1,",
+        "kinks.append((step,",
+        "tests/test_quotdist.py::test_oracle_runs_match_pointwise_setup",
+        "new: the oracle's kinks filed one grid step early",
     ),
     (
         "__init__.py",
