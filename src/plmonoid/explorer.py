@@ -465,7 +465,7 @@ def _cmd_dist(args) -> str:
     tol = ser.parse_frac(args.tol)
     qi, bound = _bracket(ta, tb, tol)
     out = ser.interval_to_obj(qi)
-    out["canonical_bound"] = ser.frac_str(bound)
+    out["canonical_bound"] = ser.frac_str(Fraction(*bound))
     if args.grid:
         out["oracle_upper"] = ser.frac_str(brute_oracle(ta, tb, args.grid))
     return ser.dumps(out)

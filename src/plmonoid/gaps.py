@@ -118,6 +118,8 @@ def isolated_points(g: GapSet) -> list[Fraction]:
     A nonempty result means the complement of the union has an isolated
     point, which no pseudo-distance gap set can have.
     """
+    if not isinstance(g, GapSet):
+        raise InputError(f"expected a GapSet, got {type(g).__name__}")
     return [b0 for (_, b0), (a1, _) in zip(g.gaps, g.gaps[1:]) if b0 == a1]
 
 

@@ -545,7 +545,7 @@ def _combined(coeffs: Sequence[Ratio], rows: Sequence[Sequence[Ratio]]) -> list[
     return out
 
 
-def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int], name: str) -> Fraction:
+def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int], name: str) -> Ratio:
     """Largest size(f - g) on the merged breakpoint grid, from 0 at x = 0.
 
     One two-pointer merge over the interior vertices of both maps (both
@@ -553,8 +553,9 @@ def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int], name: str)
     At each merged abscissa a map with a vertex there gives its value,
     and the other map's value is read off its current segment: by _lerp,
     unreduced, unless the segment is a plateau.  Differences are
-    compared by cross-multiplying, and one Fraction is built at the end.
-    ``name`` is the caller's, for the error on an argument not a map."""
+    compared by cross-multiplying, and the largest is returned as an
+    unreduced int pair, its denominator positive.  ``name`` is the
+    caller's, for the error on an argument not a map."""
     if not isinstance(f, PLMono) or not isinstance(g, PLMono):
         raise InputError(f"{name} needs two monotone maps")
     fx, fy, gx, gy = f._xr, f._yr, g._xr, g._yr
@@ -579,7 +580,7 @@ def _max_difference(f: PLMono, g: PLMono, size: Callable[[int], int], name: str)
         diff, d = size(un * vd - vn * ud), ud * vd
         if diff * best_d > best * d:
             best, best_d = diff, d
-    return Fraction(best, best_d)
+    return best, best_d
 
 
 def sup_dist(f: PLMono, g: PLMono) -> Fraction:
@@ -588,7 +589,18 @@ def sup_dist(f: PLMono, g: PLMono) -> Fraction:
     The difference is piecewise linear, so the supremum is attained at
     a point of the merged breakpoint grid.
     """
-    return _max_difference(f, g, abs, "sup_dist")
+    return Fraction(*_max_difference(f, g, abs, "sup_dist"))
+
+
+def _max_sup_pair(fs: Sequence[PLMono], gs: Sequence[PLMono]) -> Ratio:
+    """Largest sup_dist over the pairs of zip(fs, gs), as
+    _max_difference's unreduced int pair; (0, 1) when there are none."""
+    best, best_d = 0, 1
+    for f, g in zip(fs, gs):
+        n, d = _max_difference(f, g, abs, "sup_dist")
+        if n * best_d > best * d:
+            best, best_d = n, d
+    return best, best_d
 
 
 def order_excess(f: PLMono, g: PLMono) -> Fraction:
@@ -597,7 +609,7 @@ def order_excess(f: PLMono, g: PLMono) -> Fraction:
     Zero exactly when g dominates f pointwise; otherwise it measures by
     how much it fails to.  Never negative, since both maps agree at 0.
     """
-    return _max_difference(f, g, pos, "order_excess")
+    return Fraction(*_max_difference(f, g, pos, "order_excess"))
 
 
 def max_slope(f: PLMono) -> Fraction:

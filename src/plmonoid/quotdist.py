@@ -51,6 +51,7 @@ from .plcore import (
     _frac,
     _ints,
     _lerp,
+    _max_sup_pair,
     _merged,
     _sweep_ends,
     _tabulate,
@@ -111,10 +112,15 @@ def _value(a: MonoTuple, b: MonoTuple) -> Fraction:
     (x0 * y1 - x1 * y0) / ((x0 - y0) - (x1 - y1)).
     The lines v = V[q] are the same pass with the sides swapped.
 
-    Each grid node keeps its n values as ints over their lcm.  A line's
-    cell puts its own node and the cell's two nodes over S, the product
-    of the three lcms, and the candidates are compared by
-    cross-multiplying.
+    Each grid node keeps its n values as ints over their lcm.  The walk
+    holds the differences at the cell's two nodes, lo over c * c0 and hi
+    over c * c1 (c, c0 and c1 the lcms of the line's node and of the
+    cell's two), and a step passes hi on as the next lo.  At its stop
+    d0 = c1 * lo and d1 = c0 * hi put both over S = c * c0 * c1, and the
+    candidates are compared by cross-multiplying.  As X_i falls from x0
+    and Y_j rises to y1 = -e1, no candidate exceeds
+    min(max d0, -min d1) / S, so a line whose cap is at most the best so
+    far cannot raise it strictly and its n^2 candidates are skipped.
     """
     if len(a) != len(b):
         raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
@@ -123,17 +129,20 @@ def _value(a: MonoTuple, b: MonoTuple) -> Fraction:
     for own, other in (nodes, nodes[::-1]):
         q = 0
         for vals, c in own:
+            v0, c0 = other[q]
+            lo = [x * c0 - y * c for x, y in zip(vals, v0)]
             # P - N is at most 0 at the far end, where every map is 1.
             while True:
-                ov, oc = other[q + 1]
-                diffs = [x * oc - y * c for x, y in zip(vals, ov)]
-                if max(diffs) + min(diffs) <= 0:
+                v1, c1 = other[q + 1]
+                hi = [x * c1 - y * c for x, y in zip(vals, v1)]
+                if max(hi) + min(hi) <= 0:
                     break
-                q += 1
-            (v0, c0), (v1, c1) = other[q:q + 2]
+                q, lo, c0 = q + 1, hi, c1
             S = c * c0 * c1
-            d0 = [x * c0 * c1 - y * c * c1 for x, y in zip(vals, v0)]
-            d1 = [x * c0 * c1 - y * c * c0 for x, y in zip(vals, v1)]
+            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:
+                continue
+            d0 = [c1 * x for x in lo]
+            d1 = [c0 * x for x in hi]
             top, top_d = 0, 1
             for x0, x1 in zip(d0, d1):
                 # Y_j runs from -e0 to -e1.
@@ -164,26 +173,32 @@ def quot_decision(a, b, eps) -> bool:
     return _value(_as_tuple(a), _as_tuple(b)) <= eps
 
 
-def _bracket(a, b, tol) -> tuple[QuotInterval, Fraction]:
-    """quot_dist's bracket, with the canonical sup bound it starts from."""
+def _bracket(a, b, tol) -> tuple[QuotInterval, Ratio]:
+    """quot_dist's bracket, with the canonical sup bound it starts from.
+
+    The bound is _max_sup_pair's unreduced int pair, and is compared
+    with d by cross-multiplying.  k and j depend only on the ratios of
+    the pairs, so only the two ends of the bracket are built as
+    Fractions.
+    """
     tol = _frac(tol)
     if tol <= ZERO:
         raise InputError("tolerance must be positive")
     d = _value(_as_tuple(a), _as_tuple(b))
-    hi = max(map(sup_dist, canonicalize(a)[0], canonicalize(b)[0]))
+    hn, hd = _max_sup_pair(canonicalize(a)[0], canonicalize(b)[0])
     if not d:
-        return QuotInterval(ZERO, ZERO, 1), hi
-    if d > hi:
+        return QuotInterval(ZERO, ZERO, 1), (hn, hd)
+    dn, dd = d.numerator, d.denominator
+    if dn * hd > hn * dd:
         raise InvariantViolation("canonical sup-distance failed as an upper bound")
     # k is the least k >= 0 with hi / 2^k <= tol, i.e. width <= unit << k;
     # the bit lengths leave one candidate below it.
-    hn, hd = hi.numerator, hi.denominator
     width, unit = hn * tol.denominator, tol.numerator * hd
     k = max(0, width.bit_length() - unit.bit_length())
     k += width > unit << k
     # j + 1 is the least m with hi * m / 2^k >= d.
-    j = -(-(d.numerator * hd << k) // (d.denominator * hn)) - 1
-    return QuotInterval(Fraction(hn * j, hd << k), Fraction(hn * (j + 1), hd << k), k + 2), hi
+    j = -(-(dn * hd << k) // (dd * hn)) - 1
+    return QuotInterval(Fraction(hn * j, hd << k), Fraction(hn * (j + 1), hd << k), k + 2), (hn, hd)
 
 
 def quot_dist(a, b, tol) -> QuotInterval:
@@ -277,11 +292,11 @@ def brute_oracle(a, b, k: int) -> Fraction:
     every node cost with every other), the rows are expanded by int
     addition and the dynamic programme runs on ints, a row at a time.
     """
+    if type(k) is not int or k < 1:  # a bool is not a resolution
+        raise InputError(f"grid resolution must be an int of at least 1, got {k!r:.60}")
     a, b = _as_tuple(a), _as_tuple(b)
     if len(a) != len(b):
         raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-    if k < 1:
-        raise InputError("grid resolution must be at least 1")
     n = len(a)
     sides = (_oracle_side(a, b, k), _oracle_side(b, a, k))
     # One scale for every value the DP meets, as it compares every node
@@ -380,13 +395,13 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
     certifies membership below eps.  One-sided: True certifies, False
     does not refute.  Doubling ``net`` never increases the bound.
     """
+    if type(net) is not int or net < 1:
+        raise InputError(f"net resolution must be an int of at least 1, got {net!r:.60}")
     eps = _frac(eps)
     if not isinstance(point, CanonicalTuple) or len(point) != 2:
         raise InputError("expected a canonical pair")
     if point.weights != uniform_weights(2):
         raise InputError("expected equal weights")
-    if net < 1:
-        raise InputError("net resolution must be at least 1")
     first, second = point.components
 
     levels = _merged((first._yr, second._yr))

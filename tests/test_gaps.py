@@ -210,6 +210,11 @@ def test_equiv_worked_cases():
     for args in ((identity(), identity(), [I14]), (5, 5, GapSet(())), (lo, [hi], g)):
         with pytest.raises(InputError, match="equiv_test needs"):
             equiv_test(*args)
+    # The other gap-set readers refuse a plain list of gaps the same way.
+    for fn in (collapse_map, isolated_points, extreme_pair_all):
+        for arg in ([I14], [], None):
+            with pytest.raises(InputError, match="expected a GapSet"):
+                fn(arg)
 
 
 def test_equiv_identity_with_extreme():

@@ -756,6 +756,12 @@ def test_oracle_errors():
         brute_oracle(a, b, 0)
     with pytest.raises(InputError):
         brute_oracle(a, MonoTuple((identity(),)), 4)
+    # Only an int grid resolution, checked before the tuples are read.
+    for k in (2.5, "3", True, F(4), None):
+        with pytest.raises(InputError, match="grid resolution must be an int"):
+            brute_oracle(a, b, k)
+        with pytest.raises(InputError, match="grid resolution must be an int"):
+            brute_oracle(None, None, k)
 
 
 # --- identity-proximity bound
@@ -844,6 +850,12 @@ def test_orbit_identity_bound_validation():
     triple = random_point(rng, 3)
     with pytest.raises(InputError):
         orbit_identity_bound(triple, F(1, 8), 8)
+    # Only an int net resolution, checked before the point is read.
+    for net in (2.5, "3", True, F(4), None):
+        with pytest.raises(InputError, match="net resolution must be an int"):
+            orbit_identity_bound(p, F(1, 8), net)
+        with pytest.raises(InputError, match="net resolution must be an int"):
+            orbit_identity_bound(None, None, net)
 
 
 # --- sizes: every int is scaled over the values of one grid node

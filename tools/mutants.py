@@ -21,6 +21,11 @@ dropping a row weakens the gate.  Stdlib only.  From the repository root:
     python tools/mutants.py
 
 Exit status 0 when the unmutated copy passes and every mutant is killed.
+
+Equivalent mutants, not seeded: in quotdist._value's line cap, min read
+as max, and the cap's <= read as <.  Each only loosens a valid bound on
+the line's candidates, so fewer lines are skipped and the value is the
+same.
 """
 
 from __future__ import annotations
@@ -236,6 +241,13 @@ MUTANTS = [
         "new: equiv_test taking a gap argument that is not a GapSet",
     ),
     (
+        "gaps.py",
+        "    if not isinstance(g, GapSet):\n        raise InputError(f\"expected a GapSet, got {type(g).__name__}\")\n",
+        "",
+        "tests/test_gaps.py::test_equiv_worked_cases",
+        "new: collapse_map, isolated_points and extreme_pair_all reading a list's gaps",
+    ),
+    (
         "explorer.py",
         "if old is None or c < old[0]:",
         "if old is None or c <= old[0]:",
@@ -363,6 +375,13 @@ MUTANTS = [
     ),
     (
         "quotdist.py",
+        "    if type(k) is not int or k < 1:  # a bool is not a resolution\n",
+        "    if k < 1:  # a bool is not a resolution\n",
+        "tests/test_quotdist.py::test_oracle_errors",
+        "new: brute_oracle taking True as grid resolution 1",
+    ),
+    (
+        "quotdist.py",
         "    if not d:\n",
         "    if d < 0:\n",
         "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
@@ -370,8 +389,8 @@ MUTANTS = [
     ),
     (
         "quotdist.py",
-        "    j = -(-(d.numerator * hd << k) // (d.denominator * hn)) - 1\n",
-        "    j = -(-(d.numerator * hd << k) // (d.denominator * hn))\n",
+        "    j = -(-(dn * hd << k) // (dd * hn)) - 1\n",
+        "    j = -(-(dn * hd << k) // (dd * hn))\n",
         "tests/test_quotdist.py::test_quot_dist_matches_plain_bisection",
         "be58b57: the int bracket's index off by one",
     ),
@@ -398,15 +417,22 @@ MUTANTS = [
     ),
     (
         "quotdist.py",
-        "            (v0, c0), (v1, c1) = other[q:q + 2]\n",
-        "            (v0, c0), (v1, c1) = other[q + 1:q + 3]\n",
+        "            v0, c0 = other[q]\n",
+        "            v0, c0 = other[q + 1]\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
-        "new: the crossing cell taken one to the right",
+        "new: the crossing cell's near node taken one to the right",
     ),
     (
         "quotdist.py",
-        "                if max(diffs) + min(diffs) <= 0:\n",
-        "                if max(diffs) - min(diffs) <= 0:\n",
+        "                q, lo, c0 = q + 1, hi, c1\n",
+        "                q, c0 = q + 1, c1\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the walk's step leaving the near node's differences behind",
+    ),
+    (
+        "quotdist.py",
+        "                if max(hi) + min(hi) <= 0:\n",
+        "                if max(hi) - min(hi) <= 0:\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the walk's sign of P - N read as max - min",
     ),
@@ -416,6 +442,20 @@ MUTANTS = [
         "            S = c * c0\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the crossing cell's scale without its right node's lcm",
+    ),
+    (
+        "quotdist.py",
+        "            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:\n",
+        "            if min(c1 * max(lo), c0 * max(hi)) * best_d <= best * S:\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the line cap read from the largest far difference",
+    ),
+    (
+        "quotdist.py",
+        "            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:\n",
+        "            if min(max(lo), -min(hi)) * best_d <= best * S:\n",
+        "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
+        "new: the line cap compared without its scale factors",
     ),
     (
         "quotdist.py",
