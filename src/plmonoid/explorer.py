@@ -211,17 +211,20 @@ def _moves_from(state, m, i, prefix, budget, low):
 
 
 def _dp_resolution(n: int, m: int) -> int:
-    """The resolution the net DPs run at.  At n = 1 the mean constraint
-    pins the lone component to the identity, so the net is that one
-    point at every m, and a DP over m layers would only rebuild it."""
+    """The resolution the net DPs run at, after InputError for an n or m
+    that is not an int of at least 1 (a bool is not one).  At n = 1 the
+    mean constraint pins the lone component to the identity, so the net
+    is that one point at every m, and a DP over m layers would only
+    rebuild it."""
+    for name, v in (("n", n), ("m", m)):
+        if type(v) is not int or v < 1:
+            raise InputError(f"{name} must be an int of at least 1, got {v!r:.60}")
     return 1 if n == 1 else m
 
 
 def net_size(n: int, m: int) -> int:
     """Number of net points at resolution m: grid tuples with node sums
     pinned to the mean constraint.  Counted by dynamic programming."""
-    if n < 1 or m < 1:
-        raise InputError("need n >= 1 and m >= 1")
     m = _dp_resolution(n, m)
     states = {(0,) * (n - 1): 1}
     for j in range(1, m + 1):
@@ -248,8 +251,6 @@ def net_points(n: int, m: int):
     (central-trinomial fast for n = 2); enumerate only for small m and
     use net_size otherwise.
     """
-    if n < 1 or m < 1:
-        raise InputError("need n >= 1 and m >= 1")
     m = _dp_resolution(n, m)
     goal = (m,) * (n - 1)
     path = [(0,) * (n - 1)]
@@ -287,8 +288,6 @@ def nearest_net_point(point: CanonicalTuple, m: int) -> CanonicalTuple:
     coordinate argument)."""
     point = _as_tuple(point)
     n = len(point)
-    if m < 1:
-        raise InputError("need m >= 1")
     m = _dp_resolution(n, m)
     nodes = [Fraction(j, m).as_integer_ratio() for j in range(m + 1)]
     node_vals = [_sweep(f._xr, f._yr, nodes) for f in point]

@@ -66,6 +66,16 @@ def _check_interval(iv) -> Interval:
     return a, b
 
 
+def _sorted_intervals(intervals) -> list[Interval]:
+    """The caller's intervals, checked and sorted.  Only iter() is
+    guarded, as _rows guards a map's points."""
+    try:
+        items = iter(intervals)
+    except TypeError as exc:
+        raise InputError(f"intervals must be an iterable of (a, b) pairs, got {intervals!r:.60}") from exc
+    return sorted(_check_interval(iv) for iv in items)
+
+
 class GapSet(_Value):
     """Finite set of disjoint open rational subintervals of (0, 1).
 
@@ -78,7 +88,7 @@ class GapSet(_Value):
     _fields = ("gaps",)
 
     def __init__(self, gaps: tuple[Interval, ...]):
-        ivs = tuple(sorted(_check_interval(iv) for iv in gaps))
+        ivs = tuple(_sorted_intervals(gaps))
         for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
             if a1 < b0:
                 raise InputError(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")
@@ -101,7 +111,7 @@ def merge_gaps(intervals) -> GapSet:
     at a point stay separate, since the union of open sets does not
     cover the shared endpoint.
     """
-    ivs = sorted(_check_interval(iv) for iv in intervals)
+    ivs = _sorted_intervals(intervals)
     out: list[Interval] = []
     for a, b in ivs:
         if out and a < out[-1][1]:

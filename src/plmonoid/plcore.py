@@ -400,6 +400,8 @@ def identity() -> PLHomeo:
 
 def as_homeo(f: PLMono) -> PLHomeo:
     """Reinterpret a plateau-free monotone map as a homeomorphism."""
+    if not isinstance(f, PLMono):
+        raise InputError("as_homeo needs a monotone map")
     return PLHomeo._from_pairs(zip(f._xr, f._yr))
 
 

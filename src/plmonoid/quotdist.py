@@ -23,10 +23,11 @@ components uniform norm, and is computed here two independent ways:
 
 For a canonical pair, the distance from its orbit (reparameterizations
 of the first component) to the identity pair is bounded by one explicit
-reparameterization: the exact level-matching curve first o w == second,
-with each plateau of first that second crosses tilted into a ramp at
-most 1/(4*net) wide, so the bound is at most 1/(4*net) and exactly 0
-when first has no plateau.
+reparameterization w: the level-matching curve first o w == second, each
+plateau of first that second crosses tilted into a ramp at most
+1/(4*net) wide.  Its cost, the largest rise of second over a ramp, is
+read from the level walk without building w; the bound is at most
+1/(4*net) and exactly 0 when first has no plateau.
 
 Every computation here is pure and may run concurrently with any other.
 """
@@ -47,7 +48,6 @@ from .plcore import (
     PLMono,
     Ratio,
     _Value,
-    _built,
     _frac,
     _ints,
     _lerp,
@@ -55,7 +55,6 @@ from .plcore import (
     _merged,
     _sweep_ends,
     _tabulate,
-    compose,
     sup_dist,
 )
 from .typespace import CanonicalTuple, MonoTuple, _as_tuple, canonicalize, uniform_weights
@@ -388,12 +387,16 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
     on verticals, where first has a plateau that second crosses; each is
     tilted into a ramp of width min(1/(4*net), a third of the t-gap to
     the neighbouring vertex), by moving its lower end left, or its upper
-    end right at t = 0.  A ramp costs at most the rise of second over it,
-    and second has slope at most 2, so the bound is at most 1/(4*net);
-    it is 0 when first has no plateau.  Returns the smaller of the exact
-    cost of w and of the untouched path, halved, and whether it
-    certifies membership below eps.  One-sided: True certifies, False
-    does not refute.  Doubling ``net`` never increases the bound.
+    end right at t = 0.  The cost of w is exactly the largest rise of
+    second over a ramp: off the ramps first o w == second, on one it is
+    the plateau's level, and beside one both are affine (each breakpoint
+    of either map is a vertex of the walk), so their gap peaks at the
+    ramp's end.  second's slope is at most 2, so the bound is at most
+    1/(4*net) (a larger cost raises InvariantViolation), and it is 0 when
+    first has no plateau.  Returns the smaller of the cost of w and of
+    the untouched path, halved, and whether it certifies membership
+    below eps.  One-sided: True certifies, False does not refute.
+    Doubling ``net`` never increases the bound.
     """
     if type(net) is not int or net < 1:
         raise InputError(f"net resolution must be an int of at least 1, got {net!r:.60}")
@@ -406,24 +409,17 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
 
     levels = _merged((first._yr, second._yr))
     (t0s, t1s), (x0s, x1s) = (_sweep_ends(m._yr, m._xr, levels) for m in (second, first))
-    verts = []
-    for t0, t1, x0, x1 in zip(t0s, t1s, x0s, x1s):
-        verts.append((t0, x0))
-        if (t1, x1) != (t0, x0):
-            verts.append((t1, x1))
     # A third of a gap per ramp: the gap after t = 0 may hold two ramps.
-    # The vertices are int pairs; a ramp's end is worked out in Fractions.
-    ramp = Fraction(1, 4 * net)
-    pts = [verts[0]]
-    for i, (t, x) in enumerate(verts[1:], 1):
-        if t == pts[-1][0]:  # a vertical: tilt it into a ramp
-            if t == (0, 1):
-                t = min(ramp, Fraction(*verts[i + 1][0]) / 3).as_integer_ratio()
+    ramp, cost = Fraction(1, 4 * net), ZERO
+    for k, (t0, t1, x0, x1) in enumerate(zip(t0s, t1s, x0s, x1s)):
+        if t0 == t1 and x0 != x1:  # a plateau of first that second crosses at t
+            if t0 == (0, 1):
+                rise = second(min(ramp, Fraction(*t0s[k + 1]) / 3))
             else:
-                at = Fraction(*t)
-                start = at - min(ramp, (at - Fraction(*verts[i - 2][0])) / 3)
-                pts[-1] = (start.as_integer_ratio(), pts[-1][1])
-        pts.append((t, x))
-    w = _built(pts, "orbit reparameterization")
-    bound = min(sup_dist(compose(first, w), second), sup_dist(first, second)) * HALF
+                t = Fraction(*t0)
+                rise = Fraction(*levels[k]) - second(t - min(ramp, (t - Fraction(*t1s[k - 1])) / 3))
+            cost = max(cost, rise)
+    if cost > 2 * ramp:
+        raise InvariantViolation(f"orbit reparameterization costs more than twice its ramp width 1/{4 * net}")
+    bound = min(cost, sup_dist(first, second)) * HALF
     return IdentityProximity(bound, bound < eps)

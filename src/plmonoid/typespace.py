@@ -95,7 +95,12 @@ class MonoTuple(_Value):
     _fields = ("components",)
 
     def __init__(self, components: tuple[PLMono, ...]):
-        comps = tuple(components)
+        # Only iter() is guarded, as _rows guards a polyline's points.
+        try:
+            comps = iter(components)
+        except TypeError as exc:
+            raise InputError(f"components must be an iterable of maps, got {components!r:.60}") from exc
+        comps = tuple(comps)
         if not comps:
             raise InputError("a tuple needs at least one component")
         for c in comps:
@@ -114,7 +119,7 @@ class MonoTuple(_Value):
 
 
 def _as_tuple(t) -> MonoTuple:
-    return t if isinstance(t, MonoTuple) else MonoTuple(tuple(t))
+    return t if isinstance(t, MonoTuple) else MonoTuple(t)
 
 
 def mean(t: MonoTuple, weights: Weights | None = None) -> PLMono:

@@ -194,6 +194,24 @@ def test_first_net_point_at_a_deep_resolution():
     )
 
 
+def test_net_arguments_must_be_ints_of_at_least_1():
+    # one check for the three net functions, before any work: a bool, a
+    # float, a string, a Fraction or None is not a resolution
+    p = random_point(random.Random(0), 2)
+    calls = {
+        "net_size": lambda n, m: net_size(n, m),
+        "net_points": lambda n, m: next(net_points(n, m)),
+        "nearest_net_point": lambda n, m: nearest_net_point(p, m),
+    }
+    for name, call in calls.items():
+        for bad in (2.5, "3", True, F(4), None, 0, -1):
+            with pytest.raises(InputError, match="m must be an int of at least 1"):
+                call(2, bad)
+            if name != "nearest_net_point":  # its n is the point's length
+                with pytest.raises(InputError, match="n must be an int of at least 1"):
+                    call(bad, 2)
+
+
 def test_nearest_net_point_covering_smoke():
     rng = random.Random(3)
     for m in (2, 4, 8):

@@ -80,6 +80,12 @@ def test_merge_rejects_bad_intervals():
             merge_gaps([iv])
     with pytest.raises(InputError, match="interval"):
         GapSet([(F(1, 4), F(1, 2), "junk")])
+    # not an iterable at all: InputError, not the TypeError of iterating it
+    for read in (GapSet, merge_gaps):
+        with pytest.raises(InputError, match="intervals must be an iterable"):
+            read(None)
+    with pytest.raises(InputError, match="components must be an iterable"):
+        pullback_pseudometric(None, lambda left, right: F(0))
 
 
 @given(seeds)

@@ -163,6 +163,10 @@ def test_homeo_needs_strict_increase():
     with pytest.raises(InputError):
         as_homeo(lo)
     assert as_homeo(identity()) == identity()
+    with pytest.raises(InputError, match="as_homeo needs a monotone map"):
+        as_homeo(5)
+    with pytest.raises(InputError, match="inverse needs a strictly increasing map"):
+        inverse(lo)
 
 
 # --- evaluation
@@ -183,6 +187,9 @@ def test_eval_outside_domain():
         identity()(F(3, 2))
     with pytest.raises(InputError):
         identity()(F(-1, 2))
+    for bad in ("x", "1/0", None, 1j):
+        with pytest.raises(InputError, match="not a rational number"):
+            identity()(bad)
 
 
 # --- composition
@@ -433,6 +440,9 @@ def test_witness_takes_the_first_breakpoint_of_greatest_displacement():
 def test_witness_identity_rejected():
     with pytest.raises(InputError):
         uniform_witness(identity())
+    # a map with a plateau is not a homeomorphism
+    with pytest.raises(InputError, match="witness construction needs a homeomorphism"):
+        uniform_witness(_H)
 
 
 @given(seeds)

@@ -28,8 +28,8 @@ from plmonoid import (
 )
 from plmonoid import quotdist
 from plmonoid.gaps import extreme_pair
-from plmonoid.explorer import random_homeo, random_mono, random_point, random_tuple
-from plmonoid.plcore import InvariantViolation, _ints, _sweep, _tabulate
+from plmonoid.explorer import net_points, random_homeo, random_mono, random_point, random_tuple
+from plmonoid.plcore import InvariantViolation, _ints, _merged, _sweep, _sweep_ends, _tabulate
 
 from conftest import COPRIME_DENS, coprime_map, fractions, probe_tuple, ratios, tabulated
 
@@ -292,6 +292,8 @@ def test_bracket_tolerance_validation():
     a, b = worked_pair()
     with pytest.raises(InputError):
         quot_dist(a, b, 0)
+    with pytest.raises(InputError, match="not a bracket"):
+        quotdist.QuotInterval(F(1, 2), F(1, 4))
 
 
 def draw_pair(rng, kind):
@@ -842,6 +844,57 @@ def test_ramp_at_time_zero(first, net, expected):
     assert bound == expected and member is True
 
 
+def built_orbit_bound(point, net):
+    """The orbit bound the long way: tilt each vertical of the
+    level-matching curve into a ramp, build the reparameterization w as a
+    PLMono, and halve the smaller of sup_dist(first o w, second) and
+    sup_dist(first, second)."""
+    first, second = point.components
+    levels = _merged((first._yr, second._yr))
+    (t0s, t1s), (x0s, x1s) = (_sweep_ends(m._yr, m._xr, levels) for m in (second, first))
+    verts = []
+    for t0, t1, x0, x1 in zip(t0s, t1s, x0s, x1s):
+        verts.append((F(*t0), F(*x0)))
+        if (t1, x1) != (t0, x0):
+            verts.append((F(*t1), F(*x1)))
+    ramp = F(1, 4 * net)
+    pts = [verts[0]]
+    for i, (t, x) in enumerate(verts[1:], 1):
+        if t == pts[-1][0]:  # a vertical: its upper end moves right at t = 0, else its lower end left
+            if t == 0:
+                t = min(ramp, verts[i + 1][0] / 3)
+            else:
+                pts[-1] = (t - min(ramp, (t - verts[i - 2][0]) / 3), pts[-1][1])
+        pts.append((t, x))
+    w = PLMono(pts)
+    return min(sup_dist(compose(first, w), second), sup_dist(first, second)) / 2
+
+
+ORBIT_NETS = (1, 2, 3, 7, 16, 1000)
+
+
+def assert_orbit_bound_is_built_cost(point):
+    for net in ORBIT_NETS:
+        expected = built_orbit_bound(point, net)
+        eps = F(1, 8 * net)
+        got = orbit_identity_bound(point, eps, net)
+        assert got == (expected, expected < eps) and type(got.upper_bound) is F
+
+
+@given(seeds)
+@settings(max_examples=25, deadline=None)
+def test_orbit_bound_matches_built_reparameterization(seed):
+    rng = random.Random(seed)
+    for p in (random_point(rng, 2), plateau_point(rng), embed_homeo(random_homeo(rng))):
+        assert_orbit_bound_is_built_cost(p)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_orbit_bound_matches_built_reparameterization_on_net_points(m):
+    for p in net_points(2, m):
+        assert_orbit_bound_is_built_cost(p)
+
+
 def test_orbit_identity_bound_validation():
     p = embed_homeo(identity())
     with pytest.raises(InputError):
@@ -850,6 +903,10 @@ def test_orbit_identity_bound_validation():
     triple = random_point(rng, 3)
     with pytest.raises(InputError):
         orbit_identity_bound(triple, F(1, 8), 8)
+    # canonical (its weighted mean is the identity), but with unequal weights
+    skewed = CanonicalTuple((identity(), identity()), (F(1, 3), F(2, 3)))
+    with pytest.raises(InputError, match="expected equal weights"):
+        orbit_identity_bound(skewed, F(1, 8), 8)
     # Only an int net resolution, checked before the point is read.
     for net in (2.5, "3", True, F(4), None):
         with pytest.raises(InputError, match="net resolution must be an int"):

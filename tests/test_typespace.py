@@ -258,6 +258,10 @@ def test_canonical_tuple_validation():
     lo, hi = extreme_pair(I14)
     with pytest.raises(InputError):
         CanonicalTuple((lo, lo), uniform_weights(2))
+    with pytest.raises(InputError, match="components must be an iterable"):
+        MonoTuple(None)
+    with pytest.raises(InputError, match="need at least one component"):
+        uniform_weights(0)
 
 
 def _reference_canonical(comps, weights):

@@ -200,8 +200,8 @@ MUTANTS = [
     ),
     (
         "gaps.py",
-        "        ivs = tuple(sorted(_check_interval(iv) for iv in gaps))\n",
-        "        ivs = tuple(_check_interval(iv) for iv in gaps)\n",
+        "    return sorted(_check_interval(iv) for iv in items)\n",
+        "    return [_check_interval(iv) for iv in items]\n",
         "tests/test_gaps.py::test_gapset_sorts_disjoint_gaps_given_out_of_order",
         "new: GapSet checking its gaps for overlap in the order given",
     ),
@@ -463,6 +463,41 @@ MUTANTS = [
         "                        num, den = x1 * e0 - x0 * e1, x1 + e1 - x0 - e0\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the in-cell crossing's denominator with its sign flipped",
+    ),
+    (
+        "quotdist.py",
+        "        if t0 == t1 and x0 != x1:  # a plateau of first that second crosses at t\n",
+        "        if t0 == t1:  # a plateau of first that second crosses at t\n",
+        "tests/test_quotdist.py::test_orbit_bound_matches_built_reparameterization_on_net_points",
+        "new: the orbit bound's ramp test taking every vertex of second's walk",
+    ),
+    (
+        "quotdist.py",
+        "(t - Fraction(*t1s[k - 1])) / 3)",
+        "(t - Fraction(*t0s[k - 1])) / 3)",
+        "tests/test_quotdist.py::test_orbit_bound_matches_built_reparameterization_on_net_points",
+        "new: a ramp's gap measured from the far end of the level below",
+    ),
+    (
+        "quotdist.py",
+        "Fraction(*t0s[k + 1]) / 3",
+        "Fraction(*t1s[k + 1]) / 3",
+        "tests/test_quotdist.py::test_orbit_bound_matches_built_reparameterization_on_net_points",
+        "new: the ramp at t = 0 measured to the far end of the next level",
+    ),
+    (
+        "quotdist.py",
+        "(t - Fraction(*t1s[k - 1])) / 3)",
+        "(t - Fraction(*t1s[k - 1])) / 2)",
+        "tests/test_quotdist.py::test_orbit_bound_matches_built_reparameterization_on_net_points",
+        "new: a ramp taking half its gap instead of a third",
+    ),
+    (
+        "quotdist.py",
+        "Fraction(*t0s[k + 1]) / 3",
+        "Fraction(*t0s[k + 1]) / 2",
+        "tests/test_quotdist.py::test_orbit_bound_matches_built_reparameterization_on_net_points",
+        "new: the ramp at t = 0 taking half its gap instead of a third",
     ),
     (
         "serialize.py",
