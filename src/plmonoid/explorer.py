@@ -32,11 +32,12 @@ from .plcore import (
     PLHomeo,
     PLMono,
     _Value,
+    _count,
     _ints,
+    _max_sup_pair,
     _sweep,
     as_homeo,
     identity,
-    sup_dist,
     uniform_witness,
 )
 from .typespace import (
@@ -118,7 +119,7 @@ def random_mono(rng: random.Random) -> PLMono:
 
 def random_tuple(rng: random.Random, n: int) -> MonoTuple:
     """Tuple of independent random monotone surjections."""
-    return MonoTuple(tuple(random_mono(rng) for _ in range(n)))
+    return MonoTuple(tuple(random_mono(rng) for _ in range(_count(n, "n"))))
 
 
 def random_homeo(rng: random.Random) -> PLHomeo:
@@ -153,10 +154,9 @@ def random_point(rng: random.Random, n: int) -> CanonicalTuple:
     draw needs a handful of tries on average; the generous retry cap
     only trips on a bug.
     """
-    if n < 1:
-        raise InputError("need at least one component")
+    weights = uniform_weights(n)
     if n == 1:
-        return CanonicalTuple((identity(),), (ONE,))
+        return CanonicalTuple((identity(),), weights)
     for _ in range(_MAX_TRIES):
         steps = rng.randrange(3, 8 if n == 2 else 6 if n == 3 else 5)
         units = rng.randrange(3 * n, 6 * n)
@@ -168,7 +168,7 @@ def random_point(rng: random.Random, n: int) -> CanonicalTuple:
             continue
         rows.append(last)
         comps = tuple(_grid_map([0, *accumulate(r)], total) for r in rows)
-        return CanonicalTuple(comps, uniform_weights(n))
+        return CanonicalTuple(comps, weights)
     raise InvariantViolation(f"rejection sampling failed after {_MAX_TRIES} tries")
 
 
@@ -216,9 +216,7 @@ def _dp_resolution(n: int, m: int) -> int:
     mean constraint pins the lone component to the identity, so the net
     is that one point at every m, and a DP over m layers would only
     rebuild it."""
-    for name, v in (("n", n), ("m", m)):
-        if type(v) is not int or v < 1:
-            raise InputError(f"{name} must be an int of at least 1, got {v!r:.60}")
+    n, m = _count(n, "n"), _count(m, "m")
     return 1 if n == 1 else m
 
 
@@ -332,57 +330,57 @@ def _px(x: Fraction) -> int:
     return _MARGIN + int(x * _SIZE + HALF)
 
 
-def _py(y: Fraction, lo=ZERO, hi=ONE) -> int:
-    return _MARGIN + _SIZE - int((y - lo) / (hi - lo) * _SIZE + HALF)
+def _py(y: Fraction, lo=ZERO) -> int:
+    return _MARGIN + _SIZE - int((y - lo) / (ONE - lo) * _SIZE + HALF)
 
 
-def _poly(points, lo=ZERO, hi=ONE) -> str:
-    return " ".join(f"{_px(x)},{_py(y, lo, hi)}" for x, y in points)
+def _poly(points, lo=ZERO) -> str:
+    return " ".join(f"{_px(x)},{_py(y, lo)}" for x, y in points)
 
 
-def _is_gapset(obj) -> bool:
+def _plot_lines(obj, verb: str):
+    """What render_svg and render_csv draw of obj, as (kind, point lists):
+    ("tuple", each component's breakpoints), a map read as a one-component
+    tuple; ("coord", [its breakpoints]); ("gaps", [its gaps]).  Anything
+    else raises InputError("cannot <verb> a <type>")."""
+    if isinstance(obj, PLMono):
+        obj = MonoTuple((obj,))
+    if isinstance(obj, MonoTuple):
+        return "tuple", [comp.breakpoints for comp in obj]
+    if isinstance(obj, RoelckeCoord):
+        return "coord", [obj.breakpoints]
     # gaps is loaded here, after the other kinds are ruled out, so that
     # plotting a map, tuple or coordinate does not import it
     from .gaps import GapSet
 
-    return isinstance(obj, GapSet)
+    if isinstance(obj, GapSet):
+        return "gaps", [obj.gaps]
+    raise InputError(f"cannot {verb} a {type(obj).__name__}")
 
 
 def render_svg(obj) -> str:
     """Deterministic SVG for a map, tuple, coordinate or gap set."""
-    body: list[str] = []
-    diag = f'<polyline points="{_poly(((ZERO, ZERO), (ONE, ONE)))}" fill="none" stroke="#bbbbbb" stroke-dasharray="4,4"/>'
-    if isinstance(obj, PLMono):
-        obj = MonoTuple((obj,))
-    if isinstance(obj, MonoTuple):
-        body.append(diag)
-        for i, comp in enumerate(obj):
-            color = _PALETTE[i % len(_PALETTE)]
-            body.append(
-                f'<polyline points="{_poly(comp.breakpoints)}" fill="none" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-    elif isinstance(obj, RoelckeCoord):
-        lo, hi = -ONE, ONE
-        zero_y = _py(ZERO, lo, hi)
-        body.append(
-            f'<line x1="{_MARGIN}" y1="{zero_y}" x2="{_MARGIN + _SIZE}" y2="{zero_y}" '
-            'stroke="#bbbbbb" stroke-dasharray="4,4"/>'
-        )
-        body.append(
-            f'<polyline points="{_poly(obj.breakpoints, lo, hi)}" fill="none" '
-            f'stroke="{_PALETTE[0]}" stroke-width="2"/>'
-        )
-    elif _is_gapset(obj):
-        for a, b in obj:
-            x0, x1 = _px(a), _px(b)
-            body.append(
-                f'<rect x="{x0}" y="{_MARGIN}" width="{x1 - x0}" height="{_SIZE}" '
-                'fill="#fdd" stroke="none"/>'
-            )
+    kind, lines = _plot_lines(obj, "plot")
+    guide = 'stroke="#bbbbbb" stroke-dasharray="4,4"/>'
+    diag = f'<polyline points="{_poly(((ZERO, ZERO), (ONE, ONE)))}" fill="none" {guide}'
+    if kind == "gaps":
+        body = [
+            f'<rect x="{_px(a)}" y="{_MARGIN}" width="{_px(b) - _px(a)}" height="{_SIZE}" '
+            'fill="#fdd" stroke="none"/>'
+            for a, b in lines[0]
+        ]
         body.append(diag)
     else:
-        raise InputError(f"cannot plot a {type(obj).__name__}")
+        # a coordinate's values lie in [-1, 1], drawn over its zero line
+        lo = -ONE if kind == "coord" else ZERO
+        zero_y = _py(ZERO, lo)
+        body = [diag if kind == "tuple" else
+                f'<line x1="{_MARGIN}" y1="{zero_y}" x2="{_MARGIN + _SIZE}" y2="{zero_y}" {guide}']
+        for i, points in enumerate(lines):
+            body.append(
+                f'<polyline points="{_poly(points, lo)}" fill="none" '
+                f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="2"/>'
+            )
     side = _SIZE + 2 * _MARGIN
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {side} {side}" '
@@ -397,24 +395,15 @@ def render_svg(obj) -> str:
 
 def render_csv(obj) -> str:
     """Exact tabular form of the same objects ("p/q" strings)."""
-    rows: list[str] = []
-    if isinstance(obj, PLMono):
-        obj = MonoTuple((obj,))
-    if isinstance(obj, MonoTuple):
-        rows.append("component,x,y")
-        for i, comp in enumerate(obj):
-            for x, y in comp.breakpoints:
-                rows.append(f"{i},{x},{y}")
-    elif isinstance(obj, RoelckeCoord):
-        rows.append("x,y")
-        for x, y in obj.breakpoints:
-            rows.append(f"{x},{y}")
-    elif _is_gapset(obj):
-        rows.append("gap,lo,hi")
-        for i, (a, b) in enumerate(obj):
-            rows.append(f"{i},{a},{b}")
+    kind, lines = _plot_lines(obj, "tabulate")
+    if kind == "tuple":
+        rows = ["component,x,y"]
+        for i, points in enumerate(lines):
+            rows += [f"{i},{x},{y}" for x, y in points]
+    elif kind == "coord":
+        rows = ["x,y", *(f"{x},{y}" for x, y in lines[0])]
     else:
-        raise InputError(f"cannot tabulate a {type(obj).__name__}")
+        rows = ["gap,lo,hi", *(f"{i},{a},{b}" for i, (a, b) in enumerate(lines[0]))]
     return "\n".join(rows) + "\n"
 
 
@@ -478,23 +467,21 @@ def _cmd_epsnet(args) -> str:
         raise InputError(f"epsnet --n {n} --net {m} --check {check} exceeds the work limit: need "
                          "n <= 6, check >= 0 and m(m+1)^(n-1)C(2n-1,n-1)(1+10check) <= 2^21")
     size = net_size(n, m)
-    out: dict = {"n": args.n, "net": args.net, "size": size}
+    out: dict = {"n": n, "net": m, "size": size}
     if args.points:
         if size > 100000:
             raise InputError(f"net has {size} points; refusing to enumerate")
-        out["points"] = [ser.canonical_to_obj(p) for p in net_points(args.n, args.net)]
-    if args.check:
+        out["points"] = [ser.canonical_to_obj(p) for p in net_points(n, m)]
+    if check:
         rng = random.Random(args.seed)
-        radius = Fraction(2, args.net)
-        for _ in range(args.check):
-            p = random_point(rng, args.n)
-            q = nearest_net_point(p, args.net)
-            worst = max(sup_dist(f, g) for f, g in zip(p.components, q.components))
+        radius = Fraction(2, m)
+        for _ in range(check):
+            p = random_point(rng, n)
+            q = nearest_net_point(p, m)
+            worst = Fraction(*_max_sup_pair(p.components, q.components))
             if worst > radius:
-                raise InvariantViolation(
-                    f"covering failed: sample at distance {worst} > {radius}"
-                )
-        out["covering_checked"] = args.check
+                raise InvariantViolation(f"covering failed: sample at distance {worst} > {radius}")
+        out["covering_checked"] = check
         out["covering_radius"] = ser.frac_str(radius)
     return ser.dumps(out)
 

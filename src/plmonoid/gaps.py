@@ -26,6 +26,8 @@ from .plcore import (
     PLMono,
     _Value,
     _frac,
+    _iter,
+    _pair,
     _tabulate,
     compose,
     sup_dist,
@@ -55,11 +57,7 @@ MonoPseudoDist = Callable[[PLMono, PLMono], Fraction]
 
 
 def _check_interval(iv) -> Interval:
-    try:
-        # A two-character string or bytes would unpack into an interval.
-        a, b = () if isinstance(iv, (str, bytes)) else iv
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"not an (a, b) interval: {iv!r:.60}") from exc
+    a, b = _pair(iv, "an (a, b) interval")
     a, b = _frac(a), _frac(b)
     if not (ZERO <= a < b <= ONE):
         raise InputError(f"not a nonempty open subinterval of [0, 1]: ({a!s:.60}, {b!s:.60})")
@@ -67,12 +65,8 @@ def _check_interval(iv) -> Interval:
 
 
 def _sorted_intervals(intervals) -> list[Interval]:
-    """The caller's intervals, checked and sorted.  Only iter() is
-    guarded, as _rows guards a map's points."""
-    try:
-        items = iter(intervals)
-    except TypeError as exc:
-        raise InputError(f"intervals must be an iterable of (a, b) pairs, got {intervals!r:.60}") from exc
+    """The caller's intervals, checked and sorted."""
+    items = _iter(intervals, "intervals must be an iterable of (a, b) pairs")
     return sorted(_check_interval(iv) for iv in items)
 
 
@@ -95,6 +89,7 @@ class GapSet(_Value):
         self.__dict__["gaps"] = ivs
 
     def union_contains(self, x: Fraction) -> bool:
+        x = _frac(x)
         return any(a < x < b for a, b in self.gaps)
 
     def __len__(self):

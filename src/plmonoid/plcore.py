@@ -126,22 +126,40 @@ def _frac(value) -> Fraction:
         raise InputError(f"not a rational number: {value!r:.60}") from exc
 
 
+def _iter(obj, what: str):
+    """iter(obj), or InputError("<what>, got <obj>") for an object that is
+    not iterable.  Only iter() is guarded, so an error raised inside the
+    caller's own iterator propagates unchanged."""
+    try:
+        return iter(obj)
+    except TypeError as exc:
+        raise InputError(f"{what}, got {obj!r:.60}") from exc
+
+
+def _count(v, what: str) -> int:
+    """v, or InputError("<what> must be an int of at least 1, ...") for
+    anything else; a bool is not an int here."""
+    if type(v) is not int or v < 1:
+        raise InputError(f"{what} must be an int of at least 1, got {v!r:.60}")
+    return v
+
+
+def _pair(obj, what: str):
+    """The two items of obj, or InputError("not <what>: <obj>"); a
+    two-character string or bytes is not a pair."""
+    try:
+        a, b = () if isinstance(obj, (str, bytes)) else obj
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"not {what}: {obj!r:.60}") from exc
+    return a, b
+
+
 def _rows(points) -> list[tuple[Ratio, Ratio]]:
     """The caller's points as (x, y) rows of reduced int pairs;
     InputError for anything but an iterable of (x, y) pairs of rationals."""
-    # Only iter() is guarded, so an error raised inside the caller's own
-    # iterator of points propagates unchanged.
-    try:
-        items = iter(points)
-    except TypeError as exc:
-        raise InputError(f"points must be an iterable of (x, y) pairs, got {points!r:.60}") from exc
     out = []
-    for p in items:
-        try:
-            # A two-character string or bytes would unpack into a point.
-            x, y = () if isinstance(p, (str, bytes)) else p
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"not an (x, y) pair: {p!r:.60}") from exc
+    for p in _iter(points, "points must be an iterable of (x, y) pairs"):
+        x, y = _pair(p, "an (x, y) pair")
         out.append((_frac(x).as_integer_ratio(), _frac(y).as_integer_ratio()))
     return out
 
@@ -517,10 +535,11 @@ def combine(terms: Sequence[tuple[Fraction, PLMono]]) -> PLMono:
     factor its own denominator lacks; the int sum over cd * d is reduced
     by one gcd per point.
     """
-    if not terms:
+    pairs = [_pair(term, "a (coefficient, map) pair") for term in _iter(terms, "terms must be an iterable")]
+    if not pairs:
         raise InputError("empty combination")
-    coeffs = [_frac(c).as_integer_ratio() for c, _ in terms]
-    maps = [f for _, f in terms]
+    coeffs = [_frac(c).as_integer_ratio() for c, _ in pairs]
+    maps = [f for _, f in pairs]
     for f in maps:
         if not isinstance(f, PLMono):
             raise InputError(f"not a monotone map: {f!r:.60}")

@@ -38,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
+from numbers import Real
 from typing import NamedTuple
 
 from .plcore import (
@@ -48,6 +49,7 @@ from .plcore import (
     PLMono,
     Ratio,
     _Value,
+    _count,
     _frac,
     _ints,
     _lerp,
@@ -84,7 +86,7 @@ class QuotInterval(_Value):
     _fields = ("lo", "hi", "decisions")
 
     def __init__(self, lo: Fraction, hi: Fraction, decisions: int = 0):
-        if not (ZERO <= lo <= hi):
+        if not (isinstance(lo, Real) and isinstance(hi, Real) and ZERO <= lo <= hi):
             raise InputError(f"not a bracket: [{lo}, {hi}]")
         self.__dict__.update(lo=lo, hi=hi, decisions=decisions)
 
@@ -291,8 +293,7 @@ def brute_oracle(a, b, k: int) -> Fraction:
     every node cost with every other), the rows are expanded by int
     addition and the dynamic programme runs on ints, a row at a time.
     """
-    if type(k) is not int or k < 1:  # a bool is not a resolution
-        raise InputError(f"grid resolution must be an int of at least 1, got {k!r:.60}")
+    _count(k, "grid resolution")
     a, b = _as_tuple(a), _as_tuple(b)
     if len(a) != len(b):
         raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
@@ -398,8 +399,7 @@ def orbit_identity_bound(point: CanonicalTuple, eps, net: int) -> IdentityProxim
     below eps.  One-sided: True certifies, False does not refute.
     Doubling ``net`` never increases the bound.
     """
-    if type(net) is not int or net < 1:
-        raise InputError(f"net resolution must be an int of at least 1, got {net!r:.60}")
+    _count(net, "net resolution")
     eps = _frac(eps)
     if not isinstance(point, CanonicalTuple) or len(point) != 2:
         raise InputError("expected a canonical pair")

@@ -40,8 +40,10 @@ from .plcore import (
     _Value,
     _built,
     _combined,
+    _count,
     _frac,
     _ints,
+    _iter,
     _normalize,
     _tabulate,
     combine,
@@ -70,14 +72,12 @@ _IDENTITY_MEAN = PLMono(((0, 0), (1, 1)))
 
 
 def uniform_weights(n: int) -> Weights:
-    if n < 1:
-        raise InputError("need at least one component")
-    return (Fraction(1, n),) * n
+    return (Fraction(1, _count(n, "need at least one component: n")),) * n
 
 
 def check_weights(weights, n: int) -> Weights:
     """Validate a weight vector: positive rationals of length n summing to 1."""
-    w = tuple(_frac(x) for x in weights)
+    w = tuple(_frac(x) for x in _iter(weights, "weights must be an iterable of rationals"))
     if len(w) != n:
         raise InputError(f"weight/length mismatch: {len(w)} weights for {n} components")
     ratios = [x.as_integer_ratio() for x in w]
@@ -95,12 +95,7 @@ class MonoTuple(_Value):
     _fields = ("components",)
 
     def __init__(self, components: tuple[PLMono, ...]):
-        # Only iter() is guarded, as _rows guards a polyline's points.
-        try:
-            comps = iter(components)
-        except TypeError as exc:
-            raise InputError(f"components must be an iterable of maps, got {components!r:.60}") from exc
-        comps = tuple(comps)
+        comps = tuple(_iter(components, "components must be an iterable of maps"))
         if not comps:
             raise InputError("a tuple needs at least one component")
         for c in comps:
@@ -191,9 +186,11 @@ def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[Canonica
 
 
 def lipschitz_constant(c: CanonicalTuple, i: int) -> Fraction:
-    """Largest segment slope of component i; at most 1 over its weight."""
-    if not 0 <= i < len(c):
-        raise InputError(f"component index {i} out of range for length {len(c)}")
+    """Largest segment slope of component i of c (any sequence of maps);
+    at most 1 over its weight in a canonical tuple."""
+    c = _as_tuple(c)
+    if type(i) is not int or not 0 <= i < len(c):  # a bool is not an index
+        raise InputError(f"component index must be an int in 0..{len(c) - 1}, got {i!r:.60}")
     return max_slope(c.components[i])
 
 

@@ -212,6 +212,17 @@ def test_net_arguments_must_be_ints_of_at_least_1():
                     call(bad, 2)
 
 
+def test_sampler_counts_must_be_ints_of_at_least_1():
+    # as for the net functions: a bool, a float, a string, a Fraction or
+    # None is not a component count
+    rng = random.Random(0)
+    for bad in (2.5, "3", True, F(4), None, 0, -1):
+        with pytest.raises(InputError, match="n must be an int of at least 1"):
+            random_tuple(rng, bad)
+        with pytest.raises(InputError, match="need at least one component: n must be an int"):
+            random_point(rng, bad)
+
+
 def test_nearest_net_point_covering_smoke():
     rng = random.Random(3)
     for m in (2, 4, 8):

@@ -130,6 +130,11 @@ def test_gapset_validation():
                 ((F(1, 4), F(1, 2)), (F(1, 4), F(1, 2)))):
         with pytest.raises(InputError, match="gaps overlap"):
             GapSet(ivs)
+    # a point is read as a rational, as every other argument is
+    g = GapSet(((F(1, 4), F(3, 4)),))
+    assert g.union_contains("1/2") and not g.union_contains(F(3, 4))
+    with pytest.raises(InputError, match="not a rational number"):
+        g.union_contains(None)
 
 
 def test_gapset_sorts_disjoint_gaps_given_out_of_order():

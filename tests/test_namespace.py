@@ -1,5 +1,10 @@
 """The package namespace: every public name of the library modules."""
 
+import inspect
+from fractions import Fraction as F
+
+import pytest
+
 import plmonoid
 from plmonoid import gaps, plcore, quotdist, typespace
 
@@ -39,3 +44,29 @@ def test_package_all_is_the_modules_all():
     for m in modules:
         for name in m.__all__:
             assert getattr(plmonoid, name) is getattr(m, name)
+
+
+def public_callables():
+    """Every function and class that the library modules list in __all__,
+    but the exception classes (the pseudo-distance type aliases are
+    neither), and GapSet.union_contains on a gap set it must compare with."""
+    for m in (plcore, typespace, quotdist, gaps):
+        for name in m.__all__:
+            obj = getattr(m, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(obj, Exception):
+                yield f"{m.__name__.rpartition('.')[2]}.{name}", obj
+    yield "GapSet.union_contains", gaps.GapSet(((F(1, 4), F(3, 4)),)).union_contains
+
+
+CALLABLES = dict(public_callables())
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+def test_none_for_every_parameter_returns_or_raises_input_error(name):
+    # A wrong argument type is an InputError, never a bare TypeError,
+    # AttributeError or ValueError from deep inside.
+    call = CALLABLES[name]
+    try:
+        call(*[None] * len(inspect.signature(call).parameters))
+    except plcore.InputError:
+        pass

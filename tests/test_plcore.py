@@ -399,6 +399,8 @@ def test_max_slope():
 def test_combine_mean_of_extremes_is_identity():
     lo, hi = lower_upper()
     assert combine([(F(1, 2), lo), (F(1, 2), hi)]) == identity()
+    # the terms are read once, so any iterable of pairs will do
+    assert combine(iter([(F(1, 2), lo), (F(1, 2), hi)])) == identity()
 
 
 def test_combine_rejects_empty():
@@ -411,6 +413,12 @@ def test_combine_rejects_a_term_that_is_not_a_map():
         combine([(1, "x")])
     with pytest.raises(InputError, match="not a monotone map: None"):
         combine([(F(1, 2), identity()), (F(1, 2), None)])
+    # exactly one pair per term, as for a map's points
+    for term in (1, None, (1,), (F(1, 2), identity(), identity()), "ab", b"xy"):
+        with pytest.raises(InputError, match=r"not a \(coefficient, map\) pair"):
+            combine([term])
+    with pytest.raises(InputError, match="terms must be an iterable"):
+        combine(5)
 
 
 # --- uniform-distance witness

@@ -294,6 +294,11 @@ def test_bracket_tolerance_validation():
         quot_dist(a, b, 0)
     with pytest.raises(InputError, match="not a bracket"):
         quotdist.QuotInterval(F(1, 2), F(1, 4))
+    for lo, hi in ((None, None), (0, None), ("0", "1/2")):
+        with pytest.raises(InputError, match="not a bracket"):
+            quotdist.QuotInterval(lo, hi)
+    # int and Fraction ends are kept as given
+    assert repr(quotdist.QuotInterval(0, F(1, 2))) == "QuotInterval(lo=0, hi=Fraction(1, 2), decisions=0)"
 
 
 def draw_pair(rng, kind):

@@ -260,8 +260,14 @@ def test_canonical_tuple_validation():
         CanonicalTuple((lo, lo), uniform_weights(2))
     with pytest.raises(InputError, match="components must be an iterable"):
         MonoTuple(None)
-    with pytest.raises(InputError, match="need at least one component"):
-        uniform_weights(0)
+    for n in (0, -1, None, 2.5, True):
+        with pytest.raises(InputError, match="need at least one component"):
+            uniform_weights(n)
+    # a weight vector that is not an iterable, however it arrives
+    t = MonoTuple((lo, hi))
+    for call in (lambda: check_weights(None, 2), lambda: canonicalize(t, 5), lambda: mean(t, 5)):
+        with pytest.raises(InputError, match="weights must be an iterable"):
+            call()
 
 
 def _reference_canonical(comps, weights):
@@ -375,6 +381,13 @@ def test_lipschitz_constant_worked():
     assert lipschitz_constant(ct, 1) == 2
     with pytest.raises(InputError):
         lipschitz_constant(ct, 2)
+    # any sequence of maps, and only an int index (a bool is not one)
+    assert lipschitz_constant([lo, hi], 1) == max_slope(hi)
+    with pytest.raises(InputError, match="components must be an iterable"):
+        lipschitz_constant(None, 0)
+    for i in (None, True, 1.0, "0"):
+        with pytest.raises(InputError, match="component index must be an int"):
+            lipschitz_constant(ct, i)
 
 
 def test_identity_tuple_slopes():

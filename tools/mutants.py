@@ -206,16 +206,16 @@ MUTANTS = [
         "new: GapSet checking its gaps for overlap in the order given",
     ),
     (
-        "gaps.py",
-        "        a, b = () if isinstance(iv, (str, bytes)) else iv\n",
-        "        a, b = () if isinstance(iv, (str, bytes)) else iv[:2]\n",
+        "plcore.py",
+        "        a, b = () if isinstance(obj, (str, bytes)) else obj\n",
+        "        a, b = () if isinstance(obj, (str, bytes)) else obj[:2]\n",
         "tests/test_gaps.py::test_merge_rejects_bad_intervals",
         "new: an interval's items past the second silently dropped",
     ),
     (
-        "gaps.py",
-        "        a, b = () if isinstance(iv, (str, bytes)) else iv\n",
-        "        a, b = iv\n",
+        "plcore.py",
+        "        a, b = () if isinstance(obj, (str, bytes)) else obj\n",
+        "        a, b = obj\n",
         "tests/test_gaps.py::test_merge_rejects_bad_intervals",
         "new: a two-character string unpacked into an interval",
     ),
@@ -374,11 +374,32 @@ MUTANTS = [
         "13ec06e: _runs without its gcd step",
     ),
     (
-        "quotdist.py",
-        "    if type(k) is not int or k < 1:  # a bool is not a resolution\n",
-        "    if k < 1:  # a bool is not a resolution\n",
+        "plcore.py",
+        "    if type(v) is not int or v < 1:\n",
+        "    if v < 1:\n",
         "tests/test_quotdist.py::test_oracle_errors",
-        "new: brute_oracle taking True as grid resolution 1",
+        "2037104: brute_oracle taking True as grid resolution 1 (the check is _count's now)",
+    ),
+    (
+        "plcore.py",
+        "    except TypeError as exc:\n        raise InputError(f\"{what}, got {obj!r:.60}\") from exc\n",
+        "    except ValueError as exc:\n        raise InputError(f\"{what}, got {obj!r:.60}\") from exc\n",
+        "tests/test_namespace.py::test_none_for_every_parameter_returns_or_raises_input_error",
+        "new: _iter letting the TypeError of a non-iterable through",
+    ),
+    (
+        "explorer.py",
+        "        obj = MonoTuple((obj,))\n",
+        "        pass\n",
+        "tests/test_explorer.py::test_plot_bytes_are_pinned",
+        "new: the plot helper not reading a map as a one-component tuple",
+    ),
+    (
+        "explorer.py",
+        "        lo = -ONE if kind == \"coord\" else ZERO\n",
+        "        lo = ZERO\n",
+        "tests/test_explorer.py::test_plot_bytes_are_pinned",
+        "new: a coordinate drawn on the [0, 1] scale of a map",
     ),
     (
         "quotdist.py",
