@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
-from numbers import Real
+from numbers import Rational
 from typing import NamedTuple
 
 from .plcore import (
@@ -80,14 +80,18 @@ class QuotInterval(_Value):
     Both ends are read from the exact distance, and ``decisions`` is
     the step count of the plain bisection that gives the same bracket:
     the check at 0 and, if the distance is not 0, the one at hi0 and k
-    halvings.
+    halvings.  The ends are ints or Fractions, kept as given, with
+    0 <= lo <= hi, and ``decisions`` is an int >= 0; a bool is neither,
+    and anything else raises InputError.
     """
 
     _fields = ("lo", "hi", "decisions")
 
     def __init__(self, lo: Fraction, hi: Fraction, decisions: int = 0):
-        if not (isinstance(lo, Real) and isinstance(hi, Real) and ZERO <= lo <= hi):
-            raise InputError(f"not a bracket: [{lo}, {hi}]")
+        if not all(isinstance(v, Rational) and type(v) is not bool for v in (lo, hi)) or not ZERO <= lo <= hi:
+            raise InputError(f"not a bracket: [{lo!s:.60}, {hi!s:.60}]")
+        if type(decisions) is not int or decisions < 0:
+            raise InputError(f"decisions must be an int of at least 0, got {decisions!r:.60}")
         self.__dict__.update(lo=lo, hi=hi, decisions=decisions)
 
 

@@ -17,6 +17,14 @@ drops the collinear and repeated points down to the unique minimal
 form.  Positive weights make a plateau of m one of every f_i, so the
 points arrive in (x, y) order and are not sorted.
 
+The public CanonicalTuple constructor proves the mean is the identity
+by tabulating its components and summing again.  canonicalize proves
+it from its own tabulation instead: the levels m(x) are the weighted
+sums of the rows by construction, so a component with every vertex at
+a level and its row's values there makes the weighted mean equal each
+level at that level, and affine in between.  That check sweeps each
+built component over the levels and merges and sums nothing.
+
 Pairs in canonical form with equal weights can equivalently be encoded
 by a single 1-Lipschitz function vanishing at the endpoints (the
 difference between the first component and the identity).  That
@@ -33,6 +41,7 @@ from math import gcd
 
 from .plcore import (
     InputError,
+    InvariantViolation,
     PLHomeo,
     PLMono,
     Ratio,
@@ -45,6 +54,7 @@ from .plcore import (
     _ints,
     _iter,
     _normalize,
+    _sweep,
     _tabulate,
     combine,
     identity,
@@ -131,9 +141,13 @@ class CanonicalTuple(MonoTuple):
     With uniform weights these are the canonical representatives of
     tuples modulo reparameterization; each component's slopes are
     bounded by the reciprocal of its weight (by n in the uniform case).
-    The mean is checked exactly on construction, rebuilt by canonicalize's
-    kernel on the merged breakpoint grid and compared with the grid; the
-    slope bound follows from it because the components are monotone.
+    The public constructor checks the mean exactly: it tabulates the
+    components on their merged breakpoint grid, sums their weighted
+    values and compares the sums with the grid.  canonicalize already
+    holds that grid and those sums, and comes in by _spliced, which
+    checks its components against them without summing again.  Either
+    way the slope bound follows from the mean because the components
+    are monotone.
     """
 
     _fields = ("components", "weights")
@@ -155,6 +169,25 @@ class CanonicalTuple(MonoTuple):
         # w_i * s_i <= 1.
         self.__dict__["weights"] = w
 
+    @classmethod
+    def _spliced(cls, components, w, levels, rows):
+        """canonicalize's way in, checked against the grid it holds:
+        ``levels``, the weighted sums _combined(w, rows) of the ``rows``,
+        and ``w``, already checked.  Every vertex of each component must
+        be a level and its values at the levels must be its row; the
+        module docstring says why that makes the mean the identity.  The
+        check reads the built components' own pairs, not the rows they
+        came from, so a point lost in the build fails it: InvariantViolation.
+        """
+        grid = set(levels)
+        for c, row in zip(components, rows):
+            if not grid.issuperset(c._xr) or _sweep(c._xr, c._yr, levels) != row:
+                raise InvariantViolation(f"canonical component off its grid row: {c!r:.60}")
+        self = object.__new__(cls)
+        self.__dict__["components"] = components
+        self.__dict__["weights"] = w
+        return self
+
     def as_tuple(self) -> MonoTuple:
         """The components as a plain MonoTuple, without the weights."""
         return MonoTuple(self.components)
@@ -166,10 +199,10 @@ def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[Canonica
     Returns (c, m) with m the weighted mean of t (any sequence of maps)
     and c the tuple whose i-th component is t[i] composed with the
     left-continuous inverse of m, compose_lc(t[i], pseudo_inverse(m)),
-    built from one tabulation of t as the module docstring says.  A
-    repeated m(x) must repeat t[i](x); a point that breaks this raises
-    InvariantViolation.  Composing back gives compose(c[i], m) == t[i]
-    bit-exactly.  This is the one place that takes a tuple as its own
+    built and checked from one tabulation of t as the module docstring
+    says.  A repeated m(x) must repeat t[i](x); a point that breaks this
+    raises InvariantViolation.  Composing back gives compose(c[i], m) ==
+    t[i] bit-exactly.  This is the one place that takes a tuple as its own
     canonical form: asked for no weights, a CanonicalTuple with equal
     weights is returned as it is, with the identity mean, untabulated.
     """
@@ -180,9 +213,8 @@ def canonicalize(t: MonoTuple, weights: Weights | None = None) -> tuple[Canonica
     xs, rows = _tabulate(t.components)
     levels = _combined([x.as_integer_ratio() for x in w], rows)
     m = PLMono._from_pairs(zip(xs, levels))
-    if m == identity():
-        return CanonicalTuple(t.components, w), m
-    return CanonicalTuple(tuple(_built(zip(levels, row), "spliced composition") for row in rows), w), m
+    comps = t.components if m == identity() else tuple(_built(zip(levels, row), "spliced composition") for row in rows)
+    return CanonicalTuple._spliced(comps, w, levels, rows), m
 
 
 def lipschitz_constant(c: CanonicalTuple, i: int) -> Fraction:

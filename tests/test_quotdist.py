@@ -301,6 +301,19 @@ def test_bracket_tolerance_validation():
     assert repr(quotdist.QuotInterval(0, F(1, 2))) == "QuotInterval(lo=0, hi=Fraction(1, 2), decisions=0)"
 
 
+def test_bracket_needs_exact_ends_and_a_count():
+    for lo, hi in ((0.0, F(1, 2)), (0, 0.5), (False, 1), (0, True), (F(1, 3), float("inf"))):
+        with pytest.raises(InputError, match="not a bracket"):
+            quotdist.QuotInterval(lo, hi)
+    with pytest.raises(InputError) as info:
+        quotdist.QuotInterval(F(2, 3), F(1, 3**200))
+    assert str(info.value) == f"not a bracket: [2/3, {str(F(1, 3**200))[:60]}]"
+    for decisions in (None, -3, True, 2.0, "1"):
+        with pytest.raises(InputError, match="decisions must be an int of at least 0"):
+            quotdist.QuotInterval(0, F(1, 2), decisions)
+    assert quotdist.QuotInterval(F(1, 4), 1, 0).decisions == 0
+
+
 def draw_pair(rng, kind):
     """A pair of tuples of one length: random_point pairs and triples,
     random_tuple pairs of length 1 to 5, pairs of coprime_map pairs over

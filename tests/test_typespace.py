@@ -234,7 +234,56 @@ def test_canonicalize_tabulates_once(monkeypatch):
     t = random_tuple(random.Random(5), 3)
     ct, m = canonicalize(t)
     assert m != identity()
-    assert calls == [t.components, ct.components]
+    assert calls == [t.components]
+    # a plain tuple whose mean is the identity, as canon reads a canonical file
+    calls.clear()
+    plain = MonoTuple(ct.components)
+    again, m = canonicalize(plain)
+    assert m == identity() and again == ct
+    assert calls == [plain.components]
+
+
+def _corrupted_build(monkeypatch, corrupt):
+    """Make canonicalize build its first component from corrupt(rows), the
+    rows it would be built from; the later components are built as they are."""
+    real = typespace._built
+    done = []
+
+    def built(rows, what):
+        rows = list(rows)
+        if not done:
+            done.append(True)
+            rows = corrupt(rows, real(rows, what))
+        return real(rows, what)
+
+    monkeypatch.setattr(typespace, "_built", built)
+
+
+def test_canonicalize_rejects_a_component_off_its_row(monkeypatch):
+    # The first interior vertex of the component is kept by the build, so
+    # it is not collinear; without it the component leaves its row there.
+    def dropped(rows, c):
+        return [(x, y) for x, y in rows if x != c._xr[1]]
+
+    _corrupted_build(monkeypatch, dropped)
+    t = random_tuple(random.Random(5), 3)
+    with pytest.raises(InvariantViolation, match="canonical component off its grid row"):
+        canonicalize(t)
+
+
+def test_canonicalize_rejects_a_component_vertex_off_the_grid(monkeypatch):
+    # A vertex between two levels, at the lower one's value: the component
+    # still takes its row's values at every level, but is not affine
+    # between them, so the mean on the grid says nothing of the mean there.
+    def bent(rows, c):
+        k = next(k for k in range(len(rows) - 1) if rows[k][1] != rows[k + 1][1] and rows[k][0] != rows[k + 1][0])
+        mid = (F(*rows[k][0]) + F(*rows[k + 1][0])) / 2
+        return rows[:k + 1] + [(mid.as_integer_ratio(), rows[k][1])] + rows[k + 1:]
+
+    _corrupted_build(monkeypatch, bent)
+    t = random_tuple(random.Random(5), 3)
+    with pytest.raises(InvariantViolation, match="canonical component off its grid row"):
+        canonicalize(t)
 
 
 def test_canonicalize_false_plateau_is_invariant_violation(monkeypatch):

@@ -199,6 +199,20 @@ MUTANTS = [
         "new: the canonical shortcut taken whatever weights are asked for",
     ),
     (
+        "typespace.py",
+        "if not grid.issuperset(c._xr) or _sweep(c._xr, c._yr, levels) != row:",
+        "if not grid.issuperset(c._xr):",
+        "tests/test_typespace.py::test_canonicalize_rejects_a_component_off_its_row",
+        "new: canonicalize's check passing a component that lost a vertex",
+    ),
+    (
+        "typespace.py",
+        "if not grid.issuperset(c._xr) or _sweep(c._xr, c._yr, levels) != row:",
+        "if _sweep(c._xr, c._yr, levels) != row:",
+        "tests/test_typespace.py::test_canonicalize_rejects_a_component_vertex_off_the_grid",
+        "new: canonicalize's check passing a component bent between two levels",
+    ),
+    (
         "gaps.py",
         "    return sorted(_check_interval(iv) for iv in items)\n",
         "    return [_check_interval(iv) for iv in items]\n",
