@@ -9,23 +9,32 @@ raw interval lists, the extreme pair of maps witnessing a gap, the
 exact equivalence decision, and the collapse map that realizes the same
 identification as a plain uniform distance after composition.
 
-Finite gap sets only; every operation is exact.  Evaluators produced or
+Finite gap sets only; every operation is exact.  A GapSet holds its
+gaps as Fraction pairs; the calculus reads each end as the reduced
+(numerator, denominator) int pair the maps store, compares pairs by
+cross-multiplying and builds its maps from pairs.  So the only
+Fractions made are the caller's interval ends that merge_gaps and
+GapSet read, and none at all inside extreme_pair_all, equiv_test or
+collapse_map.  collapse_map puts the gap ends over one common
+denominator, as the plcore docstring says.  Evaluators produced or
 consumed here must be pure functions, safe for concurrent invocation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 from typing import Callable
 
 from .plcore import (
-    HALF,
-    ONE,
-    ZERO,
     InputError,
+    InvariantViolation,
     PLMono,
+    Ratio,
     _Value,
     _frac,
+    _ints,
     _iter,
     _pair,
     _tabulate,
@@ -49,6 +58,8 @@ __all__ = [
 ]
 
 Interval = tuple[Fraction, Fraction]
+# A checked interval: its Fraction ends, then each end as a reduced pair.
+_Row = tuple[Interval, Ratio, Ratio]
 
 # Pseudo-distance evaluators: symmetric, nonnegative, triangle-satisfying
 # callables.  The axioms are spot-checked in tests, not enforced here.
@@ -56,18 +67,20 @@ TuplePseudoDist = Callable[[MonoTuple, MonoTuple], Fraction]
 MonoPseudoDist = Callable[[PLMono, PLMono], Fraction]
 
 
-def _check_interval(iv) -> Interval:
+def _check_interval(iv) -> _Row:
     a, b = _pair(iv, "an (a, b) interval")
     a, b = _frac(a), _frac(b)
-    if not (ZERO <= a < b <= ONE):
+    ar, br = a.as_integer_ratio(), b.as_integer_ratio()
+    # 0 <= a < b <= 1, cross-multiplied
+    if ar[0] < 0 or ar[0] * br[1] >= br[0] * ar[1] or br[0] > br[1]:
         raise InputError(f"not a nonempty open subinterval of [0, 1]: ({a!s:.60}, {b!s:.60})")
-    return a, b
+    return (a, b), ar, br
 
 
-def _sorted_intervals(intervals) -> list[Interval]:
-    """The caller's intervals, checked and sorted."""
+def _sorted_intervals(intervals) -> list[_Row]:
+    """The caller's intervals, checked and sorted by their (a, b) ends."""
     items = _iter(intervals, "intervals must be an iterable of (a, b) pairs")
-    return sorted(_check_interval(iv) for iv in items)
+    return sorted(map(_check_interval, items), key=itemgetter(0))
 
 
 class GapSet(_Value):
@@ -82,11 +95,23 @@ class GapSet(_Value):
     _fields = ("gaps",)
 
     def __init__(self, gaps: tuple[Interval, ...]):
-        ivs = tuple(_sorted_intervals(gaps))
-        for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
-            if a1 < b0:
-                raise InputError(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")
-        self.__dict__["gaps"] = ivs
+        self._store(_sorted_intervals(gaps))
+
+    @classmethod
+    def _merged(cls, rows: list[_Row]) -> GapSet:
+        """merge_gaps' way in: its merged rows, checked and sorted as they
+        were read, so only the overlap check runs; an overlap there is a
+        bug: InvariantViolation."""
+        self = object.__new__(cls)
+        self._store(rows, InvariantViolation)
+        return self
+
+    def _store(self, rows: list[_Row], error: type[Exception] = InputError) -> None:
+        """Keep the sorted rows' Fraction ends; ``error`` if two overlap."""
+        for ((a0, b0), _, (bn, bd)), ((a1, b1), (an, ad), _) in zip(rows, rows[1:]):
+            if an * bd < bn * ad:
+                raise error(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")
+        self.__dict__["gaps"] = tuple(iv for iv, _, _ in rows)
 
     def union_contains(self, x: Fraction) -> bool:
         x = _frac(x)
@@ -106,15 +131,17 @@ def merge_gaps(intervals) -> GapSet:
     at a point stay separate, since the union of open sets does not
     cover the shared endpoint.
     """
-    ivs = _sorted_intervals(intervals)
-    out: list[Interval] = []
-    for a, b in ivs:
-        if out and a < out[-1][1]:
-            prev_a, prev_b = out[-1]
-            out[-1] = (prev_a, max(prev_b, b))
-        else:
-            out.append((a, b))
-    return GapSet(tuple(out))
+    out: list[_Row] = []
+    for row in _sorted_intervals(intervals):
+        if out:
+            (prev_a, _), prev_ar, (pn, pd) = out[-1]
+            (_, b), (an, ad), br = row
+            if an * pd < pn * ad:  # a < prev_b: the two merge
+                if br[0] * pd > pn * br[1]:
+                    out[-1] = (prev_a, b), prev_ar, br
+                continue
+        out.append(row)
+    return GapSet._merged(out)
 
 
 def isolated_points(g: GapSet) -> list[Fraction]:
@@ -145,15 +172,18 @@ def extreme_pair_all(g: GapSet) -> tuple[PLMono, PLMono]:
     bad = ", ".join(f"{p!s:.60}" for p in isolated_points(g))
     if bad:
         raise InputError(f"gap set has isolated complement points at {bad}")
-    lo_pts = [(ZERO, ZERO)]
-    hi_pts = [(ZERO, ZERO)]
+    lo_rows = [((0, 1), (0, 1))]
+    hi_rows = [((0, 1), (0, 1))]
     for a, b in g.gaps:
-        mid = (a + b) * HALF
-        lo_pts += [(a, a), (mid, a), (b, b)]
-        hi_pts += [(a, a), (mid, b), (b, b)]
-    lo_pts.append((ONE, ONE))
-    hi_pts.append((ONE, ONE))
-    return PLMono(tuple(lo_pts)), PLMono(tuple(hi_pts))
+        ar, br = (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        n, d = an * bd + bn * ad, 2 * ad * bd
+        k = gcd(n, d)
+        mid = (n // k, d // k)
+        lo_rows += [(ar, ar), (mid, ar), (br, br)]
+        hi_rows += [(ar, ar), (mid, br), (br, br)]
+    lo_rows.append(((1, 1), (1, 1)))
+    hi_rows.append(((1, 1), (1, 1)))
+    return PLMono._from_pairs(lo_rows), PLMono._from_pairs(hi_rows)
 
 
 def equiv_test(f: PLMono, h: PLMono, g: GapSet) -> bool:
@@ -170,25 +200,32 @@ def equiv_test(f: PLMono, h: PLMono, g: GapSet) -> bool:
     grid the difference is affine, so the values at the ends of the
     intervals are read off the grid: where the difference leaves or
     returns to 0 at a grid point, and where it changes sign inside a
-    cell, which closes one interval and opens the next.
+    cell, which closes one interval and opens the next.  The values are
+    kept as int pairs with a positive denominator, unreduced at a
+    crossing, and compared with the gap ends by cross-multiplying.
     """
     if not isinstance(f, PLMono) or not isinstance(h, PLMono) or not isinstance(g, GapSet):
         raise InputError("equiv_test needs two monotone maps and a GapSet")
     _, (fv, hv) = _tabulate((f, h))
-    ends: list[Fraction] = []
+    ends: list[Ratio] = []
     for (a, b), (c, d), (p, q), (r, s) in zip(fv, fv[1:], hv, hv[1:]):
         # f - h at the cell's ends is d0 / (b * q) and d1 / (d * s).
         d0, d1 = a * q - p * b, c * s - r * d
         if not d0:
             if d1:
-                ends.append(Fraction(a, b))
+                ends.append((a, b))
         elif not d1:
-            ends.append(Fraction(c, d))
+            ends.append((c, d))
         elif (d0 < 0) != (d1 < 0):
-            # The crossing (f0 * h1 - h0 * f1) / ((f0 - h0) - (f1 - h1)).
-            y = Fraction(a * r * q * d - p * c * b * s, d0 * d * s - d1 * b * q)
+            # The crossing (f0 * h1 - h0 * f1) / ((f0 - h0) - (f1 - h1)),
+            # whose denominator has the sign of d0.
+            n, m = a * r * q * d - p * c * b * s, d0 * d * s - d1 * b * q
+            y = (n, m) if d0 > 0 else (-n, -m)
             ends += (y, y)
-    return all(any(lo <= a and b <= hi for lo, hi in g.gaps) for a, b in zip(ends[::2], ends[1::2]))
+    gaps = [(lo.as_integer_ratio(), hi.as_integer_ratio()) for lo, hi in g.gaps]
+    inside = (any(ln * ad <= an * ld and bn * hd <= hn * bd for (ln, ld), (hn, hd) in gaps)
+              for (an, ad), (bn, bd) in zip(ends[::2], ends[1::2]))
+    return all(inside)
 
 
 def collapse_map(g: GapSet) -> PLMono:
@@ -198,29 +235,35 @@ def collapse_map(g: GapSet) -> PLMono:
     Sends t to the normalized length of [0, t] minus the gaps.  Raises
     for gap sets with isolated complement points, and for gap sets
     covering all of (0, 1), which identify everything (the trivial
-    pseudo-distance).
+    pseudo-distance).  With the gap ends written as numerators over one
+    common denominator D and S the numerator of the gaps' total length,
+    the level on a gap (a, b) is (a - covered) / (D - S), covered the
+    numerator of the gaps' length before it, reduced by one gcd.
     """
     bad = ", ".join(f"{p!s:.60}" for p in isolated_points(g))
     if bad:
         raise InputError(f"gap set has isolated complement points at {bad}")
-    free = ONE - sum((b - a for a, b in g.gaps), start=ZERO)
-    if free == ZERO:
+    ends = [x.as_integer_ratio() for gap in g.gaps for x in gap]
+    ints, den = _ints(ends)
+    free = den - sum(ints[1::2]) + sum(ints[::2])
+    if not free:
         raise InputError("gaps cover (0, 1): trivial pseudo-distance has no collapse map")
-    slope = 1 / free
-    pts: list[tuple[Fraction, Fraction]] = [(ZERO, ZERO)]
-    cursor, level = ZERO, ZERO
-    for a, b in g.gaps:
-        level += (a - cursor) * slope
-        pts.append((a, level))
-        pts.append((b, level))
-        cursor = b
-    pts.append((ONE, level + (ONE - cursor) * slope))
-    return PLMono(tuple(pts))
+    rows = [((0, 1), (0, 1))]
+    covered = 0
+    for a, b, ar, br in zip(ints[::2], ints[1::2], ends[::2], ends[1::2]):
+        k = gcd(a - covered, free)
+        level = ((a - covered) // k, free // k)
+        rows += [(ar, level), (br, level)]
+        covered += b - a
+    rows.append(((1, 1), (1, 1)))
+    return PLMono._from_pairs(rows)
 
 
 def collapsed_dist(f: PLMono, h: PLMono, chi: PLMono) -> Fraction:
     """Uniform distance after collapsing through chi: the pseudo-distance
     induced by a collapse map."""
+    if not isinstance(f, PLMono) or not isinstance(h, PLMono) or not isinstance(chi, PLMono):
+        raise InputError("collapsed_dist needs three monotone maps")
     return sup_dist(compose(chi, f), compose(chi, h))
 
 
@@ -232,6 +275,8 @@ def pullback_pseudometric(base: MonoTuple, rho: TuplePseudoDist) -> MonoPseudoDi
     in tests rather than enforced.
     """
     base = _as_tuple(base)
+    if not callable(rho):
+        raise InputError(f"pullback_pseudometric needs a callable rho, got {rho!r:.60}")
 
     def pulled(f: PLMono, h: PLMono) -> Fraction:
         left = MonoTuple(tuple(compose(c, f) for c in base))

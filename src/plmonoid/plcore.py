@@ -23,10 +23,12 @@ points a check involves, as the sweep kernel and grid merge do for the
 two values they compare, and test collinearity against the slope of
 the last kept segment, kept as a cross-multiplied pair.  A map built
 from rows the library made goes through _built, the one place that
-reports a constructor's rejection as InvariantViolation.  The two
-exceptions compare every cost with every other and keep one common
-denominator: the grid oracle's dynamic program (quotdist.brute_oracle)
-and the epsilon-net DP (explorer).
+reports a constructor's rejection as InvariantViolation.  Three
+exceptions keep one common denominator.  Two compare every cost with
+every other: the grid oracle's dynamic program (quotdist.brute_oracle)
+and the epsilon-net DP (explorer).  The third, gaps.collapse_map, puts
+every gap end over one, since each level subtracts the lengths of all
+the gaps before it.
 
 All values are immutable and all operations are pure functions; the
 module is safe for unrestricted concurrent use.

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from plmonoid import (
     GapSet,
     InputError,
+    InvariantViolation,
     MonoTuple,
     PLMono,
     collapse_map,
@@ -27,6 +28,8 @@ from plmonoid import (
     sup_dist,
 )
 from plmonoid.explorer import random_mono, random_point
+from plmonoid.gaps import _check_interval
+from plmonoid.plcore import _frac, _iter, _pair, _tabulate
 
 from conftest import (
     COPRIME_DENS,
@@ -86,6 +89,9 @@ def test_merge_rejects_bad_intervals():
             read(None)
     with pytest.raises(InputError, match="components must be an iterable"):
         pullback_pseudometric(None, lambda left, right: F(0))
+    # rho is refused up front, not on the evaluator's first call
+    with pytest.raises(InputError, match="pullback_pseudometric needs a callable rho, got 5"):
+        pullback_pseudometric(MonoTuple((identity(),)), 5)
 
 
 @given(seeds)
@@ -331,16 +337,11 @@ def test_equiv_support_interval_through_a_crossing():
     assert equiv_test(f, h, GapSet(((F(1, 4), F(1, 2)),))) is False
 
 
-@given(seeds, st.sampled_from(["point", "random", "moved", "coprime"]))
-@settings(max_examples=30, deadline=None)
-def test_equiv_gap_endpoint_at_a_crossing_value(seed, kind):
-    # The gaps are the midpoint's value intervals (f(a), f(b)) over the
-    # reference's support intervals (a, b) of f - h, so f and h are
-    # identified.  The pair is drawn until f - h changes sign inside a
-    # cell of the merged grid: there two support intervals touch, and so
-    # do two gaps, at exactly the crossing value.  A crossing dropped or
-    # moved off that value leaves a value interval across both gaps.
-    rng = random.Random(seed)
+def crossing_pair(rng, kind):
+    """(f, h, support, crossings): a pair of the given kind, drawn until
+    f - h changes sign inside a cell of the merged grid, with the
+    maximal open intervals where f and h differ and the crossings
+    inside a cell."""
     for _ in range(200):
         if kind == "point":
             f, h = random_point(rng, 2).components
@@ -355,9 +356,20 @@ def test_equiv_gap_endpoint_at_a_crossing_value(seed, kind):
         support = _difference_support(xs, *rows)
         crossings = [b for (_, b), (a, _) in zip(support, support[1:]) if a == b and b not in xs]
         if crossings:
-            break
-    else:
-        pytest.fail("no pair with a crossing inside a cell in 200 draws")
+            return f, h, support, crossings
+    pytest.fail("no pair with a crossing inside a cell in 200 draws")
+
+
+@given(seeds, st.sampled_from(["point", "random", "moved", "coprime"]))
+@settings(max_examples=30, deadline=None)
+def test_equiv_gap_endpoint_at_a_crossing_value(seed, kind):
+    # The gaps are the midpoint's value intervals (f(a), f(b)) over the
+    # reference's support intervals (a, b) of f - h, so f and h are
+    # identified.  The pair is drawn until f - h changes sign inside a
+    # cell of the merged grid: there two support intervals touch, and so
+    # do two gaps, at exactly the crossing value.  A crossing dropped or
+    # moved off that value leaves a value interval across both gaps.
+    f, h, support, crossings = crossing_pair(random.Random(seed), kind)
     g = GapSet(tuple((f(a), f(b)) for a, b in support))
     assert {f(x) for x in crossings} <= {b for _, b in g.gaps} & {a for a, _ in g.gaps}
     assert equiv_test(f, h, g) is True
@@ -409,6 +421,9 @@ def test_collapsed_dist_worked():
     assert collapsed_dist(identity(), lo, chi) == 0
     wide_lo, wide_hi = extreme_pair((F(1, 8), F(7, 8)))
     assert collapsed_dist(wide_lo, wide_hi, chi) > 0
+    for args in ((lo, hi, None), (lo, GapSet((I14,)), chi), (None, hi, chi)):
+        with pytest.raises(InputError, match="collapsed_dist needs three monotone maps"):
+            collapsed_dist(*args)
 
 
 @given(seeds)
@@ -460,3 +475,252 @@ def test_pullback_triangle(seed):
     f, g, h = random_mono(rng), random_mono(rng), random_mono(rng)
     assert pulled(f, h) <= pulled(f, g) + pulled(g, h)
     assert pulled(f, g) == pulled(g, f)
+
+
+# --- the Fraction gap calculus the pair calculus replaced, as a reference
+
+
+def ref_check_interval(iv):
+    a, b = _pair(iv, "an (a, b) interval")
+    a, b = _frac(a), _frac(b)
+    if not (0 <= a < b <= 1):
+        raise InputError(f"not a nonempty open subinterval of [0, 1]: ({a!s:.60}, {b!s:.60})")
+    return a, b
+
+
+def ref_sorted_intervals(intervals):
+    items = _iter(intervals, "intervals must be an iterable of (a, b) pairs")
+    return sorted(ref_check_interval(iv) for iv in items)
+
+
+def ref_gapset(gaps):
+    """GapSet(gaps).gaps, from the sorted Fraction pairs."""
+    ivs = tuple(ref_sorted_intervals(gaps))
+    for (a0, b0), (a1, b1) in zip(ivs, ivs[1:]):
+        if a1 < b0:
+            raise InputError(f"gaps overlap: ({a0!s:.60}, {b0!s:.60}) and ({a1!s:.60}, {b1!s:.60})")
+    return ivs
+
+
+def ref_merge_gaps(intervals):
+    """merge_gaps(intervals).gaps: merged, then checked again as a GapSet."""
+    out = []
+    for a, b in ref_sorted_intervals(intervals):
+        if out and a < out[-1][1]:
+            prev_a, prev_b = out[-1]
+            out[-1] = (prev_a, max(prev_b, b))
+        else:
+            out.append((a, b))
+    return ref_gapset(tuple(out))
+
+
+def ref_isolated_points(gaps):
+    return [b0 for (_, b0), (a1, _) in zip(gaps, gaps[1:]) if b0 == a1]
+
+
+def ref_refuse_isolated(gaps):
+    bad = ", ".join(f"{p!s:.60}" for p in ref_isolated_points(gaps))
+    if bad:
+        raise InputError(f"gap set has isolated complement points at {bad}")
+
+
+def ref_extreme_pair_all(gaps):
+    ref_refuse_isolated(gaps)
+    lo_pts = [(F(0), F(0))]
+    hi_pts = [(F(0), F(0))]
+    for a, b in gaps:
+        mid = (a + b) * F(1, 2)
+        lo_pts += [(a, a), (mid, a), (b, b)]
+        hi_pts += [(a, a), (mid, b), (b, b)]
+    lo_pts.append((F(1), F(1)))
+    hi_pts.append((F(1), F(1)))
+    return PLMono(tuple(lo_pts)), PLMono(tuple(hi_pts))
+
+
+def ref_equiv_test(f, h, gaps):
+    _, (fv, hv) = _tabulate((f, h))
+    ends = []
+    for (a, b), (c, d), (p, q), (r, s) in zip(fv, fv[1:], hv, hv[1:]):
+        d0, d1 = a * q - p * b, c * s - r * d
+        if not d0:
+            if d1:
+                ends.append(F(a, b))
+        elif not d1:
+            ends.append(F(c, d))
+        elif (d0 < 0) != (d1 < 0):
+            y = F(a * r * q * d - p * c * b * s, d0 * d * s - d1 * b * q)
+            ends += (y, y)
+    return all(any(lo <= a and b <= hi for lo, hi in gaps) for a, b in zip(ends[::2], ends[1::2]))
+
+
+def ref_collapse_map(gaps):
+    ref_refuse_isolated(gaps)
+    free = 1 - sum((b - a for a, b in gaps), start=F(0))
+    if free == 0:
+        raise InputError("gaps cover (0, 1): trivial pseudo-distance has no collapse map")
+    slope = 1 / free
+    pts = [(F(0), F(0))]
+    cursor, level = F(0), F(0)
+    for a, b in gaps:
+        level += (a - cursor) * slope
+        pts.append((a, level))
+        pts.append((b, level))
+        cursor = b
+    pts.append((F(1), level + (1 - cursor) * slope))
+    return PLMono(tuple(pts))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (InputError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+
+
+def gaps_of(build, *args):
+    """build(*args).gaps, or the type and text of the error."""
+    return outcome(lambda: build(*args).gaps)
+
+
+def assert_matches_reference(g, pairs=()):
+    """Every reader of the GapSet g, and equiv_test on each pair both
+    ways round, against the Fraction reference on g's gaps."""
+    gaps = g.gaps
+    assert GapSet(gaps) == g and gaps_of(GapSet, gaps[::-1]) == ref_gapset(gaps[::-1])
+    assert isolated_points(g) == ref_isolated_points(gaps)
+    assert outcome(collapse_map, g) == outcome(ref_collapse_map, gaps)
+    extreme = outcome(extreme_pair_all, g)
+    assert extreme == outcome(ref_extreme_pair_all, gaps)
+    if isinstance(extreme[0], PLMono):
+        pairs = (*pairs, extreme, (extreme[0], identity()))
+    for f, h in pairs:
+        assert equiv_test(f, h, g) is ref_equiv_test(f, h, gaps)
+        assert equiv_test(h, f, g) is ref_equiv_test(h, f, gaps)
+
+
+DENS = {
+    "grid": (64,),
+    "coprime": tuple(COPRIME_DENS),
+    "mixed": (7, 12, 64, 2**20 + 7, COPRIME_DENS[0]),
+}
+
+
+def raw_intervals(rng, dens):
+    """Up to four raw intervals between distinct sorted ends, so disjoint
+    or touching, one draw in two with a fifth across them, in no order.
+    An end is 0 or 1 one draw in ten each, else k/d for d drawn from
+    dens.  One draw in five spoils an interval: reversed, empty or
+    pushed out of [0, 1]."""
+
+    def end():
+        kind = rng.randrange(10)
+        if kind < 2:
+            return F(kind)
+        d = rng.choice(dens)
+        return F(rng.randrange(d + 1), d)
+
+    ends = sorted({end() for _ in range(2 * rng.randrange(5))})
+    out = list(zip(ends[::2], ends[1::2]))
+    if rng.randrange(2):
+        out.append(tuple(sorted((end(), end()))))
+    if out and not rng.randrange(5):
+        i = rng.randrange(len(out))
+        a, b = out[i]
+        out[i] = rng.choice([(b, a), (a, a), (a - 1, b), (a, b + 1)])
+    rng.shuffle(out)
+    return out
+
+
+@given(seeds, st.sampled_from(sorted(DENS)))
+@settings(max_examples=60, deadline=None)
+def test_gap_calculus_matches_fraction_reference(seed, dens):
+    rng = random.Random(seed)
+    raw = raw_intervals(rng, DENS[dens])
+    # the public GapSet: out of order, overlapping or not
+    assert gaps_of(GapSet, raw) == outcome(ref_gapset, raw)
+    assert gaps_of(merge_gaps, raw) == outcome(ref_merge_gaps, raw)
+    if not isinstance(outcome(merge_gaps, raw), GapSet):
+        return
+    g = merge_gaps(raw)
+    kind = "coprime" if dens == "coprime" else rng.choice(["point", "random", "moved"])
+    f, h, support, _ = crossing_pair(rng, kind)
+    pairs = [random_point(rng, 2).components, (f, h)]
+    if dens != "grid":
+        pairs.append(tuple(coprime_map(rng, rng.choice(COPRIME_DENS)) for _ in range(2)))
+    assert_matches_reference(g, pairs)
+    # the pair's own gaps touch at its crossings inside a cell; their hull
+    # holds the crossings inside
+    own = [(f(a), f(b)) for a, b in support]
+    assert_matches_reference(GapSet(own), [(f, h)])
+    assert_matches_reference(GapSet(((own[0][0], own[-1][1]),)), [(f, h)])
+    if g.gaps:
+        # a gap split at its midpoint: two touching gaps
+        i = rng.randrange(len(g))
+        a, b = g.gaps[i]
+        mid = (a + b) / 2
+        assert_matches_reference(GapSet((*g.gaps[:i], (a, mid), (mid, b), *g.gaps[i + 1:])), pairs)
+
+
+BIG = COPRIME_DENS[0]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [(0, F(1, 4)), (F(1, 2), 1)],
+        [(0, 1)],
+        [(F(5, 8), F(3, 4)), (F(1, 8), F(1, 4)), (F(3, 8), F(1, 2))],
+        [(0, F(1, 2)), (F(1, 2), 1)],
+        [(F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(3, 4), 1)],
+        [(F(1, 2), F(7, 8)), (F(1, 4), F(3, 4)), (0, F(1, 8))],
+        [(F(1, BIG), F(2, BIG)), (F(3, COPRIME_DENS[1]), F(1, 2)), (F(BIG - 1, BIG), 1)],
+        [(F(1, 3), "1/2"), ("1/4", F(1, 3)), (F(1, 2), 2)],
+    ],
+    ids=["ends-at-0-and-1", "all", "three-out-of-order", "touching-cover", "touching-at-1", "overlap-out-of-order",
+         "coprime", "strings-and-out-of-range"],
+)
+def test_gap_sets_at_the_edges_match_fraction_reference(raw):
+    assert gaps_of(GapSet, raw) == outcome(ref_gapset, raw)
+    assert gaps_of(merge_gaps, raw) == outcome(ref_merge_gaps, raw)
+    for ivs in (raw, [(a, b) for a, b in raw if _frac(b) <= 1]):
+        g = outcome(GapSet, ivs)
+        for g in (g, outcome(merge_gaps, ivs)):
+            if isinstance(g, GapSet):
+                f, h, _, _ = crossing_pair(random.Random(len(g)), "point")
+                assert_matches_reference(g, [(f, h)])
+
+
+def test_merged_gaps_enter_with_their_overlap_checked():
+    # merge_gaps' way into GapSet trusts its rows' checks and order, but
+    # not that they are disjoint: an overlap there is a bug
+    rows = [_check_interval(iv) for iv in ((F(1, 4), F(1, 2)), (F(3, 8), F(3, 4)))]
+    with pytest.raises(InvariantViolation, match=r"gaps overlap: \(1/4, 1/2\) and \(3/8, 3/4\)"):
+        GapSet._merged(rows)
+    assert GapSet._merged(rows[:1]) == GapSet(((F(1, 4), F(1, 2)),))
+
+
+def test_gap_calculus_builds_no_fraction(monkeypatch):
+    rng = random.Random(5)
+    f, h, support, _ = crossing_pair(rng, "coprime")
+    # f and h's own gaps, touching at the crossings, and a set without
+    # isolated points, from 0 to 1 with a large denominator in between
+    touching = GapSet(tuple((f(a), f(b)) for a, b in support))
+    g = merge_gaps([(0, F(1, 8)), (F(1, 4), F(1, COPRIME_DENS[2]) + F(1, 3)), (F(3, 5), 1)])
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    assert F(1, 3) == F(2, 6) and built == [(1, 3), (2, 6)]  # the count sees a construction
+    built.clear()
+    lo, hi = extreme_pair_all(g)
+    chi = collapse_map(g)
+    results = [equiv_test(f, h, touching), equiv_test(h, f, touching), equiv_test(lo, hi, g), equiv_test(f, h, g)]
+    assert built == []
+    monkeypatch.undo()
+    assert results == [True, True, True, False]
+    assert (lo, hi, chi) == (ref_extreme_pair_all(g.gaps) + (ref_collapse_map(g.gaps),))

@@ -214,8 +214,8 @@ MUTANTS = [
     ),
     (
         "gaps.py",
-        "    return sorted(_check_interval(iv) for iv in items)\n",
-        "    return [_check_interval(iv) for iv in items]\n",
+        "    return sorted(map(_check_interval, items), key=itemgetter(0))\n",
+        "    return list(map(_check_interval, items))\n",
         "tests/test_gaps.py::test_gapset_sorts_disjoint_gaps_given_out_of_order",
         "new: GapSet checking its gaps for overlap in the order given",
     ),
@@ -235,6 +235,20 @@ MUTANTS = [
     ),
     (
         "gaps.py",
+        "    if ar[0] < 0 or ar[0] * br[1] >= br[0] * ar[1] or br[0] > br[1]:\n",
+        "    if ar[0] < 0 or ar[0] * br[1] >= br[0] * ar[1]:\n",
+        "tests/test_gaps.py::test_gap_sets_at_the_edges_match_fraction_reference",
+        "new: an interval ending past 1 accepted",
+    ),
+    (
+        "gaps.py",
+        "                if br[0] * pd > pn * br[1]:\n",
+        "                if True:\n",
+        "tests/test_gaps.py::test_merge_nested_absorbed",
+        "new: merge_gaps cutting a gap back to a nested interval's end",
+    ),
+    (
+        "gaps.py",
         "            ends += (y, y)\n",
         "            pass\n",
         "tests/test_gaps.py::test_equiv_gap_endpoint_at_a_crossing_value",
@@ -242,10 +256,31 @@ MUTANTS = [
     ),
     (
         "gaps.py",
-        "y = Fraction(a * r * q * d - p * c * b * s, d0 * d * s - d1 * b * q)",
-        "y = Fraction(a * d + c * b, 2 * b * d)",
+        "            y = (n, m) if d0 > 0 else (-n, -m)\n",
+        "            y = (a * d + c * b, 2 * b * d)\n",
         "tests/test_gaps.py::test_equiv_gap_endpoint_at_a_crossing_value",
         "7eddd77: equiv_test's crossing at (f0 + f1)/2",
+    ),
+    (
+        "gaps.py",
+        "            y = (n, m) if d0 > 0 else (-n, -m)\n",
+        "            y = (n, m)\n",
+        "tests/test_gaps.py::test_gap_calculus_matches_fraction_reference",
+        "new: equiv_test's crossing kept with a negative denominator",
+    ),
+    (
+        "gaps.py",
+        "        self._store(rows, InvariantViolation)\n",
+        "        self.__dict__[\"gaps\"] = tuple(iv for iv, _, _ in rows)\n",
+        "tests/test_gaps.py::test_merged_gaps_enter_with_their_overlap_checked",
+        "new: merge_gaps' way into GapSet skipping the overlap check",
+    ),
+    (
+        "gaps.py",
+        "        covered += b - a\n",
+        "        covered = b - a\n",
+        "tests/test_gaps.py::test_gap_calculus_matches_fraction_reference",
+        "new: collapse_map's level forgetting all but the last gap before it",
     ),
     (
         "gaps.py",
