@@ -450,6 +450,11 @@ def _cmd_dist(args) -> str:
     # the quotient distance always compares with uniform weights
     ta, _ = ser.tuple_from_obj(ser.loads(_read_text(args.a)))
     tb, _ = ser.tuple_from_obj(ser.loads(_read_text(args.b)))
+    # the oracle's work grows as (grid + 1)^2 per component: n <= 2 at 4096
+    n = max(len(ta), len(tb))
+    if args.grid and (args.grid + 1) ** 2 * n > 2 * 4097**2:
+        raise InputError(f"dist --grid {args.grid} on {n} components exceeds the work limit: "
+                         "need (grid+1)^2 * n <= 2 * 4097^2")
     tol = ser.parse_frac(args.tol)
     qi, bound = _bracket(ta, tb, tol)
     out = ser.interval_to_obj(qi)

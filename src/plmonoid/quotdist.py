@@ -8,12 +8,14 @@ components uniform norm, and is computed here two independent ways:
 * exactly, in closed form: the largest value, over the grid lines of
   either side's merged breakpoint grid, at which the most positive and
   the most negative component difference cross (_value's docstring has
-  the proof).  One two-pointer sweep per side finds each line's
-  crossing cell, in exact ints scaled over the values of the grid nodes
-  each comparison touches.  The decision ("is the distance at most
-  eps?") and the bracket [hi * j / 2^k, hi * (j + 1) / 2^k] under the
-  canonical forms' sup-distance hi are read from that value; the forms
-  come from canonicalize, which returns a uniform canonical tuple as is;
+  the proof).  One walk along the staircase of grid nodes where the
+  largest and the least difference sum to more than 0 finds each line's
+  crossing cell, building each node's differences at most once, in
+  exact ints scaled over the values of the grid nodes each comparison
+  touches.  The decision ("is the distance at most eps?") and the
+  bracket [hi * j / 2^k, hi * (j + 1) / 2^k] under the canonical forms'
+  sup-distance hi are read from that value; the forms come from
+  canonicalize, which returns a uniform canonical tuple as is;
 * a brute-force upper bound: dynamic programming over monotone lattice
   paths on a uniform grid, where the cost of a path is the exact
   supremum of the component distances along the piecewise-linear
@@ -108,60 +110,88 @@ def _value(a: MonoTuple, b: MonoTuple) -> Fraction:
     S(u) is empty iff P > eps and N > eps at some (u, v).
 
     Inside a grid cell min(P, N) is the largest min(X_i, Y_j), X_i = d_i
-    and Y_j = -d_j affine, so it peaks on the cell's boundary.  On a grid
-    line u = U[p], P falls and N rises with v, so the line's peak is where
-    P - N = max(d) + min(d) changes sign, and that cell moves right as u
-    grows: one two-pointer walk per side finds it.  Along that cell X_i
-    falls from x0 to x1 and Y_j rises from y0 to y1, so min(X_i, Y_j)
-    peaks at x0, at y1, or where they cross, at
-    (x0 * y1 - x1 * y0) / ((x0 - y0) - (x1 - y1)).
-    The lines v = V[q] are the same pass with the sides swapped.
+    and Y_j = -d_j affine, so it peaks on the cell's boundary.  Along a
+    grid line P falls and N rises as v grows or u falls, so the line's
+    peak is in any cell where P - N = max(d) + min(d) changes sign.  The
+    grid nodes R where it is positive are closed under a larger u and a
+    smaller v, so R's boundary is a monotone staircase from the v = 0
+    edge to the u = 1 edge, and each staircase edge, from a node in R
+    to one outside it, is the crossing cell of its line; P - N is
+    monotone along a line, so no line has two.  A line that meets no
+    staircase edge, such as each line on the square's edges, has
+    P <= 0 or N <= 0 throughout (every map is 0 at 0 and 1 at 1), so
+    it cannot raise the value above 0 and is skipped.
 
-    Each grid node keeps its n values as ints over their lcm.  The walk
-    holds the differences at the cell's two nodes, lo over c * c0 and hi
-    over c * c1 (c, c0 and c1 the lcms of the line's node and of the
-    cell's two), and a step passes hi on as the next lo.  At its stop
-    d0 = c1 * lo and d1 = c0 * hi put both over S = c * c0 * c1, and the
-    candidates are compared by cross-multiplying.  As X_i falls from x0
-    and Y_j rises to y1 = -e1, no candidate exceeds
-    min(max d0, -min d1) / S, so a line whose cap is at most the best so
-    far cannot raise it strictly and its n^2 candidates are skipped.
+    The walk holds a cell (p, q) whose node (p+1, q) is in R and whose
+    node (p, q+1) is not.  It builds node (p+1, q+1): in R, the top edge
+    is the cell of the line v = V[q+1] and the walk moves up; outside R,
+    the right edge is the cell of u = U[p+1] and it moves right, until
+    it reaches u = 1.  It enters at (0, 0): while (p+1, 0) is outside R
+    every a_i is 0 at U[p+1], so the walk moves right along v = 0
+    across lines with P <= 0, whose caps are 0.  A
+    top edge read from its node in R towards falling u is a right edge
+    read towards growing v: X_i falls from x0 to x1 and Y_j rises from
+    y0 to y1 along both, so min(X_i, Y_j) peaks at x0, at y1, or where
+    they cross, at (x0 * y1 - x1 * y0) / ((x0 - y0) - (x1 - y1)).
+
+    Each grid node keeps its n values as ints over their lcm.  The
+    differences at a node are built at most once, those at a cell's
+    near node only when the branch taken reads them.  A cell's
+    differences at its node in R (lo) and at the other (hi) share its
+    line's lcm c: lo is over c * c0 and hi over c * c1.  d0 = c1 * lo
+    and d1 = c0 * hi put both over S = c * c0 * c1, and the candidates
+    are compared by cross-multiplying.  As X_i falls from x0 and Y_j
+    rises to y1 = -e1, no candidate exceeds min(max d0, -min d1) / S,
+    so a line whose cap is at most the best so far cannot raise it
+    strictly and its n^2 candidates are skipped.
     """
     if len(a) != len(b):
         raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
-    nodes = [[_ints(col) for col in zip(*_tabulate(t.components)[1])] for t in (a, b)]
+    U, V = ([_ints(col) for col in zip(*_tabulate(t.components)[1])] for t in (a, b))
+
+    def diff(p, q):
+        (x, cx), (y, cy) = U[p], V[q]
+        return [s * cy - t * cx for s, t in zip(x, y)]
+
+    # r and o: the differences at the cell's nodes (p+1, q) and (p, q+1),
+    # or None until a branch reads them.
+    p, q, r, o, last = 0, 0, None, None, len(U) - 1
     best, best_d = 0, 1
-    for own, other in (nodes, nodes[::-1]):
-        q = 0
-        for vals, c in own:
-            v0, c0 = other[q]
-            lo = [x * c0 - y * c for x, y in zip(vals, v0)]
-            # P - N is at most 0 at the far end, where every map is 1.
-            while True:
-                v1, c1 = other[q + 1]
-                hi = [x * c1 - y * c for x, y in zip(vals, v1)]
-                if max(hi) + min(hi) <= 0:
-                    break
-                q, lo, c0 = q + 1, hi, c1
-            S = c * c0 * c1
-            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:
-                continue
-            d0 = [c1 * x for x in lo]
-            d1 = [c0 * x for x in hi]
-            top, top_d = 0, 1
-            for x0, x1 in zip(d0, d1):
-                # Y_j runs from -e0 to -e1.
-                for e0, e1 in zip(d0, d1):
-                    if x0 + e0 <= 0:
-                        num, den = x0, 1
-                    elif x1 + e1 >= 0:
-                        num, den = -e1, 1
-                    else:
-                        num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1
-                    if num * top_d > top * den:
-                        top, top_d = num, den
-            if top * best_d > best * top_d * S:
-                best, best_d = top, top_d * S
+    while True:
+        x = diff(p + 1, q + 1)
+        if max(x) + min(x) > 0:
+            # up: the top edge, read from x down to o
+            if o is None:
+                o = diff(p, q + 1)
+            lo, hi, c, c0, c1 = x, o, V[q + 1][1], U[p + 1][1], U[p][1]
+            q, r, o = q + 1, x, None
+        elif p + 1 == last:
+            break
+        else:
+            # right: the right edge, read from r up to x
+            if r is None:
+                r = diff(p + 1, q)
+            lo, hi, c, c0, c1 = r, x, U[p + 1][1], V[q][1], V[q + 1][1]
+            p, r, o = p + 1, None, x
+        S = c * c0 * c1
+        if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:
+            continue
+        d0 = [c1 * v for v in lo]
+        d1 = [c0 * v for v in hi]
+        top, top_d = 0, 1
+        for x0, x1 in zip(d0, d1):
+            # Y_j runs from -e0 to -e1.
+            for e0, e1 in zip(d0, d1):
+                if x0 + e0 <= 0:
+                    num, den = x0, 1
+                elif x1 + e1 >= 0:
+                    num, den = -e1, 1
+                else:
+                    num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1
+                if num * top_d > top * den:
+                    top, top_d = num, den
+        if top * best_d > best * top_d * S:
+            best, best_d = top, top_d * S
     return Fraction(best, best_d)
 
 

@@ -672,6 +672,33 @@ def test_cli_negative_grid_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     assert err.startswith("error: --grid -1") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid, n, refused", [
+    (4096, 2, False), (4096, 1, False), (4096, 3, True), (4096, 400, True), (2047, 8, False), (2048, 8, True),
+])
+def test_cli_grid_work_budget_exits_2_before_any_work(tmp_path, capsys, monkeypatch, grid, n, refused):
+    # (grid+1)^2 * n may reach 2 * 4097^2, which n = 2 at --grid 4096 meets
+    # exactly; a refusal comes after the inputs are parsed and before the
+    # bracket or the oracle runs.
+    def fail(*args):
+        raise AssertionError("work started beyond the --grid work limit")
+
+    def bracket(a, b, tol):
+        return quotdist.QuotInterval(0, 0, 1), (0, 1)
+
+    path = tmp_path / "tuple.json"
+    path.write_text(ser.dumps(ser.tuple_to_obj(MonoTuple((identity(),) * n))))
+    monkeypatch.setattr(quotdist, "_bracket", fail if refused else bracket)
+    monkeypatch.setattr(quotdist, "brute_oracle", fail if refused else (lambda a, b, k: F(0)))
+    code = main(["dist", str(path), str(path), "--grid", str(grid)])
+    out, err = capsys.readouterr()
+    if refused:
+        assert code == 2 and out == ""
+        assert err == (f"error: dist --grid {grid} on {n} components exceeds the work limit: "
+                       "need (grid+1)^2 * n <= 2 * 4097^2\n")
+    else:
+        assert code == 0 and err == "" and ser.loads(out)["oracle_upper"] == "0"
+
+
 def test_cli_gaps_command():
     code, out = run_cli(
         ["gaps", "-"], stdin='{"gaps":[["1/10","3/10"],["2/10","5/10"]]}'

@@ -509,6 +509,123 @@ def test_pair_to_identity_closed_form():
         assert qi.lo <= value <= qi.hi
 
 
+# --- the exact value: one walk against two walks, and the metric laws
+
+
+def two_walk_value(a, b):
+    """_value by one two-pointer walk per side: each grid line of one
+    side finds its crossing cell among the other side's nodes, and the
+    differences are rebuilt at every node the walk passes.  The
+    reference the one walk along the sign boundary is checked against."""
+    if len(a) != len(b):
+        raise InputError(f"tuple lengths differ: {len(a)} vs {len(b)}")
+    nodes = [[_ints(col) for col in zip(*_tabulate(t.components)[1])] for t in (a, b)]
+    best, best_d = 0, 1
+    for own, other in (nodes, nodes[::-1]):
+        q = 0
+        for vals, c in own:
+            v0, c0 = other[q]
+            lo = [x * c0 - y * c for x, y in zip(vals, v0)]
+            # P - N is at most 0 at the far end, where every map is 1.
+            while True:
+                v1, c1 = other[q + 1]
+                hi = [x * c1 - y * c for x, y in zip(vals, v1)]
+                if max(hi) + min(hi) <= 0:
+                    break
+                q, lo, c0 = q + 1, hi, c1
+            S = c * c0 * c1
+            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:
+                continue
+            d0 = [c1 * x for x in lo]
+            d1 = [c0 * x for x in hi]
+            top, top_d = 0, 1
+            for x0, x1 in zip(d0, d1):
+                # Y_j runs from -e0 to -e1.
+                for e0, e1 in zip(d0, d1):
+                    if x0 + e0 <= 0:
+                        num, den = x0, 1
+                    elif x1 + e1 >= 0:
+                        num, den = -e1, 1
+                    else:
+                        num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1
+                    if num * top_d > top * den:
+                        top, top_d = num, den
+            if top * best_d > best * top_d * S:
+                best, best_d = top, top_d * S
+    return F(best, best_d)
+
+
+def end_plateau_tuple(rng, n):
+    """A tuple of n maps, random_mono or coprime_map, not canonical:
+    all of them composed with one h that rests at 0 on [0, s] and at 1
+    on [t, 1], s = 0 or t = 1 leaving that end without a plateau."""
+    s, t = sorted(rng.choice([F(0), F(rng.randrange(1, 8), 8)]) for _ in range(2))
+    t = t if s < t else F(1)
+    h = PLMono(tuple(dict.fromkeys([(F(0), F(0)), (s, F(0)), (t, F(1)), (F(1), F(1))])))
+    dens = rng.sample(COPRIME_DENS, n)
+    maps = [coprime_map(rng, d, 3) if rng.randrange(2) else random_mono(rng) for d in dens]
+    return MonoTuple(tuple(compose(f, h) for f in maps))
+
+
+@given(seeds, st.sampled_from([*PAIR_KINDS, "self", "ends"]))
+@example(3, "ends")
+@example(0, "self")
+@settings(max_examples=60, deadline=None)
+def test_one_walk_value_matches_two_walk_reference(seed, kind):
+    # "self" compares a tuple of any kind with itself; "ends" draws
+    # tuples of 1 to 5 maps, some over coprime 100-digit denominators,
+    # that rest at 0 or at 1 together, so the walk steps right along
+    # v = 0 before it meets R, and some lines have no node in R.
+    rng = random.Random(seed)
+    if kind == "self":
+        a = b = draw_pair(rng, rng.choice(PAIR_KINDS))[0]
+    elif kind == "ends":
+        n = rng.randrange(1, 6)
+        a, b = end_plateau_tuple(rng, n), end_plateau_tuple(rng, n)
+    else:
+        a, b = draw_pair(rng, kind)
+    a, b = MonoTuple(tuple(a)), MonoTuple(tuple(b))
+    for x, y in ((a, b), (b, a)):
+        assert quotdist._value(x, y) == two_walk_value(x, y)
+
+
+@given(seeds, st.sampled_from([*PAIR_KINDS, "ends"]))
+@settings(max_examples=30, deadline=None)
+def test_value_is_symmetric_and_invariant_under_reparameterization(seed, kind):
+    # Exact equalities, not brackets: the walk treats a's side and b's
+    # side differently, so symmetry is a real check.
+    rng = random.Random(seed)
+    if kind == "ends":
+        n = rng.randrange(1, 6)
+        a, b = end_plateau_tuple(rng, n), end_plateau_tuple(rng, n)
+    else:
+        a, b = (MonoTuple(tuple(t)) for t in draw_pair(rng, kind))
+    d = quotdist._value(a, b)
+    assert quotdist._value(b, a) == d
+    moved = [MonoTuple(tuple(compose(f, g) for f in t)) for t, g in ((a, random_homeo(rng)), (b, random_homeo(rng)))]
+    assert quotdist._value(*moved) == quotdist._value(moved[0], b) == quotdist._value(a, moved[1]) == d
+
+
+@given(seeds, st.sampled_from(["point", "tuple"]))
+@settings(max_examples=30, deadline=None)
+def test_value_triangle_inequality(seed, kind):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 5) if kind == "tuple" else rng.randrange(2, 5)
+    draw = (lambda: random_tuple(rng, n)) if kind == "tuple" else (lambda: random_point(rng, n).as_tuple())
+    a, b, c = draw(), draw(), draw()
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        assert quotdist._value(x, z) <= quotdist._value(x, y) + quotdist._value(y, z)
+
+
+@given(seeds, st.sampled_from([*PAIR_KINDS, "ends"]))
+@settings(max_examples=20, deadline=None)
+def test_value_zero_against_own_canonical_form(seed, kind):
+    rng = random.Random(seed)
+    t = end_plateau_tuple(rng, rng.randrange(1, 6)) if kind == "ends" else MonoTuple(tuple(draw_pair(rng, kind)[0]))
+    ct = canonicalize(t)[0]
+    assert quotdist._value(t, ct) == quotdist._value(ct, t) == 0
+
+
 # --- grid oracle
 
 

@@ -25,7 +25,8 @@ Exit status 0 when the unmutated copy passes and every mutant is killed.
 Equivalent mutants, not seeded: in quotdist._value's line cap, min read
 as max, and the cap's <= read as <.  Each only loosens a valid bound on
 the line's candidates, so fewer lines are skipped and the value is the
-same.
+same.  In _value's walk, a step handing on None for the node it has
+just built: a later cell that reads the node builds it again.
 """
 
 from __future__ import annotations
@@ -480,59 +481,80 @@ MUTANTS = [
     ),
     (
         "quotdist.py",
-        "    for own, other in (nodes, nodes[::-1]):\n",
-        "    for own, other in (nodes,):\n",
+        "            lo, hi, c, c0, c1 = x, o, V[q + 1][1], U[p + 1][1], U[p][1]\n",
+        "            lo, hi, c, c0, c1 = x, o, V[q + 1][1], U[p + 1][1], U[p][1]\n            q, r, o = q + 1, x, None\n            continue\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
-        "new: the exact value's sweep over one side's lines skipped",
+        "new: the exact value's walk skipping the lines of b's grid",
     ),
     (
         "quotdist.py",
-        "            v0, c0 = other[q]\n",
-        "            v0, c0 = other[q + 1]\n",
+        "                r = diff(p + 1, q)\n",
+        "                r = diff(p + 1, q + 1)\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
-        "new: the crossing cell's near node taken one to the right",
+        "new: a right edge's near node taken one node up",
     ),
     (
         "quotdist.py",
-        "                q, lo, c0 = q + 1, hi, c1\n",
-        "                q, c0 = q + 1, c1\n",
+        "            p, r, o = p + 1, None, x\n",
+        "            p, r, o = p + 1, None, r\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
-        "new: the walk's step leaving the near node's differences behind",
+        "new: a step right handing on the node in R as the next top edge's far node",
     ),
     (
         "quotdist.py",
-        "                if max(hi) + min(hi) <= 0:\n",
-        "                if max(hi) - min(hi) <= 0:\n",
+        "        if max(x) + min(x) > 0:\n",
+        "        if max(x) - min(x) > 0:\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the walk's sign of P - N read as max - min",
     ),
     (
         "quotdist.py",
-        "            S = c * c0 * c1\n",
-        "            S = c * c0\n",
+        "        S = c * c0 * c1\n",
+        "        S = c * c0\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
-        "new: the crossing cell's scale without its right node's lcm",
+        "new: the crossing cell's scale without its far node's lcm",
     ),
     (
         "quotdist.py",
-        "            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:\n",
-        "            if min(c1 * max(lo), c0 * max(hi)) * best_d <= best * S:\n",
+        "        if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:\n",
+        "        if min(c1 * max(lo), c0 * max(hi)) * best_d <= best * S:\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the line cap read from the largest far difference",
     ),
     (
         "quotdist.py",
-        "            if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:\n",
-        "            if min(max(lo), -min(hi)) * best_d <= best * S:\n",
+        "        if min(c1 * max(lo), -c0 * min(hi)) * best_d <= best * S:\n",
+        "        if min(max(lo), -min(hi)) * best_d <= best * S:\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the line cap compared without its scale factors",
     ),
     (
         "quotdist.py",
-        "                        num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1\n",
-        "                        num, den = x1 * e0 - x0 * e1, x1 + e1 - x0 - e0\n",
+        "                    num, den = x1 * e0 - x0 * e1, x0 + e0 - x1 - e1\n",
+        "                    num, den = x1 * e0 - x0 * e1, x1 + e1 - x0 - e0\n",
         "tests/test_quotdist.py::test_decision_false_just_below_the_floor",
         "new: the in-cell crossing's denominator with its sign flipped",
+    ),
+    (
+        "quotdist.py",
+        "    p, q, r, o, last = 0, 0, None, None, len(U) - 1\n",
+        "    p, q, r, o, last = 1, 0, None, None, len(U) - 1\n",
+        "tests/test_quotdist.py::test_one_walk_value_matches_two_walk_reference",
+        "new: the walk entering v = 0 one node right of u = 0",
+    ),
+    (
+        "quotdist.py",
+        "        if max(x) + min(x) > 0:\n",
+        "        if max(x) + min(x) <= 0:\n",
+        "tests/test_quotdist.py::test_one_walk_value_matches_two_walk_reference",
+        "new: the walk's up and right branches swapped",
+    ),
+    (
+        "quotdist.py",
+        "            q, r, o = q + 1, x, None\n",
+        "            q, r = q + 1, x\n",
+        "tests/test_quotdist.py::test_one_walk_value_matches_two_walk_reference",
+        "new: a step up leaving the lazily built near node stale",
     ),
     (
         "quotdist.py",
@@ -568,6 +590,13 @@ MUTANTS = [
         "Fraction(*t0s[k + 1]) / 2",
         "tests/test_quotdist.py::test_orbit_bound_matches_built_reparameterization_on_net_points",
         "new: the ramp at t = 0 taking half its gap instead of a third",
+    ),
+    (
+        "explorer.py",
+        "    if args.grid and (args.grid + 1) ** 2 * n > 2 * 4097**2:\n",
+        "    if args.grid and (args.grid + 1) ** 2 * n >= 2 * 4097**2:\n",
+        "tests/test_explorer.py::test_cli_grid_work_budget_exits_2_before_any_work",
+        "new: the --grid work limit refusing two maps at --grid 4096, which meet it exactly",
     ),
     (
         "serialize.py",
